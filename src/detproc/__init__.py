@@ -47,7 +47,6 @@ from .sampling import (
     empirical_table,
     sample_active_set,
     sample_dpp,
-    sample_projection_oracle,
     sample_projection_sequential,
     sample_table,
     total_variation,

@@ -2,7 +2,7 @@
 
 Subcommands: sample, density, hellinger, bounds-sweep, isometry-sweep,
 estimate, risk-curve. Every run is driven by a JSON config plus the global
-flags --seed/--config/--out/--threads, and is byte-identical when repeated
+flags --seed/--config/--out, and is byte-identical when repeated
 with the same inputs. Exit codes: 0 all assertions passed, 1 property
 violation, 2 usage or configuration error.
 """
@@ -17,8 +17,8 @@ import sys
 import numpy as np
 
 from .core import (
+    Config,
     DppDensity,
-    Spectrum,
     density_table,
     params_from_dict,
     params_to_dict,
@@ -40,7 +40,6 @@ from .experiments import (
 from .hellinger import hellinger
 from .rng import SeededRng
 from .sampling import SampleSet, sample_dpp
-from .core import Config as Configuration
 
 
 class ConfigError(Exception):
@@ -145,7 +144,7 @@ def _read_samples_csv(path) -> tuple:
     with open(path) as fh:
         reader = csv.DictReader(fh)
         masks = [int(row["config_bitmask"]) for row in reader]
-    return tuple(Configuration.from_mask(m) for m in masks)
+    return tuple(Config.from_mask(m) for m in masks)
 
 
 def _cmd_estimate(args) -> int:
@@ -218,7 +217,6 @@ def _cmd_risk_curve(args) -> int:
         pool_size=int(cfg.get("pool_size", 64)),
         anchor_jitter=int(cfg.get("anchor_jitter", 1)),
         seed=_seed(args, cfg),
-        threads=args.threads if args.threads else int(cfg.get("threads", 1)),
     )
     result = run_risk_curve(curve)
     out = _require_out(args)
@@ -254,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the config seed (u64)")
     parser.add_argument("--config", default=None, help="JSON config path")
     parser.add_argument("--out", default=None, help="output path")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for replication loops")
     return parser
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -124,8 +124,18 @@ class GroundSet:
             yield Config.from_mask(mask)
 
 
-def _masks_of_size(p: int, k: int) -> list:
-    return [sum(1 << (x - 1) for x in c) for c in combinations(range(1, p + 1), k)]
+def subsets(p: int, k: int):
+    """The size-k subsets of {1..p}, in lexicographic order of their members.
+
+    Returns (masks, rows): masks[i] is the bitmask of the i-th subset and
+    rows[i] holds its k members as 0-based indices, so columns[rows] stacks
+    the k x k blocks of every subset in one fancy index. The order is not
+    ascending bitmask order: at p=4, k=2 the masks run 3, 5, 9, 6, 10, 12.
+    For k=0 the one subset is the empty set, with mask 0.
+    """
+    rows = np.array(list(combinations(range(p), k)), dtype=np.intp)
+    rows = rows.reshape(math.comb(p, k), k)
+    return (1 << rows).sum(axis=1), rows
 
 
 # ---------------------------------------------------------------------------
@@ -319,18 +329,25 @@ def mixture_weight(spectrum: Spectrum, active) -> float:
     return float(np.prod(np.where(inside, sq, 1.0 - sq)))
 
 
+def weighted_active_sets(spectrum: Spectrum, sizes):
+    """(J, weight) for every index set J with nonzero mixture weight.
+
+    J runs over the sizes in the order given and, within one size, over
+    the subsets of {1..r} in lexicographic order.
+    """
+    for k in sizes:
+        for active in combinations(range(1, spectrum.r + 1), k):
+            w = mixture_weight(spectrum, active)
+            if w != 0.0:
+                yield active, w
+
+
 def dpp_density_eval(density: DppDensity, alpha: Config) -> float:
     """Mixture sum over all index sets J of matching cardinality."""
     fam, spec = density.family, density.spectrum
     fam.ground().validate(alpha)
-    k = len(alpha)
-    if k > spec.r:
-        return 0.0
     total = 0.0
-    for active in combinations(range(1, spec.r + 1), k):
-        w = mixture_weight(spec, active)
-        if w == 0.0:
-            continue
+    for active, w in weighted_active_sets(spec, (len(alpha),)):
         total += w * projection_density_eval(fam, active, alpha)
     return total
 
@@ -364,30 +381,17 @@ def density_table(density, cap: int = DEFAULT_ENUM_CAP) -> DensityTable:
         _accumulate_projection(probs, fam, density.active, 1.0)
     elif isinstance(density, DppDensity):
         spec = density.spectrum
-        for k in range(min(fam.p, spec.r) + 1):
-            for active in combinations(range(1, spec.r + 1), k):
-                w = mixture_weight(spec, active)
-                if w == 0.0:
-                    continue
-                _accumulate_projection(probs, fam, active, w)
+        for active, w in weighted_active_sets(spec, range(spec.r + 1)):
+            _accumulate_projection(probs, fam, active, w)
     else:
         raise TypeError(f"unsupported density type {type(density).__name__}")
     return DensityTable(ground, probs)
 
 
 def _accumulate_projection(probs, fam, active, weight):
-    k = len(active)
-    if k == 0:
-        probs[0] += weight
-        return
-    cols = [j - 1 for j in active]
-    masks = _masks_of_size(fam.p, k)
-    subs = np.empty((len(masks), k, k), dtype=complex)
-    for i, members in enumerate(combinations(range(fam.p), k)):
-        subs[i] = fam.columns[np.ix_(members, cols)]
-    vals = abs_det_many(subs) ** 2
-    for m, v in zip(masks, vals):
-        probs[m] += weight * v
+    masks, rows = subsets(fam.p, len(active))
+    blocks = fam.columns[:, [j - 1 for j in active]][rows]
+    probs[masks] += weight * abs_det_many(blocks) ** 2
 
 
 def normalization_check(table: DensityTable) -> float:

@@ -22,7 +22,6 @@ from .core import (
     Spectrum,
     density_table,
 )
-from .hellinger import hellinger
 from .rng import SeededRng
 from .sampling import SampleSet
 
@@ -370,10 +369,6 @@ class SelectionResult:
     chosen_index: int
     crit_values: np.ndarray
     test_matrix: np.ndarray  # [a, b] = +1 if b beats a, -1 if a beats b
-
-    @property
-    def chosen(self):
-        return self.chosen_index
 
 
 def _beats(t_ab: float, prior_a: float, prior_b: float, a: int, b: int) -> bool:

@@ -1,17 +1,16 @@
 """Reproducible batch experiments.
 
 Every run is a pure function of its configuration (seed included): rows
-come out in a deterministic order regardless of thread scheduling, and
-reruns produce byte-identical files. Tables are CSV, metadata is JSON;
-plotting is left to external tools.
+come out in a deterministic order, and reruns produce byte-identical
+files. Tables are CSV, metadata is JSON; plotting is left to external
+tools.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -241,7 +240,6 @@ class RiskCurveConfig:
     pool_size: int = 64
     anchor_jitter: int = 1
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         grid = tuple(int(n) for n in self.n_grid)
@@ -296,13 +294,8 @@ def run_risk_curve(cfg: RiskCurveConfig) -> RiskCurveResult:
     rows = []
     per_rep = {}
     for ni, n in enumerate(cfg.n_grid):
-        streams = [root.split(ni).split(rep) for rep in range(cfg.replications)]
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                values = list(pool.map(
-                    lambda s: _risk_replication(cfg, n, s), streams))
-        else:
-            values = [_risk_replication(cfg, n, s) for s in streams]
+        values = [_risk_replication(cfg, n, root.split(ni).split(rep))
+                  for rep in range(cfg.replications)]
         per_rep[n] = values
         mean_h2 = math.fsum(values) / len(values)
         # single full-space model: bound = k (D log n)/n with D = 2p real dims

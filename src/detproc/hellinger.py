@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -23,8 +22,9 @@ from .core import (
     OrthonormalFamily,
     ProjectionDensity,
     Spectrum,
-    _masks_of_size,
     density_table,
+    subsets,
+    weighted_active_sets,
 )
 
 SLACK_TOL = 1e-9
@@ -81,9 +81,9 @@ def bernoulli_weight_hellinger(lam: Spectrum, gam: Spectrum) -> float:
 class WedgeVector:
     """Coordinates det M_{alpha, {1..k}} over all cardinality-k configurations.
 
-    coords is aligned with the ascending-bitmask order of size-k subsets;
-    for an orthonormal family the squared moduli sum to 1 and reproduce the
-    projection density.
+    coords follows the lexicographic order of size-k subsets given by
+    core.subsets (masks() lists their bitmasks); for an orthonormal family
+    the squared moduli sum to 1 and reproduce the projection density.
     """
 
     p: int
@@ -99,31 +99,29 @@ class WedgeVector:
         object.__setattr__(self, "coords", coords)
 
     def masks(self) -> list:
-        return _masks_of_size(self.p, self.k)
+        return subsets(self.p, self.k)[0].tolist()
 
     def coord(self, alpha: Config) -> complex:
         if len(alpha) != self.k:
             raise ValueError(f"configuration has size {len(alpha)}, expected {self.k}")
-        target = alpha.mask
-        for i, m in enumerate(self.masks()):
-            if m == target:
-                return complex(self.coords[i])
-        raise ValueError(f"configuration {alpha.members} outside ground set")
+        masks = self.masks()
+        if alpha.mask not in masks:
+            raise ValueError(f"configuration {alpha.members} outside ground set")
+        return complex(self.coords[masks.index(alpha.mask)])
+
+
+def _minors(cols: np.ndarray) -> np.ndarray:
+    """Signed minors det cols[alpha, :] over all configurations alpha of size
+    cols.shape[1], in core.subsets order (LU, independent of the QR route
+    the density tables take)."""
+    return np.linalg.det(cols[subsets(*cols.shape)[1]])
 
 
 def wedge_coords(family: OrthonormalFamily, k: int) -> WedgeVector:
     """Signed k x k minors of the first k columns, one per size-k configuration."""
     if not 0 <= k <= family.r:
         raise ValueError(f"k={k} outside [0, {family.r}]")
-    cols = family.columns[:, :k]
-    p = family.p
-    n = math.comb(p, k)
-    if k == 0:
-        return WedgeVector(p, 0, np.ones(1, dtype=complex))
-    subs = np.empty((n, k, k), dtype=complex)
-    for i, members in enumerate(combinations(range(p), k)):
-        subs[i] = cols[list(members), :]
-    return WedgeVector(p, k, np.linalg.det(subs))
+    return WedgeVector(family.p, k, _minors(family.columns[:, :k]))
 
 
 def gplus_delta(wedge_a: WedgeVector, wedge_b: WedgeVector):
@@ -147,11 +145,9 @@ def gplus_delta(wedge_a: WedgeVector, wedge_b: WedgeVector):
 # inequality checks
 
 def _det_moduli(family: OrthonormalFamily, active) -> np.ndarray:
-    """|det submatrix| over all configurations of size |active|, bitmask order."""
-    w = wedge_coords(
-        OrthonormalFamily(family.columns[:, [j - 1 for j in active]]), len(active)
-    )
-    return np.abs(w.coords)
+    """|det submatrix| over all configurations of size |active|, in
+    core.subsets order."""
+    return np.abs(_minors(family.columns[:, [j - 1 for j in active]]))
 
 
 def check_bound_projection(fam_phi: OrthonormalFamily, fam_psi: OrthonormalFamily,
@@ -221,7 +217,6 @@ def check_bound_dpp(fam_phi: OrthonormalFamily, spec_lam: Spectrum,
         raise ValueError("family/spectrum rank mismatch")
     if fam_phi.r != fam_psi.r or fam_phi.p != fam_psi.p:
         raise ValueError("families must share p and rank")
-    r = spec_lam.r
     lam = spec_lam.values
     gam = spec_gam.values
     weight_term = float(
@@ -237,18 +232,10 @@ def check_bound_dpp(fam_phi: OrthonormalFamily, spec_lam: Spectrum,
 
     # weighted sum of component projection distances under the gamma weights
     comp_sum = 0.0
-    gam_sq = gam**2
-    for k in range(1, r + 1):
-        for active in combinations(range(1, r + 1), k):
-            inside = np.zeros(r, dtype=bool)
-            for j in active:
-                inside[j - 1] = True
-            w = float(np.prod(np.where(inside, gam_sq, 1.0 - gam_sq)))
-            if w == 0.0:
-                continue
-            da = _det_moduli(fam_phi, active)
-            db = _det_moduli(fam_psi, active)
-            comp_sum += w * (1.0 - min(float(np.sum(da * db)), 1.0))
+    for active, w in weighted_active_sets(spec_gam, range(1, spec_gam.r + 1)):
+        da = _det_moduli(fam_phi, active)
+        db = _det_moduli(fam_psi, active)
+        comp_sum += w * (1.0 - min(float(np.sum(da * db)), 1.0))
 
     return [
         BoundReport(lhs, 2.0 * weight_term + 5.0 * col_term,

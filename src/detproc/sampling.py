@@ -8,7 +8,7 @@ the package's core trust mechanism for randomness.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,9 +17,7 @@ from .core import (
     DensityTable,
     DppDensity,
     OrthonormalFamily,
-    ProjectionDensity,
     Spectrum,
-    density_table,
 )
 from .rng import SeededRng
 
@@ -107,13 +105,6 @@ def sample_projection_sequential(family: OrthonormalFamily, active,
         q = np.linalg.qr(block, mode="reduced")[0]
         basis = basis @ q[:, 1:m]
     return Config(picked)
-
-
-def sample_projection_oracle(family: OrthonormalFamily, active,
-                             rng: SeededRng) -> Config:
-    """Exact inverse-CDF draw over the enumerated table, bitmask ascending."""
-    table = density_table(ProjectionDensity(family, family.check_active(active)))
-    return sample_table(table, 1, rng).draws[0]
 
 
 def sample_table(table: DensityTable, count: int, rng: SeededRng) -> SampleSet:

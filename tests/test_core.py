@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from detproc.core import (
     projection_density_eval,
     random_spectrum,
     save_params,
+    subsets,
     write_table_csv,
 )
 from detproc.rng import SeededRng
@@ -336,6 +338,55 @@ def test_density_table_matches_pointwise_eval():
         assert table.probs[alpha.mask] == pytest.approx(
             dpp_density_eval(density, alpha), abs=1e-12
         )
+
+
+def _loop_blocks(columns, k):
+    """Reference for subsets: masks and k x k blocks (rows = subset, columns
+    = the first k), built one subset at a time with np.ix_."""
+    p = columns.shape[0]
+    masks = [sum(1 << (x - 1) for x in c) for c in combinations(range(1, p + 1), k)]
+    subs = np.empty((len(masks), k, k), dtype=complex)
+    for i, members in enumerate(combinations(range(p), k)):
+        subs[i] = columns[np.ix_(members, range(k))]
+    return masks, subs
+
+
+def _loop_table(fam, spec):
+    """Reference for density_table: the per-subset mixture loop."""
+    probs = np.zeros(1 << fam.p)
+    for k in range(spec.r + 1):
+        for active in combinations(range(1, spec.r + 1), k):
+            w = mixture_weight(spec, active)
+            if w == 0.0:
+                continue
+            if k == 0:
+                probs[0] += w
+                continue
+            masks, subs = _loop_blocks(fam.columns[:, [j - 1 for j in active]], k)
+            for m, v in zip(masks, abs_det_many(subs) ** 2):
+                probs[m] += w * v
+    return probs
+
+
+def test_subsets_match_per_subset_loop():
+    gen = SeededRng(30).generator
+    for p in range(8):
+        columns = gen.standard_normal((p, p)) + 1j * gen.standard_normal((p, p))
+        for k in range(p + 1):
+            masks, rows = subsets(p, k)
+            want_masks, want_blocks = _loop_blocks(columns, k)
+            assert np.array_equal(masks, want_masks)
+            assert np.array_equal(columns[:, :k][rows], want_blocks)
+
+
+def test_density_table_matches_per_subset_loop():
+    rng = SeededRng(31)
+    fam = haar_orthonormal(6, 4, rng.split(0))
+    values = np.array(random_spectrum(4, rng.split(1)).values)
+    values[[0, 2]] = [1.0, 0.0]  # index 1 always drawn, index 3 never
+    spec = Spectrum(values)
+    table = density_table(DppDensity(fam, spec))
+    assert np.array_equal(table.probs, _loop_table(fam, spec))
 
 
 def test_normalization_random_instances():

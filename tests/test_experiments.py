@@ -82,14 +82,6 @@ def test_risk_curve_deterministic():
     assert risk_rows_for_csv(a) == risk_rows_for_csv(b)
 
 
-def test_risk_curve_threads_match_serial():
-    base = dict(p=6, k=2, n_grid=(30, 60), replications=4,
-                caps=(1, 4, 12), pool_size=32, seed=5)
-    serial = run_risk_curve(RiskCurveConfig(**base, threads=1))
-    parallel = run_risk_curve(RiskCurveConfig(**base, threads=3))
-    assert serial.per_rep_h2 == parallel.per_rep_h2
-
-
 def test_write_rows_csv_format(tmp_path):
     path = tmp_path / "rows.csv"
     write_rows_csv(path, SWEEP_HEADER, [(0, "x", 0.25, 0.5, 0.25)])

@@ -165,6 +165,14 @@ def test_wedge_squared_moduli_equal_projection_density():
         )
 
 
+def test_wedge_coord_follows_masks_order():
+    w = wedge_coords(haar_orthonormal(6, 3, SeededRng(11)), 3)
+    for i, mask in enumerate(w.masks()):
+        assert w.coord(Config.from_mask(mask)) == w.coords[i]
+    with pytest.raises(ValueError):
+        w.coord(Config([2, 5, 7]))
+
+
 def test_wedge_unit_norm():
     fam = haar_orthonormal(5, 2, SeededRng(8))
     w = wedge_coords(fam, 2)

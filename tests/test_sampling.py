@@ -22,7 +22,6 @@ from detproc.sampling import (
     empirical_table,
     sample_active_set,
     sample_dpp,
-    sample_projection_oracle,
     sample_projection_sequential,
     sample_table,
     total_variation,
@@ -101,11 +100,6 @@ def test_sequential_tv_against_table():
 
 # ---------------------------------------------------------------------------
 # oracle sampler and tables
-
-def test_oracle_degenerate_table():
-    fam = haar_orthonormal(3, 2, SeededRng(5))
-    assert sample_projection_oracle(fam, (), SeededRng(0)) == Config()
-
 
 def test_sample_table_two_point_symmetry():
     fam = OrthonormalFamily(
