@@ -4,7 +4,8 @@ Subcommands: sample, density, hellinger, bounds-sweep, isometry-sweep,
 estimate, risk-curve. Every run is driven by a JSON config plus the global
 flags --seed/--config/--out, and is byte-identical when repeated
 with the same inputs. Exit codes: 0 all assertions passed, 1 property
-violation, 2 usage or configuration error.
+violation, 2 usage, configuration or I/O error (an "error:" line on stderr,
+never a traceback).
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ import sys
 import numpy as np
 
 from .core import (
-    Config,
     DppDensity,
     density_table,
     params_from_dict,
@@ -140,11 +140,11 @@ def _model_from_dict(data: dict) -> SubspaceModel:
     return SubspaceModel(flat.reshape(dim, p).T, id=int(data["id"]))
 
 
-def _read_samples_csv(path) -> tuple:
+def _read_samples_csv(path, seed: int) -> SampleSet:
     with open(path) as fh:
         reader = csv.DictReader(fh)
         masks = [int(row["config_bitmask"]) for row in reader]
-    return tuple(Config.from_mask(m) for m in masks)
+    return SampleSet(masks, path, seed)
 
 
 def _cmd_estimate(args) -> int:
@@ -165,8 +165,7 @@ def _cmd_estimate(args) -> int:
     if "anchor" in cfg:
         anchor, _ = params_from_dict(cfg["anchor"])
     if "samples_csv" in cfg:
-        draws = _read_samples_csv(cfg["samples_csv"])
-        samples = SampleSet(draws, cfg["samples_csv"], seed)
+        samples = _read_samples_csv(cfg["samples_csv"], seed)
     elif "truth" in cfg:
         fam, spec = params_from_dict(cfg["truth"])
         samples = sample_dpp(DppDensity(fam, spec), n, rng.split(0))
@@ -263,7 +262,8 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return COMMANDS[args.command](args)
-    except (ConfigError, KeyError, ValueError) as exc:
+    except (ConfigError, KeyError, ValueError, TypeError, OverflowError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

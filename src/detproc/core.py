@@ -155,6 +155,8 @@ class OrthonormalFamily:
         cols = np.atleast_2d(np.asarray(self.columns, dtype=complex))
         object.__setattr__(self, "columns", cols)
         p, r = cols.shape
+        if not np.isfinite(cols).all():
+            raise ValueError("family entries must be finite")
         if r > p:
             raise ValueError(f"rank r={r} exceeds p={p}")
         gram = cols.conj().T @ cols
@@ -196,8 +198,8 @@ class Spectrum:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).reshape(-1)
-        if v.size and (v.min() < 0.0 or v.max() > 1.0):
-            raise ValueError("spectrum entries must lie in [0, 1]")
+        if v.size and not (v.min() >= 0.0 and v.max() <= 1.0):
+            raise ValueError("spectrum entries must be finite and lie in [0, 1]")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -254,6 +256,8 @@ class KernelMatrix:
         k = np.asarray(self.entries, dtype=complex)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise ValueError(f"kernel must be square, got {k.shape}")
+        if not np.isfinite(k).all():
+            raise ValueError("kernel entries must be finite")
         if np.max(np.abs(k - k.conj().T)) > KERNEL_TOL:
             raise ValueError("kernel is not Hermitian")
         eigs = np.linalg.eigvalsh(k)
@@ -287,10 +291,13 @@ class DensityTable:
                 f"expected {1 << self.ground.p} entries, got {probs.shape}"
             )
         if self.check:
-            if probs.min() < -1e-12:
-                raise ValueError(f"negative probability {probs.min():.3e}")
+            # comparisons written so that NaN fails them
+            if not probs.min() >= -1e-12:
+                raise ValueError(
+                    f"probabilities must be finite and >= 0 (min {probs.min():.3e})"
+                )
             total = math.fsum(probs)
-            if abs(total - 1.0) > TABLE_TOL:
+            if not abs(total - 1.0) <= TABLE_TOL:
                 raise ValueError(f"total mass {total} differs from 1")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)

@@ -3,7 +3,15 @@
 The acceptance tests append one human-readable pass/fail line each; the
 terminal-summary hook prints them after the run so the verdict survives
 pytest's output capture.
+
+Property tests run under a derandomized hypothesis profile with no example
+database, so every run tries the same examples.
 """
+from hypothesis import settings
+
+settings.register_profile("detproc", derandomize=True, database=None,
+                          deadline=None, max_examples=60)
+settings.load_profile("detproc")
 
 acceptance_lines = []
 

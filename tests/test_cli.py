@@ -59,6 +59,50 @@ def test_estimate_unknown_statistic_exits_2(tmp_path):
                  "--out", str(tmp_path / "o.json")]) == 2
 
 
+def assert_usage_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["sample", "density"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_lambda_exits_2(tmp_path, capsys, command, bad):
+    params = diag_params()
+    params["lambda"] = [bad, 0.5]
+    cfg = write_config(tmp_path, "c.json", {"params": params, "n": 3})
+    out = tmp_path / "o.csv"
+    assert_usage_error(capsys, [command, "--config", cfg, "--out", str(out)])
+    assert not out.exists()
+
+
+def test_non_finite_phi_exits_2(tmp_path, capsys):
+    params = diag_params()
+    params["phi"][0] = [math.nan, 0.0]
+    cfg = write_config(tmp_path, "c.json", {"params": params})
+    assert_usage_error(capsys, ["density", "--config", cfg,
+                                "--out", str(tmp_path / "o.csv")])
+
+
+@pytest.mark.parametrize("field,value", [("phi", 5), ("n", None)])
+def test_wrongly_typed_config_value_exits_2(tmp_path, capsys, field, value):
+    cfg = {"params": diag_params(), "n": 3}
+    if field == "n":
+        cfg["n"] = value
+    else:
+        cfg["params"][field] = value
+    path = write_config(tmp_path, "c.json", cfg)
+    assert_usage_error(capsys, ["sample", "--config", path,
+                                "--out", str(tmp_path / "o.csv")])
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {"params": diag_params(), "n": 3})
+    out = tmp_path / "no_such_dir" / "x.csv"
+    assert_usage_error(capsys, ["sample", "--config", cfg, "--out", str(out)])
+
+
 # ---------------------------------------------------------------------------
 # sample / density / hellinger
 

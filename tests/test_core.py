@@ -160,6 +160,39 @@ def test_kernel_matrix_rejects_non_hermitian_and_bad_spectrum():
         KernelMatrix(2.0 * np.eye(2))
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_spectrum_rejects_non_finite(bad):
+    # every range comparison is False for NaN
+    with pytest.raises(ValueError, match="finite"):
+        Spectrum(np.array([bad, 0.5]))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_orthonormal_family_rejects_non_finite(bad):
+    cols = np.eye(3, 2, dtype=complex)
+    cols[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        OrthonormalFamily(cols)
+    cols[2, 1] = complex(0.0, bad)
+    with pytest.raises(ValueError, match="finite"):
+        OrthonormalFamily(cols)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_density_table_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        DensityTable(GroundSet(2), np.array([bad, 0.5, 0.25, 0.25]))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_kernel_matrix_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        KernelMatrix(np.array([[bad, 0.0], [0.0, 0.5]]))
+
+
 # ---------------------------------------------------------------------------
 # projection density
 

@@ -6,7 +6,9 @@ from scipy import stats
 
 from detproc.core import (
     Config,
+    DensityTable,
     DppDensity,
+    GroundSet,
     OrthonormalFamily,
     ProjectionDensity,
     Spectrum,
@@ -18,7 +20,10 @@ from detproc.core import (
 )
 from detproc.rng import SeededRng
 from detproc.sampling import (
+    _BLOCK,
     SampleSet,
+    SamplerConsistencyError,
+    _projection_masks,
     empirical_table,
     sample_active_set,
     sample_dpp,
@@ -94,7 +99,7 @@ def test_sequential_tv_against_table():
     n = 20_000
     draws = [sample_projection_sequential(fam, (1, 2), rng.split(100 + i))
              for i in range(n)]
-    emp = empirical_table(SampleSet(tuple(draws), fam, 4), 6)
+    emp = empirical_table(SampleSet([d.mask for d in draws], fam, 4), 6)
     assert total_variation(emp, table.probs) < 0.03
 
 
@@ -110,6 +115,28 @@ def test_sample_table_two_point_symmetry():
     emp = empirical_table(samples, 2)
     assert emp[1] == pytest.approx(0.5, abs=0.01)
     assert emp[2] == pytest.approx(0.5, abs=0.01)
+
+
+class _FixedUniforms:
+    """Stands in for a SeededRng whose uniforms are all u."""
+
+    seed = 0
+
+    def __init__(self, u):
+        self.generator = self
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+def test_sample_table_never_draws_zero_last_cell():
+    # total mass just below 1 and a zero last cell: the largest uniform
+    # below 1 must still stop on the last cell of positive mass
+    probs = np.array([0.5, 0.25, 0.25 - 1e-12, 0.0])
+    table = DensityTable(GroundSet(2), probs)
+    samples = sample_table(table, 3, _FixedUniforms(np.nextafter(1.0, 0.0)))
+    assert samples.masks().tolist() == [2, 2, 2]
 
 
 def test_sample_table_rejects_bad_count():
@@ -188,6 +215,61 @@ def test_one_point_marginals_match_correlation():
     for x in range(1, 7):
         freq = float(np.mean((masks >> (x - 1)) & 1))
         assert freq == pytest.approx(correlation(kern, Config([x])), abs=0.015)
+
+
+def test_dpp_draws_are_prefix_consistent_across_blocks():
+    # the first k draws of a seeded run do not depend on how many follow
+    rng = SeededRng(16)
+    fam = haar_orthonormal(5, 3, rng.split(0))
+    d = DppDensity(fam, random_spectrum(3, rng.split(1)))
+    table = density_table(d)
+    n = 2 * _BLOCK + 17
+    masks = sample_dpp(d, n, rng.split(2)).masks()
+    assert masks.shape == (n,)
+    assert np.all(table.probs[masks] > 0.0)
+    for k in (1, 5, _BLOCK, _BLOCK + 3):
+        assert np.array_equal(sample_dpp(d, k, rng.split(2)).masks(), masks[:k])
+
+
+# ---------------------------------------------------------------------------
+# kernel consistency checks
+
+def test_kernel_rejects_mass_that_misses_the_count():
+    cols = 1.01 * np.eye(3, 2, dtype=complex)
+    with pytest.raises(SamplerConsistencyError, match="remaining count"):
+        _projection_masks(cols, np.ones((1, 2), dtype=bool), np.zeros((1, 2)))
+
+
+def test_kernel_rejects_collapsed_mass():
+    cols = np.zeros((3, 1), dtype=complex)
+    with pytest.raises(SamplerConsistencyError, match="zero mass"):
+        _projection_masks(cols, np.ones((1, 1), dtype=bool), np.zeros((1, 1)))
+
+
+def test_kernel_rejects_pick_where_span_vanishes():
+    # the first cell has mass 1e-22 > 0, and u = 0 stops on it
+    tiny = 1e-11
+    cols = np.array([[tiny], [math.sqrt(1.0 - tiny**2)]], dtype=complex)
+    with pytest.raises(SamplerConsistencyError, match="vanishes"):
+        _projection_masks(cols, np.ones((1, 1), dtype=bool), np.zeros((1, 1)))
+
+
+def test_kernel_inverse_cdf_with_fixed_uniforms():
+    # p=3, rank 1, column (0, a, b): point 2 is drawn iff u < |a|^2, and
+    # the zero-weight point 1 never, not even for u = 0
+    cols = np.array([[0.0], [math.sqrt(0.3)], [math.sqrt(0.7)]], dtype=complex)
+    active = np.ones((4, 1), dtype=bool)
+    u = np.array([[0.0], [0.2999], [0.3001], [np.nextafter(1.0, 0.0)]])
+    assert _projection_masks(cols, active, u).tolist() == [2, 2, 4, 4]
+
+
+def test_kernel_keeps_draw_order():
+    # the kernel groups draws by size internally; row i of the result must
+    # still belong to row i of the index sets
+    cols = np.eye(3, 2, dtype=complex)
+    active = np.array([[False, False], [True, True], [False, True], [True, False]])
+    u = np.full((4, 2), 0.5)
+    assert _projection_masks(cols, active, u).tolist() == [0, 3, 2, 1]
 
 
 # ---------------------------------------------------------------------------
