@@ -101,6 +101,20 @@ def _cmd_hellinger(args) -> int:
     return 0
 
 
+def _sweep_exit(command, rows, violations, quantity, badness) -> int:
+    """Exit code of a sweep; on violations, name the worst row on stderr.
+
+    badness orders rows from worst to best; a NaN in the checked column
+    (rows[i][4]) counts as worst of all.
+    """
+    if violations == 0:
+        return 0
+    worst = min(rows, key=lambda row: (not math.isnan(row[4]), badness(row[4])))
+    print(f"{command}: {violations} violations, worst {quantity} {worst[4]:.3g} "
+          f"(instance {worst[0]}, {worst[1]})", file=sys.stderr)
+    return 1
+
+
 def _cmd_bounds_sweep(args) -> int:
     cfg = _load_config(args) if args.config else {}
     sweep = BoundsSweepConfig(
@@ -113,7 +127,7 @@ def _cmd_bounds_sweep(args) -> int:
     out = _require_out(args)
     write_rows_csv(out, SWEEP_HEADER, rows)
     write_metadata(out + ".meta.json", vars(sweep), {"violations": violations})
-    return 0 if violations == 0 else 1
+    return _sweep_exit("bounds-sweep", rows, violations, "slack", lambda x: x)
 
 
 def _cmd_isometry_sweep(args) -> int:
@@ -128,7 +142,7 @@ def _cmd_isometry_sweep(args) -> int:
     out = _require_out(args)
     write_rows_csv(out, SWEEP_HEADER, rows)
     write_metadata(out + ".meta.json", vars(sweep), {"violations": violations})
-    return 0 if violations == 0 else 1
+    return _sweep_exit("isometry-sweep", rows, violations, "gap", lambda x: -x)
 
 
 def _model_from_dict(data: dict) -> SubspaceModel:
@@ -225,9 +239,15 @@ def _cmd_risk_curve(args) -> int:
                    {"slope": result.slope, "medians":
                     {str(n): m for n, m in result.medians().items()}})
     normalized = [r.normalized for r in result.rows]
-    ok = (max(normalized) <= 10 * min(normalized)
-          and -1.5 <= result.slope <= -0.5)
-    return 0 if ok else 1
+    failures = []
+    if not max(normalized) <= 10 * min(normalized):
+        factor = max(normalized) / min(normalized) if min(normalized) > 0 else math.inf
+        failures.append(f"normalized risk varies by a factor {factor:.3g} > 10")
+    if not -1.5 <= result.slope <= -0.5:
+        failures.append(f"slope {result.slope:.3g} outside [-1.5, -0.5]")
+    for failure in failures:
+        print(f"risk-curve: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 COMMANDS = {

@@ -26,6 +26,11 @@ from .rng import SeededRng
 from .sampling import SampleSet
 
 POLAR_RANK_TOL = 1e-10
+# select tests pairs in blocks of _PAIR_BLOCK_CELLS // (observed cells), so
+# each temporary holds at most 2^13 floats (64 KB) whatever the family size.
+# Larger blocks ran no faster at m = 640 and raised the peak memory of a
+# default risk curve.
+_PAIR_BLOCK_CELLS = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -133,15 +138,16 @@ def sphere_net(model: SubspaceModel, eta: float, pool_size: int, rng: SeededRng,
     if seed_points is not None and len(seed_points):
         seeds = np.atleast_2d(np.asarray(seed_points, dtype=pool.dtype))
         pool = np.concatenate([seeds, pool], axis=0)
-    net = []
-    for v in pool:
-        if not net or np.linalg.norm(np.array(net) - v, axis=1).min() > eta:
-            net.append(v)
-    net = np.array(net)
-    covering = 0.0
-    for v in pool:
-        covering = max(covering, float(np.linalg.norm(net - v, axis=1).min()))
-    return SphereNet(model, float(eta), net, int(pool.shape[0]), covering)
+    # nearest[i]: distance from pool[i] to the closest net point so far
+    nearest = np.full(pool.shape[0], np.inf)
+    keep = []
+    for i in range(pool.shape[0]):
+        if nearest[i] > eta:
+            keep.append(i)
+            np.minimum(nearest, np.linalg.norm(pool - pool[i], axis=1),
+                       out=nearest)
+    return SphereNet(model, float(eta), pool[keep], int(pool.shape[0]),
+                     float(nearest.max()))
 
 
 def sphere_approx(phi: np.ndarray, model: SubspaceModel) -> np.ndarray:
@@ -371,20 +377,14 @@ class SelectionResult:
     test_matrix: np.ndarray  # [a, b] = +1 if b beats a, -1 if a beats b
 
 
-def _beats(t_ab: float, prior_a: float, prior_b: float, a: int, b: int) -> bool:
-    """Whether candidate b beats candidate a."""
-    if t_ab > 0.0:
-        return True
-    if t_ab < 0.0:
-        return False
-    # tie: larger prior beats smaller; equal priors: lower index beats higher
-    if prior_b != prior_a:
-        return prior_b > prior_a
-    return b < a
-
-
 def select(family: CandidateFamily, samples: SampleSet) -> SelectionResult:
-    """Pick the candidate minimizing the largest distance to anything beating it."""
+    """Pick the candidate minimizing the largest distance to anything beating it.
+
+    Candidate b beats a when the signed-root statistic t(a, b) is positive.
+    An exact tie (t == 0) goes to the larger prior, then to the lower index.
+    Only configurations observed in the samples enter t, and only the pairs
+    a < b are tested; the verdict for (b, a) is the negation.
+    """
     entries = family.entries
     m = len(entries)
     if m == 0:
@@ -392,29 +392,44 @@ def select(family: CandidateFamily, samples: SampleSet) -> SelectionResult:
     tables = [e.table() for e in entries]
     probs = np.stack([t.probs for t in tables])
     roots = np.sqrt(probs)
-    counts = np.bincount(samples.masks(), minlength=probs.shape[1])
+    masks = samples.masks()
+    outside = np.flatnonzero(masks >= probs.shape[1])
+    if outside.size:
+        i = int(outside[0])
+        raise ValueError(
+            f"draw {i} has mask {int(masks[i])}, outside the ground set of "
+            f"p={tables[0].ground.p} (masks must be < {probs.shape[1]})")
+    counts = np.bincount(masks, minlength=probs.shape[1])
     affinity = np.clip(roots @ roots.T, 0.0, 1.0)
     h_matrix = np.sqrt(np.clip(1.0 - affinity, 0.0, None))
     np.fill_diagonal(h_matrix, 0.0)
+
+    cells = np.flatnonzero(counts)
+    weights = counts[cells].astype(float)
+    p_obs = probs[:, cells]
+    r_obs = roots[:, cells]
+    priors = np.array([e.prior for e in entries])
+    first, second = np.triu_indices(m, 1)
+    t = np.empty(first.size)
+    step = max(1, _PAIR_BLOCK_CELLS // max(1, cells.size))
+    for lo in range(0, first.size, step):
+        a, b = first[lo:lo + step], second[lo:lo + step]
+        denom = p_obs[a]  # fancy indexing copies, so in-place ops are safe
+        denom += p_obs[b]
+        np.sqrt(denom, out=denom)
+        diff = r_obs[b]
+        diff -= r_obs[a]
+        terms = np.divide(diff, denom, out=np.zeros_like(denom),
+                          where=denom > 0.0)
+        t[lo:lo + step] = terms @ weights
+    b_beats_a = (t > 0.0) | ((t == 0.0) & (priors[second] > priors[first]))
     sign = np.zeros((m, m), dtype=np.int8)
-    for a in range(m):
-        for b in range(a + 1, m):
-            denom = np.sqrt(probs[a] + probs[b])
-            terms = np.divide(roots[b] - roots[a], denom,
-                              out=np.zeros_like(denom), where=denom > 0.0)
-            t = float(np.dot(counts, terms))
-            b_beats_a = _beats(t, entries[a].prior, entries[b].prior, a, b)
-            sign[a, b] = 1 if b_beats_a else -1
-            sign[b, a] = -sign[a, b]
-    crit = np.zeros(m)
-    for a in range(m):
-        beating = np.nonzero(sign[a] > 0)[0]
-        crit[a] = h_matrix[a, beating].max() if beating.size else 0.0
-    # argmin with ties broken by larger prior, then lower index
-    order = sorted(
-        range(m), key=lambda a: (crit[a], -entries[a].prior, a)
-    )
-    return SelectionResult(order[0], crit, sign)
+    sign[first, second] = np.where(b_beats_a, 1, -1)
+    sign[second, first] = -sign[first, second]
+    crit = h_matrix.max(axis=1, where=sign > 0, initial=0.0)
+    # argmin with ties broken by larger prior, then lower index (stable sort)
+    chosen = int(np.lexsort((-priors, crit))[0])
+    return SelectionResult(chosen, crit, sign)
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,8 @@ def run_bounds_sweep(cfg: BoundsSweepConfig):
         labels = ["dpp_main", "dpp_weights", "dpp_components"]
         for label, rep in zip(labels, check_bound_dpp(fam_a, lam, fam_b, gam)):
             rows.append((i, label, rep.lhs, rep.rhs, rep.slack))
-    violations = sum(1 for row in rows if row[4] < -SLACK_TOL)
+    # written so that a NaN slack counts as a violation
+    violations = sum(1 for row in rows if not row[4] >= -SLACK_TOL)
     return rows, violations
 
 
@@ -160,7 +161,7 @@ def run_isometry_sweep(cfg: IsometrySweepConfig):
         delta2, gap = gplus_delta(wa, wb)
         two_h2 = 2.0 * (1.0 - float(np.sum(np.abs(wa.coords) * np.abs(wb.coords))))
         rows.append((i, "isometry", delta2, two_h2, gap))
-        if gap > cfg.gap_tol:
+        if not gap <= cfg.gap_tol:  # a NaN gap is a violation
             violations += 1
     return rows, violations
 
@@ -243,6 +244,8 @@ class RiskCurveConfig:
 
     def __post_init__(self):
         grid = tuple(int(n) for n in self.n_grid)
+        if len(grid) < 2:
+            raise ValueError("n_grid needs at least 2 sample sizes to fit a slope")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
         if self.replications < 1:

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from detproc import cli
 from detproc.cli import main
 from detproc.core import haar_orthonormal, params_to_dict, Spectrum
+from detproc.experiments import RiskCurveResult, RiskCurveRow
 from detproc.rng import SeededRng
 
 
@@ -64,6 +66,7 @@ def assert_usage_error(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    return err
 
 
 @pytest.mark.parametrize("command", ["sample", "density"])
@@ -223,10 +226,26 @@ def test_estimate_reads_samples_csv(tmp_path):
     assert main(["estimate", "--config", est_cfg, "--out", str(out)]) == 0
 
 
+def test_estimate_mask_outside_ground_set_exits_2(tmp_path, capsys):
+    draws = tmp_path / "draws.csv"
+    draws.write_text("draw_index,config_bitmask\n0,1\n1,64\n2,3\n")
+    basis = [[float(x), 0.0] for x in np.eye(2).reshape(-1)]
+    cfg = write_config(tmp_path, "e.json", {
+        "models": [{"id": 0, "p": 2, "dim": 2, "basis": basis, "prior": 1.0}],
+        "n": 3,
+        "caps": {"j_max": 1, "per_net": 2, "family_max": 4},
+        "pool_size": 8,
+        "samples_csv": str(draws),
+    })
+    err = assert_usage_error(capsys, ["estimate", "--config", cfg,
+                                      "--out", str(tmp_path / "est.out")])
+    assert "draw 1 has mask 64" in err and "p=2" in err
+
+
 # ---------------------------------------------------------------------------
 # risk curve
 
-def test_risk_curve_cli_tiny(tmp_path):
+def test_risk_curve_cli_tiny(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {
         "p": 6, "k": 2, "n_grid": [30, 60], "replications": 3,
         "caps": [1, 4, 12], "pool_size": 32, "seed": 5,
@@ -234,8 +253,59 @@ def test_risk_curve_cli_tiny(tmp_path):
     out = tmp_path / "risk.csv"
     code = main(["risk-curve", "--config", cfg, "--out", str(out)])
     assert code in (0, 1)  # slope band is not meaningful on a 2-point grid
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err and all(line.startswith("risk-curve: ")
+                           for line in err.splitlines())
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "n,empirical_mean_h2,oracle_bound,normalized"
     assert len(lines) == 3
     meta = json.loads((tmp_path / "risk.csv.meta.json").read_text())
     assert "slope" in meta and "medians" in meta
+
+
+def test_risk_curve_one_point_grid_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {"n_grid": [10], "replications": 1})
+    out = tmp_path / "risk.csv"
+    err = assert_usage_error(capsys, ["risk-curve", "--config", cfg,
+                                      "--out", str(out)])
+    assert "n_grid" in err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# exit 1 names the failed property
+
+def test_risk_curve_exit_1_names_failures(tmp_path, capsys, monkeypatch):
+    rows = [RiskCurveRow(100, 0.1, 0.2, 1.0), RiskCurveRow(300, 0.05, 0.1, 14.2)]
+    result = RiskCurveResult(rows, {100: [0.1], 300: [0.05]}, -0.31)
+    monkeypatch.setattr(cli, "run_risk_curve", lambda cfg: result)
+    out = tmp_path / "risk.csv"
+    assert main(["risk-curve", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "risk-curve: normalized risk varies by a factor 14.2 > 10",
+        "risk-curve: slope -0.31 outside [-1.5, -0.5]",
+    ]
+    meta = json.loads((tmp_path / "risk.csv.meta.json").read_text())
+    assert set(meta) == {"config", "library_version", "slope", "medians"}
+
+
+@pytest.mark.parametrize("command,runner,rows,violations,line", [
+    ("bounds-sweep", "run_bounds_sweep",
+     [(3, "proj_exact", 0.1, 0.2, 0.1), (17, "dpp_main", 0.2, 0.2 - 2.1e-8, -2.1e-8),
+      (18, "mixture", 0.2, 0.2 - 2e-9, -2e-9)], 2,
+     "bounds-sweep: 2 violations, worst slack -2.1e-08 (instance 17, dpp_main)"),
+    ("bounds-sweep", "run_bounds_sweep",
+     [(0, "mixture", 0.2, 0.1, -0.1), (1, "dpp_main", math.nan, 0.2, math.nan)], 2,
+     "bounds-sweep: 2 violations, worst slack nan (instance 1, dpp_main)"),
+    ("isometry-sweep", "run_isometry_sweep",
+     [(4, "isometry", 0.5, 0.5, 0.0), (5, "isometry", 0.5, 0.5, 3.1e-9)], 1,
+     "isometry-sweep: 1 violations, worst gap 3.1e-09 (instance 5, isometry)"),
+])
+def test_sweep_exit_1_names_worst_row(tmp_path, capsys, monkeypatch, command,
+                                      runner, rows, violations, line):
+    monkeypatch.setattr(cli, runner, lambda cfg: (rows, violations))
+    assert main([command, "--out", str(tmp_path / "sweep.csv")]) == 1
+    assert capsys.readouterr().err.splitlines() == [line]

@@ -18,6 +18,7 @@ from detproc.estimator import (
     CandidateFamily,
     LambdaGrid,
     SubspaceModel,
+    _random_unit_coefficients,
     build_candidates,
     nearest_orthonormal,
     oracle_bound,
@@ -99,6 +100,43 @@ def test_net_seed_points_come_first():
     seed[0] = 1.0
     net = sphere_net(model, 0.3, 100, SeededRng(4), seed_points=[seed])
     assert np.allclose(net.points[0], seed)
+
+
+def loop_sphere_net(model, eta, pool_size, rng, seed_points=None):
+    """Reference greedy net: one distance pass per pool point over the net
+    built so far, then one more pass for the covering radius."""
+    coeffs = _random_unit_coefficients(pool_size, model.dim, rng, model.is_complex)
+    pool = coeffs @ model.basis.T
+    if seed_points is not None and len(seed_points):
+        seeds = np.atleast_2d(np.asarray(seed_points, dtype=pool.dtype))
+        pool = np.concatenate([seeds, pool], axis=0)
+    net = []
+    for v in pool:
+        if not net or np.linalg.norm(np.array(net) - v, axis=1).min() > eta:
+            net.append(v)
+    net = np.array(net)
+    covering = 0.0
+    for v in pool:
+        covering = max(covering, float(np.linalg.norm(net - v, axis=1).min()))
+    return net, covering
+
+
+@pytest.mark.parametrize("p", [4, 6, 8, 12])
+@pytest.mark.parametrize("eta", [0.05, 0.3, 1.0])
+def test_net_matches_loop_reference(p, eta):
+    for seed in range(5):
+        rng = SeededRng(seed)
+        dim = 1 + seed % p
+        complex_mode = seed % 2 == 0
+        basis = haar_orthonormal(p, dim, rng.split(0), real=not complex_mode).columns
+        model = SubspaceModel(basis if complex_mode else basis.real.copy())
+        assert model.is_complex == complex_mode
+        seed_points = [model.basis[:, 0]] if seed % 3 == 0 else None
+        net = sphere_net(model, eta, 60 + 20 * seed, rng.split(1), seed_points)
+        points, covering = loop_sphere_net(model, eta, 60 + 20 * seed, rng.split(1),
+                                           seed_points)
+        assert np.array_equal(net.points, points)
+        assert net.pool_covering_radius == covering
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from detproc import experiments
 from detproc.experiments import (
     SWEEP_HEADER,
     BoundsSweepConfig,
@@ -18,6 +19,7 @@ from detproc.experiments import (
     write_metadata,
     write_rows_csv,
 )
+from detproc.hellinger import BoundReport
 
 
 def test_bounds_sweep_small_corpus_clean():
@@ -44,6 +46,22 @@ def test_isometry_sweep_small_corpus_clean():
         assert delta2 == pytest.approx(two_h2, abs=1e-9)
 
 
+def test_bounds_sweep_counts_nan_slack_as_violation(monkeypatch):
+    nan_report = BoundReport(math.nan, 1.0, "mixture bound")
+    monkeypatch.setattr(experiments, "check_bound_mixture",
+                        lambda *args: nan_report)
+    rows, violations = run_bounds_sweep(BoundsSweepConfig(instances=1, seed=0))
+    assert violations == 1
+    assert [row[1] for row in rows if math.isnan(row[4])] == ["mixture"]
+
+
+def test_isometry_sweep_counts_nan_gap_as_violation(monkeypatch):
+    monkeypatch.setattr(experiments, "gplus_delta", lambda wa, wb: (0.0, math.nan))
+    rows, violations = run_isometry_sweep(IsometrySweepConfig(instances=1, seed=0))
+    assert violations == 1
+    assert math.isnan(rows[0][4])
+
+
 def test_sampler_check_small():
     cfg = SamplerCheckConfig(draws=20_000, settings=1, tv_limit=0.05, seed=2)
     rows, failures = run_sampler_check(cfg)
@@ -54,6 +72,8 @@ def test_sampler_check_small():
 def test_risk_curve_config_validation():
     with pytest.raises(ValueError):
         RiskCurveConfig(n_grid=(100, 100))
+    with pytest.raises(ValueError, match="at least 2"):
+        RiskCurveConfig(n_grid=(10,))
     with pytest.raises(ValueError):
         RiskCurveConfig(replications=0)
     with pytest.raises(ValueError):
