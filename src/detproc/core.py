@@ -10,9 +10,10 @@ table and the L-ensemble likelihood) used to cross-validate each other.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -124,6 +125,10 @@ class GroundSet:
             yield Config.from_mask(mask)
 
 
+# A sweep over p <= 6 uses 27 (p, k) pairs. The bound keeps a large
+# enumeration from living for the rest of the run: all k at p = 20 take
+# ~90 MB.
+@functools.lru_cache(maxsize=32)
 def subsets(p: int, k: int):
     """The size-k subsets of {1..p}, in lexicographic order of their members.
 
@@ -131,11 +136,15 @@ def subsets(p: int, k: int):
     rows[i] holds its k members as 0-based indices, so columns[rows] stacks
     the k x k blocks of every subset in one fancy index. The order is not
     ascending bitmask order: at p=4, k=2 the masks run 3, 5, 9, 6, 10, 12.
-    For k=0 the one subset is the empty set, with mask 0.
+    For k=0 the one subset is the empty set, with mask 0. Both arrays are
+    cached and shared by every caller, hence read-only.
     """
     rows = np.array(list(combinations(range(p), k)), dtype=np.intp)
     rows = rows.reshape(math.comb(p, k), k)
-    return (1 << rows).sum(axis=1), rows
+    masks = (1 << rows).sum(axis=1)
+    rows.setflags(write=False)
+    masks.setflags(write=False)
+    return masks, rows
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +155,14 @@ class OrthonormalFamily:
     """p x r complex matrix whose columns are orthonormal in C^p.
 
     Inputs failing the Gram check are rejected rather than silently
-    re-orthonormalized, so caller bugs surface here.
+    re-orthonormalized, so caller bugs surface here. The squared minors of
+    each active set are computed once and kept with the family (the columns
+    are read-only), so every table built on it shares them.
     """
 
     columns: np.ndarray
+    _sq_minors: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self):
         cols = np.atleast_2d(np.asarray(self.columns, dtype=complex))
@@ -188,6 +201,17 @@ class OrthonormalFamily:
         rows = [x - 1 for x in alpha]
         cols = [j - 1 for j in active]
         return self.columns[np.ix_(rows, cols)]
+
+    def _squared_minors(self, active: tuple):
+        """(masks, |det|^2) of the (alpha, J) blocks over every alpha with
+        |alpha| = |J|, J = active, in core.subsets order; memoized per J."""
+        memo = self._sq_minors.get(active)
+        if memo is None:
+            masks, rows = subsets(self.p, len(active))
+            blocks = self.columns[:, [j - 1 for j in active]][rows]
+            memo = masks, abs_det_many(blocks) ** 2
+            self._sq_minors[active] = memo
+        return memo
 
 
 @dataclass(frozen=True)
@@ -336,15 +360,29 @@ def mixture_weight(spectrum: Spectrum, active) -> float:
     return float(np.prod(np.where(inside, sq, 1.0 - sq)))
 
 
+@functools.lru_cache(maxsize=32)
+def _active_sets(r: int, k: int):
+    """The size-k subsets J of {1..r} as 1-based tuples, lexicographic, and
+    their (C(r, k), r) membership matrix (inside[i, j-1] iff j in J_i)."""
+    rows = subsets(r, k)[1]
+    inside = np.zeros((rows.shape[0], r), dtype=bool)
+    inside[np.arange(rows.shape[0])[:, None], rows] = True
+    inside.setflags(write=False)
+    return tuple(tuple(row) for row in (rows + 1).tolist()), inside
+
+
 def weighted_active_sets(spectrum: Spectrum, sizes):
     """(J, weight) for every index set J with nonzero mixture weight.
 
     J runs over the sizes in the order given and, within one size, over
-    the subsets of {1..r} in lexicographic order.
+    the subsets of {1..r} in lexicographic order. Each weight equals
+    mixture_weight(spectrum, J) bit for bit.
     """
+    sq = spectrum.values**2
     for k in sizes:
-        for active in combinations(range(1, spectrum.r + 1), k):
-            w = mixture_weight(spectrum, active)
+        actives, inside = _active_sets(spectrum.r, k)
+        weights = np.where(inside, sq, 1 - sq).prod(axis=1)
+        for active, w in zip(actives, weights.tolist()):
             if w != 0.0:
                 yield active, w
 
@@ -396,9 +434,8 @@ def density_table(density, cap: int = DEFAULT_ENUM_CAP) -> DensityTable:
 
 
 def _accumulate_projection(probs, fam, active, weight):
-    masks, rows = subsets(fam.p, len(active))
-    blocks = fam.columns[:, [j - 1 for j in active]][rows]
-    probs[masks] += weight * abs_det_many(blocks) ** 2
+    masks, sq = fam._squared_minors(active)
+    probs[masks] += weight * sq
 
 
 def normalization_check(table: DensityTable) -> float:

@@ -277,10 +277,48 @@ def build_candidates(models, prior, n: int, caps: CandidateCaps, rng: SeededRng,
     anchored tuple at depth zero; anchor_jitter adds that many perturbed
     copies per column at distance 1.5 * eta, emulating the neighbors a
     maximal net would contain around the anchor.
+
+    Candidates on the same net tuple differ only in gamma, so the polar
+    factor is computed once per tuple and the candidates share one
+    OrthonormalFamily (and with it the squared minors of their tables).
     """
     models = list(models)
     if not models:
         raise ValueError("need at least one model")
+    nets = _candidate_nets(models, n, rng, pool_size, anchor, anchor_jitter)
+    descriptors, total_theoretical = _candidate_descriptors(models, nets, n, caps)
+
+    entries = []
+    polar = {}  # (j, model_rank, point_idx) -> family, or None if rank deficient
+    for depth, j, model_rank, g_rank, t_rank, payload in descriptors:
+        if len(entries) >= caps.family_max:
+            break
+        model_tuple, net_lists, point_idx, gamma = payload
+        key = (j, model_rank, point_idx)
+        if key not in polar:
+            vectors = [net_lists[l][point_idx[l]] for l in range(j)]
+            try:
+                polar[key] = nearest_orthonormal(vectors)
+            except ValueError:
+                polar[key] = None  # repeated/near-parallel net points
+        fam = polar[key]
+        if fam is None:
+            continue
+        mass = (2.0 * n) ** (-j)
+        for m in model_tuple:
+            mass *= prior[m.id] / len(nets[m.id])
+        index = (j, tuple(m.id for m in model_tuple), tuple(point_idx), g_rank)
+        entries.append(CandidateEntry(index, fam, gamma, mass))
+    if not entries:
+        raise ValueError("caps too tight: empty candidate family")
+    truncated = total_theoretical > len(entries)
+    return CandidateFamily(
+        entries, caps, truncated, {mid: len(net) for mid, net in nets.items()}
+    )
+
+
+def _candidate_nets(models, n, rng, pool_size, anchor, anchor_jitter) -> dict:
+    """Model id -> separated net at radius 1/sqrt(n), seeded by the anchor."""
     eta = 1.0 / math.sqrt(n)
     nets = {}
     for rank, model in enumerate(models):
@@ -304,8 +342,18 @@ def build_candidates(models, prior, n: int, caps: CandidateCaps, rng: SeededRng,
                     seed_points.append(cos_t * phi + sin_t * u / u_norm)
         nets[model.id] = sphere_net(model, eta, pool_size, stream,
                                     seed_points=seed_points)
+    return nets
 
-    descriptors = []  # (depth, j, model_rank, gamma_rank, tuple_rank, payload)
+
+def _candidate_descriptors(models, nets, n, caps):
+    """Every (net tuple, gamma) pair within the caps, in truncation order.
+
+    Returns (descriptors, total_theoretical): descriptors are tuples
+    (depth, j, model_rank, gamma_rank, tuple_rank, payload) sorted on their
+    first five entries, payload = (model_tuple, net_lists, point_idx,
+    gamma); total_theoretical counts the candidates of the full enumeration.
+    """
+    descriptors = []
     total_theoretical = 0
     for j in range(1, caps.j_max + 1):
         gammas = LambdaGrid(j, n).first(caps.family_max)
@@ -323,29 +371,7 @@ def build_candidates(models, prior, n: int, caps: CandidateCaps, rng: SeededRng,
                         (depth, j, model_rank, g_rank, t_rank, payload)
                     )
     descriptors.sort(key=lambda d: d[:5])
-
-    entries = []
-    seen_exhausted = len(descriptors)
-    for depth, j, model_rank, g_rank, t_rank, payload in descriptors:
-        if len(entries) >= caps.family_max:
-            break
-        model_tuple, net_lists, point_idx, gamma = payload
-        vectors = [net_lists[l][point_idx[l]] for l in range(j)]
-        try:
-            fam = nearest_orthonormal(vectors)
-        except ValueError:
-            continue  # repeated/near-parallel net points
-        mass = (2.0 * n) ** (-j)
-        for m in model_tuple:
-            mass *= prior[m.id] / len(nets[m.id])
-        index = (j, tuple(m.id for m in model_tuple), tuple(point_idx), g_rank)
-        entries.append(CandidateEntry(index, fam, gamma, mass))
-    if not entries:
-        raise ValueError("caps too tight: empty candidate family")
-    truncated = total_theoretical > len(entries)
-    return CandidateFamily(
-        entries, caps, truncated, {mid: len(net) for mid, net in nets.items()}
-    )
+    return descriptors, total_theoretical
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ from scipy import stats
 
 from . import __version__
 from .core import (
+    DEFAULT_ENUM_CAP,
     DppDensity,
+    OrthonormalFamily,
     Spectrum,
     density_table,
     haar_orthonormal,
@@ -248,10 +250,19 @@ class RiskCurveConfig:
             raise ValueError("n_grid needs at least 2 sample sizes to fit a slope")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
+        if grid[0] < 2:  # the normalized risk divides by log n
+            raise ValueError("n_grid sample sizes must be >= 2")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if not 1 <= self.k < self.p:
-            raise ValueError("need 1 <= k < p")
+        if not 1 <= self.k < self.p <= DEFAULT_ENUM_CAP:
+            raise ValueError(f"need 1 <= k < p <= {DEFAULT_ENUM_CAP}")
+        if len(self.caps) != 3:
+            raise ValueError("caps must be (j_max, per_net, family_max)")
+        # a candidate of rank j < k has no mass on the truth's k-point
+        # configurations, so a run with j_max < k only ever measures h^2 = 1
+        if self.caps[0] < self.k:
+            raise ValueError(f"caps j_max={self.caps[0]} is below k={self.k}: "
+                             "no candidate could have the truth's rank")
         self.n_grid = grid
 
 
@@ -302,9 +313,9 @@ def run_risk_curve(cfg: RiskCurveConfig) -> RiskCurveResult:
         per_rep[n] = values
         mean_h2 = math.fsum(values) / len(values)
         # single full-space model: bound = k (D log n)/n with D = 2p real dims
-        truth_fam = haar_orthonormal(cfg.p, cfg.k, root.split(ni).split(0).split(0))
-        bound = oracle_bound(truth_fam, Spectrum.ones(cfg.k), [model], {0: 1.0},
-                             n, cfg.k)
+        # whatever the truth, since every column lies in the model
+        bound = oracle_bound(OrthonormalFamily(np.eye(cfg.p, cfg.k)),
+                             Spectrum.ones(cfg.k), [model], {0: 1.0}, n, cfg.k)
         normalized = mean_h2 * n / (cfg.k * 2 * cfg.p * math.log(n))
         rows.append(RiskCurveRow(n, mean_h2, bound, normalized))
     means = np.array([r.empirical_mean_h2 for r in rows])

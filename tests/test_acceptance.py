@@ -292,7 +292,7 @@ def test_criterion_11_cli_determinism(tmp_path):
             "pool_size": 32, "seed": 4, "truth": params,
         }, ["est.json", "est.json.tests.csv"]),
         ("risk-curve", {"p": 6, "k": 2, "n_grid": [30, 60],
-                        "replications": 3, "caps": [1, 4, 12],
+                        "replications": 3, "caps": [2, 4, 12],
                         "pool_size": 32, "seed": 5},
          ["risk.csv", "risk.csv.meta.json"]),
     ]

@@ -248,7 +248,7 @@ def test_estimate_mask_outside_ground_set_exits_2(tmp_path, capsys):
 def test_risk_curve_cli_tiny(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {
         "p": 6, "k": 2, "n_grid": [30, 60], "replications": 3,
-        "caps": [1, 4, 12], "pool_size": 32, "seed": 5,
+        "caps": [2, 4, 12], "pool_size": 32, "seed": 5,
     })
     out = tmp_path / "risk.csv"
     code = main(["risk-curve", "--config", cfg, "--out", str(out)])
@@ -272,6 +272,18 @@ def test_risk_curve_one_point_grid_exits_2(tmp_path, capsys):
     err = assert_usage_error(capsys, ["risk-curve", "--config", cfg,
                                       "--out", str(out)])
     assert "n_grid" in err
+    assert not out.exists()
+
+
+def test_risk_curve_caps_below_rank_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {
+        "p": 6, "k": 2, "n_grid": [30, 60], "replications": 3,
+        "caps": [1, 4, 12], "pool_size": 32, "seed": 5,
+    })
+    out = tmp_path / "risk.csv"
+    err = assert_usage_error(capsys, ["risk-curve", "--config", cfg,
+                                      "--out", str(out)])
+    assert "j_max=1 is below k=2" in err
     assert not out.exists()
 
 

@@ -78,11 +78,21 @@ def test_risk_curve_config_validation():
         RiskCurveConfig(replications=0)
     with pytest.raises(ValueError):
         RiskCurveConfig(p=2, k=2)
+    with pytest.raises(ValueError, match="p <= 20"):
+        RiskCurveConfig(p=21)
+    with pytest.raises(ValueError, match=">= 2"):
+        RiskCurveConfig(n_grid=(1, 10))
+    with pytest.raises(ValueError, match="caps must be"):
+        RiskCurveConfig(caps=(2, 4))
+    # j_max < k: every candidate misses the truth's rank, h^2 = 1 throughout
+    with pytest.raises(ValueError, match="j_max=1 is below k=2"):
+        RiskCurveConfig(k=2, caps=(1, 4, 12))
+    RiskCurveConfig(k=2, caps=(2, 4, 12))
 
 
 def test_risk_curve_tiny_run():
     cfg = RiskCurveConfig(p=6, k=2, n_grid=(30, 60), replications=4,
-                          caps=(1, 4, 12), pool_size=32, seed=3)
+                          caps=(2, 4, 12), pool_size=32, seed=3)
     result = run_risk_curve(cfg)
     assert len(result.rows) == 2
     for row in result.rows:
@@ -95,7 +105,7 @@ def test_risk_curve_tiny_run():
 
 def test_risk_curve_deterministic():
     cfg = RiskCurveConfig(p=6, k=2, n_grid=(30, 60), replications=3,
-                          caps=(1, 4, 12), pool_size=32, seed=4)
+                          caps=(2, 4, 12), pool_size=32, seed=4)
     a = run_risk_curve(cfg)
     b = run_risk_curve(cfg)
     assert a.per_rep_h2 == b.per_rep_h2

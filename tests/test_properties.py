@@ -1,21 +1,35 @@
-"""Property tests for the batched sampler, bitmask-native SampleSet and
-the selection tournament.
+"""Property tests for the batched sampler, bitmask-native SampleSet, the
+selection tournament, the shared minors of the table engine and the CLI
+exit contract.
 
 Families are Haar draws on small ground sets (p <= 6) from a seeded stream,
 with spectra chosen by hypothesis.
 """
+import json
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_core import _loop_table
 
 from detproc import estimator
+from detproc.cli import main as cli_main
 from detproc.core import (
+    TABLE_TOL,
     DppDensity,
+    OrthonormalFamily,
+    ProjectionDensity,
     Spectrum,
     density_table,
     haar_orthonormal,
+    mixture_weight,
+    params_to_dict,
     random_spectrum,
+    subsets,
+    weighted_active_sets,
 )
 from detproc.estimator import (
     CandidateCaps,
@@ -23,6 +37,7 @@ from detproc.estimator import (
     CandidateFamily,
     SubspaceModel,
     build_candidates,
+    nearest_orthonormal,
     select,
 )
 from detproc.rng import SeededRng
@@ -202,3 +217,192 @@ def test_select_matches_reference_across_blocks(monkeypatch, block_cells):
     assert np.array_equal(result.test_matrix, sign)
     assert np.array_equal(result.crit_values, crit)
     assert result.chosen_index == chosen
+
+
+# ---------------------------------------------------------------------------
+# shared minors: one |det|^2 vector per (family, J), one polar factor per tuple
+
+spectrum_values = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def reused_families(draw):
+    """A family on p <= 6 of rank r <= 4 with 1-4 spectra (entries 0 and 1
+    included) to build tables on."""
+    p = draw(st.integers(1, 6))
+    r = draw(st.integers(0, min(p, 4)))
+    fam = haar_orthonormal(p, r, SeededRng(draw(seeds)))
+    spectra = draw(st.lists(
+        st.lists(spectrum_values, min_size=r, max_size=r), min_size=1, max_size=4))
+    return fam, [Spectrum(np.array(v, dtype=float)) for v in spectra]
+
+
+@given(reused_families())
+def test_reused_family_tables_match_fresh_and_loop(case):
+    fam, spectra = case
+    used = set()
+    for spec in spectra:
+        table = density_table(DppDensity(fam, spec))
+        fresh = OrthonormalFamily(np.array(fam.columns))
+        assert not fresh._sq_minors
+        assert np.array_equal(table.probs,
+                              density_table(DppDensity(fresh, spec)).probs)
+        assert np.array_equal(table.probs, _loop_table(fam, spec))
+        assert abs(math.fsum(table.probs) - 1.0) <= TABLE_TOL
+        used |= {a for a, _ in weighted_active_sets(spec, range(spec.r + 1))}
+    # one memo entry per index set J that entered some table
+    assert set(fam._sq_minors) == used
+    for active in used:
+        want = density_table(ProjectionDensity(
+            OrthonormalFamily(np.array(fam.columns)), active)).probs
+        assert np.array_equal(density_table(ProjectionDensity(fam, active)).probs,
+                              want)
+
+
+@given(st.integers(0, 8).flatmap(
+    lambda r: st.lists(spectrum_values, min_size=r, max_size=r)))
+def test_weighted_active_sets_match_mixture_weight(values):
+    spec = Spectrum(np.array(values, dtype=float))
+    r = spec.r
+    want = [(active, mixture_weight(spec, active))
+            for k in range(r + 1) for active in combinations(range(1, r + 1), k)]
+    assert list(weighted_active_sets(spec, range(r + 1))) == [
+        (active, w) for active, w in want if w != 0.0]
+
+
+def test_subsets_are_cached_and_read_only():
+    masks, rows = subsets(5, 2)
+    assert subsets(5, 2)[0] is masks
+    assert not masks.flags.writeable and not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 4
+    # tables built in between leave the shared enumeration intact
+    density_table(DppDensity(haar_orthonormal(5, 3, SeededRng(3)),
+                             Spectrum(np.array([1.0, 0.5, 0.2]))))
+    assert rows.tolist() == [list(c) for c in combinations(range(5), 2)]
+    assert masks.tolist() == [sum(1 << i for i in c)
+                              for c in combinations(range(5), 2)]
+
+
+def reference_build_candidates(models, prior, n, caps, rng, pool_size, anchor,
+                               anchor_jitter):
+    """build_candidates with one polar factor per candidate (no memo)."""
+    nets = estimator._candidate_nets(models, n, rng, pool_size, anchor,
+                                     anchor_jitter)
+    descriptors, _ = estimator._candidate_descriptors(models, nets, n, caps)
+    entries = []
+    for depth, j, model_rank, g_rank, t_rank, payload in descriptors:
+        if len(entries) >= caps.family_max:
+            break
+        model_tuple, net_lists, point_idx, gamma = payload
+        vectors = [net_lists[l][point_idx[l]] for l in range(j)]
+        try:
+            fam = nearest_orthonormal(vectors)
+        except ValueError:
+            continue
+        mass = (2.0 * n) ** (-j)
+        for m in model_tuple:
+            mass *= prior[m.id] / len(nets[m.id])
+        index = (j, tuple(m.id for m in model_tuple), tuple(point_idx), g_rank)
+        entries.append(CandidateEntry(index, fam, gamma, mass))
+    return entries
+
+
+@st.composite
+def candidate_setups(draw):
+    """Two or three models on p <= 6 (random subspaces, all real or all
+    complex), so net tuples of different model tuples share point indices,
+    plus caps and an optional anchor."""
+    p = draw(st.integers(2, 6))
+    stream = SeededRng(draw(seeds))
+    real = draw(st.booleans())
+    models = []
+    for i in range(draw(st.integers(2, 3))):
+        basis = haar_orthonormal(p, draw(st.integers(1, p)), stream.split(i),
+                                 real=real).columns
+        models.append(SubspaceModel(basis.real.copy() if real else basis, id=i))
+    prior = {m.id: 1.0 / len(models) for m in models}
+    caps = CandidateCaps(draw(st.integers(1, 3)), draw(st.integers(1, 4)),
+                         draw(st.integers(1, 60)))
+    n = draw(st.integers(2, 50))
+    anchor = None
+    if not real and draw(st.booleans()):  # anchors are complex families
+        anchor = haar_orthonormal(p, draw(st.integers(1, 2)), stream.split(9))
+    return models, prior, n, caps, stream.split(10), anchor
+
+
+@given(candidate_setups())
+def test_build_candidates_matches_unshared_polar_factors(setup):
+    models, prior, n, caps, rng, anchor = setup
+    want = reference_build_candidates(models, prior, n, caps, rng, 16, anchor, 1)
+    if not want:
+        with pytest.raises(ValueError, match="caps too tight"):
+            build_candidates(models, prior, n, caps, rng, pool_size=16,
+                             anchor=anchor, anchor_jitter=1)
+        return
+    got = build_candidates(models, prior, n, caps, rng, pool_size=16,
+                           anchor=anchor, anchor_jitter=1).entries
+    assert [e.index for e in got] == [e.index for e in want]
+    assert [e.prior for e in got] == [e.prior for e in want]
+    for a, b in zip(got, want):
+        assert np.array_equal(a.family.columns, b.family.columns)
+        assert np.array_equal(a.spectrum.values, b.spectrum.values)
+    # candidates on one net tuple share one family object
+    by_tuple = {}
+    for e in got:
+        assert by_tuple.setdefault(e.index[:3], e.family) is e.family
+
+
+# ---------------------------------------------------------------------------
+# CLI exit contract: 0, 1 or 2, never an exception
+
+BAD_VALUES = [None, "x", [], [1.5], {}, True, -1, 0, 1.5, math.nan, math.inf,
+              -math.inf, 10**30, -(10**30)]
+# Huge counts here are long runs, not errors: replications and
+# anchor_jitter loops would run 10^30 times.
+LOOP_COUNTS = {"replications", "anchor_jitter"}
+
+CLI_BASE = {
+    "density": {"params": params_to_dict(
+        haar_orthonormal(3, 2, SeededRng(5)), Spectrum(np.array([0.9, 0.4])))},
+    "sample": {"params": params_to_dict(
+        haar_orthonormal(3, 2, SeededRng(6)), Spectrum(np.array([1.0, 0.5]))),
+        "n": 5, "seed": 1},
+    "risk-curve": {"p": 4, "k": 1, "n_grid": [20, 40], "replications": 1,
+                   "caps": [1, 2, 4], "pool_size": 8, "anchor_jitter": 1,
+                   "seed": 2},
+}
+
+
+@st.composite
+def cli_cases(draw):
+    """A tiny config of one command with some keys, top-level or inside
+    params, dropped or replaced by a bad value."""
+    command = draw(st.sampled_from(sorted(CLI_BASE)))
+    config = json.loads(json.dumps(CLI_BASE[command]))
+    for _ in range(draw(st.integers(0, 3))):
+        target = config
+        if "params" in config and isinstance(config["params"], dict) \
+                and draw(st.booleans()):
+            target = config["params"]
+        if not target:
+            break
+        key = draw(st.sampled_from(sorted(target)))
+        if draw(st.booleans()):
+            del target[key]
+            continue
+        values = BAD_VALUES
+        if key in LOOP_COUNTS:
+            values = [v for v in values if not (isinstance(v, int) and v > 10**6)]
+        target[key] = draw(st.sampled_from(values))
+    return command, config
+
+
+@given(cli_cases())
+def test_cli_exits_0_1_or_2_on_broken_configs(tmp_path_factory, case):
+    command, config = case
+    work = tmp_path_factory.mktemp("cli")
+    path = work / "config.json"
+    path.write_text(json.dumps(config))
+    code = cli_main([command, "--config", str(path), "--out", str(work / "out")])
+    assert code in (0, 1, 2)
