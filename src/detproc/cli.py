@@ -115,34 +115,31 @@ def _sweep_exit(command, rows, violations, quantity, badness) -> int:
     return 1
 
 
-def _cmd_bounds_sweep(args) -> int:
+def _present(cfg: dict, conversions: dict) -> dict:
+    """The config keys that are present, converted; absent keys keep the
+    defaults of the config dataclass."""
+    return {key: convert(cfg[key]) for key, convert in conversions.items()
+            if key in cfg}
+
+
+def _cmd_sweep(args, config, run, keys, quantity, badness) -> int:
     cfg = _load_config(args) if args.config else {}
-    sweep = BoundsSweepConfig(
-        instances=int(cfg.get("instances", 1000)),
-        p_max=int(cfg.get("p_max", 6)),
-        rank_max=int(cfg.get("rank_max", 3)),
-        seed=_seed(args, cfg),
-    )
-    rows, violations = run_bounds_sweep(sweep)
+    sweep = config(**_present(cfg, dict.fromkeys(keys, int)), seed=_seed(args, cfg))
+    rows, violations = run(sweep)
     out = _require_out(args)
     write_rows_csv(out, SWEEP_HEADER, rows)
     write_metadata(out + ".meta.json", vars(sweep), {"violations": violations})
-    return _sweep_exit("bounds-sweep", rows, violations, "slack", lambda x: x)
+    return _sweep_exit(args.command, rows, violations, quantity, badness)
+
+
+def _cmd_bounds_sweep(args) -> int:
+    return _cmd_sweep(args, BoundsSweepConfig, run_bounds_sweep,
+                      ("instances", "p_max", "rank_max"), "slack", lambda x: x)
 
 
 def _cmd_isometry_sweep(args) -> int:
-    cfg = _load_config(args) if args.config else {}
-    sweep = IsometrySweepConfig(
-        instances=int(cfg.get("instances", 1000)),
-        p_max=int(cfg.get("p_max", 6)),
-        k_max=int(cfg.get("k_max", 3)),
-        seed=_seed(args, cfg),
-    )
-    rows, violations = run_isometry_sweep(sweep)
-    out = _require_out(args)
-    write_rows_csv(out, SWEEP_HEADER, rows)
-    write_metadata(out + ".meta.json", vars(sweep), {"violations": violations})
-    return _sweep_exit("isometry-sweep", rows, violations, "gap", lambda x: -x)
+    return _cmd_sweep(args, IsometrySweepConfig, run_isometry_sweep,
+                      ("instances", "p_max", "k_max"), "gap", lambda x: -x)
 
 
 def _model_from_dict(data: dict) -> SubspaceModel:
@@ -219,18 +216,13 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
+RISK_CURVE_KEYS = {"p": int, "k": int, "n_grid": tuple, "replications": int,
+                   "caps": tuple, "pool_size": int, "anchor_jitter": int}
+
+
 def _cmd_risk_curve(args) -> int:
     cfg = _load_config(args) if args.config else {}
-    curve = RiskCurveConfig(
-        p=int(cfg.get("p", 8)),
-        k=int(cfg.get("k", 2)),
-        n_grid=tuple(cfg.get("n_grid", (100, 300, 1000, 3000))),
-        replications=int(cfg.get("replications", 100)),
-        caps=tuple(cfg.get("caps", (2, 4, 40))),
-        pool_size=int(cfg.get("pool_size", 64)),
-        anchor_jitter=int(cfg.get("anchor_jitter", 1)),
-        seed=_seed(args, cfg),
-    )
+    curve = RiskCurveConfig(**_present(cfg, RISK_CURVE_KEYS), seed=_seed(args, cfg))
     result = run_risk_curve(curve)
     out = _require_out(args)
     header, rows = risk_rows_for_csv(result)
@@ -238,13 +230,19 @@ def _cmd_risk_curve(args) -> int:
     write_metadata(out + ".meta.json", vars(curve),
                    {"slope": result.slope, "medians":
                     {str(n): m for n, m in result.medians().items()}})
-    normalized = [r.normalized for r in result.rows]
+    fitted = result.positive_rows()
     failures = []
-    if not max(normalized) <= 10 * min(normalized):
-        factor = max(normalized) / min(normalized) if min(normalized) > 0 else math.inf
-        failures.append(f"normalized risk varies by a factor {factor:.3g} > 10")
-    if not -1.5 <= result.slope <= -0.5:
-        failures.append(f"slope {result.slope:.3g} outside [-1.5, -0.5]")
+    if len(fitted) < 2:
+        failures.append(f"only {len(fitted)} of {len(result.rows)} mean risks "
+                        "are positive, a slope needs 2")
+    else:
+        normalized = [r.normalized for r in fitted]
+        low, high = min(normalized), max(normalized)
+        if not high <= 10 * low:
+            factor = high / low if low > 0 else math.inf
+            failures.append(f"normalized risk varies by a factor {factor:.3g} > 10")
+        if not -1.5 <= result.slope <= -0.5:
+            failures.append(f"slope {result.slope:.3g} outside [-1.5, -0.5]")
     for failure in failures:
         print(f"risk-curve: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -127,7 +127,8 @@ def sphere_net(model: SubspaceModel, eta: float, pool_size: int, rng: SeededRng,
 
     Draws pool_size uniform unit vectors, inserts each iff its distance to
     every current net point exceeds eta. seed_points (unit vectors in the
-    subspace) are processed first and therefore anchor the net.
+    subspace) are processed first and therefore anchor the net; on a real
+    model their imaginary parts must be exactly zero.
     """
     if not 0.0 < eta <= 2.0:
         raise ValueError(f"eta must be in (0, 2], got {eta}")
@@ -136,8 +137,11 @@ def sphere_net(model: SubspaceModel, eta: float, pool_size: int, rng: SeededRng,
     coeffs = _random_unit_coefficients(pool_size, model.dim, rng, model.is_complex)
     pool = coeffs @ model.basis.T
     if seed_points is not None and len(seed_points):
-        seeds = np.atleast_2d(np.asarray(seed_points, dtype=pool.dtype))
-        pool = np.concatenate([seeds, pool], axis=0)
+        seeds = np.atleast_2d(np.asarray(seed_points))
+        if not model.is_complex and np.any(seeds.imag):
+            raise ValueError(f"seed points for the real model {model.id} have "
+                             f"imaginary parts up to {np.abs(seeds.imag).max():.3g}")
+        pool = np.concatenate([seeds if model.is_complex else seeds.real, pool])
     # nearest[i]: distance from pool[i] to the closest net point so far
     nearest = np.full(pool.shape[0], np.inf)
     keep = []
@@ -200,15 +204,13 @@ class LambdaGrid:
     def count(self) -> int:
         return self.n**self.j
 
-    def __iter__(self):
-        """Descending lexicographic order, so (1, ..., 1) comes first and a
-        desk-scale truncation keeps the projection-like corner."""
-        levels = [i / self.n for i in range(self.n, 0, -1)]
-        for values in product(levels, repeat=self.j):
-            yield Spectrum(np.array(values))
-
-    def first(self, count: int) -> list:
-        return list(islice(iter(self), count))
+    def __getitem__(self, rank: int) -> Spectrum:
+        """Point of the given rank in descending lexicographic order: (1, ..., 1)
+        first, so a truncation keeps the projection-like corner."""
+        if not 0 <= rank < self.count:
+            raise IndexError(f"grid rank {rank} outside [0, {self.count})")
+        digits = _mixed_radix(rank, [self.n] * self.j)
+        return Spectrum(np.array([(self.n - d) / self.n for d in digits]))
 
 
 @dataclass(frozen=True)
@@ -286,35 +288,61 @@ def build_candidates(models, prior, n: int, caps: CandidateCaps, rng: SeededRng,
     if not models:
         raise ValueError("need at least one model")
     nets = _candidate_nets(models, n, rng, pool_size, anchor, anchor_jitter)
-    descriptors, total_theoretical = _candidate_descriptors(models, nets, n, caps)
-
     entries = []
     polar = {}  # (j, model_rank, point_idx) -> family, or None if rank deficient
-    for depth, j, model_rank, g_rank, t_rank, payload in descriptors:
-        if len(entries) >= caps.family_max:
-            break
-        model_tuple, net_lists, point_idx, gamma = payload
+    for j, model_rank, model_tuple, point_idx, g_rank in _candidate_order(
+            models, nets, n, caps):
         key = (j, model_rank, point_idx)
         if key not in polar:
-            vectors = [net_lists[l][point_idx[l]] for l in range(j)]
+            vectors = [nets[m.id].points[i] for m, i in zip(model_tuple, point_idx)]
             try:
                 polar[key] = nearest_orthonormal(vectors)
             except ValueError:
                 polar[key] = None  # repeated/near-parallel net points
-        fam = polar[key]
-        if fam is None:
+        if polar[key] is None:
             continue
         mass = (2.0 * n) ** (-j)
         for m in model_tuple:
             mass *= prior[m.id] / len(nets[m.id])
-        index = (j, tuple(m.id for m in model_tuple), tuple(point_idx), g_rank)
-        entries.append(CandidateEntry(index, fam, gamma, mass))
+        index = (j, tuple(m.id for m in model_tuple), point_idx, g_rank)
+        gamma = LambdaGrid(j, n)[g_rank]  # only survivors get a Spectrum
+        entries.append(CandidateEntry(index, polar[key], gamma, mass))
+        if len(entries) == caps.family_max:
+            break
     if not entries:
         raise ValueError("caps too tight: empty candidate family")
-    truncated = total_theoretical > len(entries)
+    # the full enumeration has sum_{j <= j_max} (n * sum_m |net(m)|)^j members
+    base = n * sum(len(nets[m.id]) for m in models)
+    sizes = accumulate(base**j for j in range(1, caps.j_max + 1))
+    truncated = any(size > len(entries) for size in sizes)
     return CandidateFamily(
-        entries, caps, truncated, {mid: len(net) for mid, net in nets.items()}
-    )
+        entries, caps, truncated, {mid: len(net) for mid, net in nets.items()})
+
+
+def _candidate_order(models, nets, n, caps):
+    """Yield (j, model_rank, model_tuple, point_idx, g_rank) by depth g_rank +
+    t_rank, then j, model_rank, g_rank; t_rank ranks point_idx in product
+    order. j > p is skipped: j vectors in C^p have no orthonormal polar factor."""
+    levels = range(1, min(caps.j_max, models[0].p) + 1)
+    # the deepest candidate: the last gamma on a tuple of the widest nets
+    width = max(min(len(nets[m.id]), caps.per_net) for m in models)
+    for depth in range(max(min(n**j, caps.family_max) + width**j - 1 for j in levels)):
+        for j in levels:
+            for model_rank, model_tuple in enumerate(product(models, repeat=j)):
+                radices = [min(len(nets[m.id]), caps.per_net) for m in model_tuple]
+                for g_rank in range(max(0, depth - math.prod(radices) + 1),
+                                    min(depth, n**j - 1, caps.family_max - 1) + 1):
+                    yield (j, model_rank, model_tuple,
+                           _mixed_radix(depth - g_rank, radices), g_rank)
+
+
+def _mixed_radix(rank: int, radices) -> tuple:
+    """The rank-th tuple of itertools.product(*map(range, radices))."""
+    digits = []
+    for radix in reversed(radices):
+        rank, digit = divmod(rank, radix)
+        digits.append(digit)
+    return tuple(reversed(digits))
 
 
 def _candidate_nets(models, n, rng, pool_size, anchor, anchor_jitter) -> dict:
@@ -343,35 +371,6 @@ def _candidate_nets(models, n, rng, pool_size, anchor, anchor_jitter) -> dict:
         nets[model.id] = sphere_net(model, eta, pool_size, stream,
                                     seed_points=seed_points)
     return nets
-
-
-def _candidate_descriptors(models, nets, n, caps):
-    """Every (net tuple, gamma) pair within the caps, in truncation order.
-
-    Returns (descriptors, total_theoretical): descriptors are tuples
-    (depth, j, model_rank, gamma_rank, tuple_rank, payload) sorted on their
-    first five entries, payload = (model_tuple, net_lists, point_idx,
-    gamma); total_theoretical counts the candidates of the full enumeration.
-    """
-    descriptors = []
-    total_theoretical = 0
-    for j in range(1, caps.j_max + 1):
-        gammas = LambdaGrid(j, n).first(caps.family_max)
-        for model_rank, model_tuple in enumerate(product(models, repeat=j)):
-            net_lists = [nets[m.id].points[: caps.per_net] for m in model_tuple]
-            tuples = list(product(*[range(len(pts)) for pts in net_lists]))
-            total_theoretical += (
-                math.prod(len(nets[m.id]) for m in model_tuple) * LambdaGrid(j, n).count
-            )
-            for g_rank, gamma in enumerate(gammas):
-                for t_rank, point_idx in enumerate(tuples):
-                    depth = g_rank + t_rank
-                    payload = (model_tuple, net_lists, point_idx, gamma)
-                    descriptors.append(
-                        (depth, j, model_rank, g_rank, t_rank, payload)
-                    )
-    descriptors.sort(key=lambda d: d[:5])
-    return descriptors, total_theoretical
 
 
 # ---------------------------------------------------------------------------

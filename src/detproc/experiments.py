@@ -283,6 +283,14 @@ class RiskCurveResult:
     def medians(self) -> dict:
         return {n: float(np.median(v)) for n, v in self.per_rep_h2.items()}
 
+    def positive_rows(self) -> list:
+        """Rows whose mean risk is positive, the ones the slope is fitted on.
+
+        A mean of exactly 0 (the anchored family can contain the truth) is
+        no violation, but it has no logarithm.
+        """
+        return [r for r in self.rows if r.empirical_mean_h2 > 0]
+
 
 def _risk_replication(cfg: RiskCurveConfig, n: int, stream: SeededRng) -> float:
     truth_fam = haar_orthonormal(cfg.p, cfg.k, stream.split(0))
@@ -318,13 +326,14 @@ def run_risk_curve(cfg: RiskCurveConfig) -> RiskCurveResult:
                              Spectrum.ones(cfg.k), [model], {0: 1.0}, n, cfg.k)
         normalized = mean_h2 * n / (cfg.k * 2 * cfg.p * math.log(n))
         rows.append(RiskCurveRow(n, mean_h2, bound, normalized))
-    means = np.array([r.empirical_mean_h2 for r in rows])
-    if np.all(means > 0):
-        slope = float(np.polyfit(np.log(np.array(cfg.n_grid, dtype=float)),
-                                 np.log(means), 1)[0])
-    else:
-        slope = float("nan")
-    return RiskCurveResult(rows, per_rep, slope)
+    result = RiskCurveResult(rows, per_rep, float("nan"))
+    fitted = result.positive_rows()
+    # a negative or NaN mean leaves the slope NaN, which fails its check
+    if len(fitted) >= 2 and all(r.empirical_mean_h2 >= 0 for r in rows):
+        result.slope = float(np.polyfit(
+            np.log(np.array([r.n for r in fitted], dtype=float)),
+            np.log(np.array([r.empirical_mean_h2 for r in fitted])), 1)[0])
+    return result
 
 
 def risk_rows_for_csv(result: RiskCurveResult):

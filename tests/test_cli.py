@@ -1,13 +1,21 @@
 import json
 import math
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from detproc import cli
+from detproc import cli, experiments
 from detproc.cli import main
 from detproc.core import haar_orthonormal, params_to_dict, Spectrum
-from detproc.experiments import RiskCurveResult, RiskCurveRow
+from detproc.experiments import (
+    BoundsSweepConfig,
+    IsometrySweepConfig,
+    RiskCurveConfig,
+    RiskCurveResult,
+    RiskCurveRow,
+)
 from detproc.rng import SeededRng
 
 
@@ -205,6 +213,18 @@ def test_estimate_outputs_payload(tmp_path):
     assert tests_csv.splitlines()[0] == "row,col,sign"
 
 
+def test_estimate_huge_j_max_finishes(tmp_path):
+    # levels j > p are never enumerated, so a j_max of 10^30 costs no more
+    # than j_max = p
+    cfg = json.loads(Path(estimate_config(tmp_path)).read_text())
+    cfg["caps"]["j_max"] = 10**30
+    path = write_config(tmp_path, "huge.json", cfg)
+    start = time.perf_counter()
+    assert main(["estimate", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert time.perf_counter() - start < 10
+    assert json.loads((tmp_path / "o").read_text())["truncated"]
+
+
 def test_estimate_reads_samples_csv(tmp_path):
     # generate draws with `sample`, then feed them to `estimate`
     params = params_to_dict(haar_orthonormal(4, 1, SeededRng(8)),
@@ -264,6 +284,61 @@ def test_risk_curve_cli_tiny(tmp_path, capsys):
     assert len(lines) == 3
     meta = json.loads((tmp_path / "risk.csv.meta.json").read_text())
     assert "slope" in meta and "medians" in meta
+
+
+def test_risk_curve_huge_j_max_finishes(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {
+        "p": 4, "k": 1, "n_grid": [20, 40], "replications": 1,
+        "caps": [10**30, 2, 4], "pool_size": 8, "anchor_jitter": 1, "seed": 2,
+    })
+    start = time.perf_counter()
+    code = main(["risk-curve", "--config", cfg, "--out", str(tmp_path / "r.csv")])
+    assert code in (0, 1)
+    assert time.perf_counter() - start < 10
+    assert len((tmp_path / "r.csv").read_text().splitlines()) == 3
+
+
+def test_risk_curve_zero_mean_risk_is_not_a_violation(tmp_path, capsys):
+    # the anchored family contains the truth at n = 100 in every replication
+    cfg = write_config(tmp_path, "c.json", {
+        "p": 8, "k": 2, "n_grid": [100, 3000], "replications": 3,
+        "caps": [2, 4, 40], "seed": 1,
+    })
+    out = tmp_path / "risk.csv"
+    assert main(["risk-curve", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "risk-curve: only 1 of 2 mean risks are positive, a slope needs 2"]
+    assert out.read_text().splitlines()[1].startswith("100,0,")
+
+
+def test_risk_curve_zero_mean_left_out_of_the_checks(tmp_path, capsys, monkeypatch):
+    means = {100: 0.0, 300: 0.01, 1000: 0.003, 3000: 0.001}
+    monkeypatch.setattr(experiments, "_risk_replication",
+                        lambda cfg, n, stream: means[n])
+    cfg = write_config(tmp_path, "c.json", {"replications": 2})
+    assert main(["risk-curve", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_defaults_are_the_config_defaults(tmp_path, monkeypatch):
+    seen = {}
+
+    def record(command, result):
+        def run(cfg):
+            seen[command] = cfg
+            return result
+        return run
+
+    rows = [RiskCurveRow(100, 0.1, 0.2, 1.0), RiskCurveRow(300, 0.04, 0.1, 1.1)]
+    monkeypatch.setattr(cli, "run_risk_curve",
+                        record("risk-curve", RiskCurveResult(rows, {}, -0.9)))
+    monkeypatch.setattr(cli, "run_bounds_sweep", record("bounds-sweep", ([], 0)))
+    monkeypatch.setattr(cli, "run_isometry_sweep", record("isometry-sweep", ([], 0)))
+    for command in ("risk-curve", "bounds-sweep", "isometry-sweep"):
+        assert main([command, "--out", str(tmp_path / command)]) == 0
+    assert seen == {"risk-curve": RiskCurveConfig(),
+                    "bounds-sweep": BoundsSweepConfig(),
+                    "isometry-sweep": IsometrySweepConfig()}
 
 
 def test_risk_curve_one_point_grid_exits_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -100,6 +101,24 @@ def test_net_seed_points_come_first():
     seed[0] = 1.0
     net = sphere_net(model, 0.3, 100, SeededRng(4), seed_points=[seed])
     assert np.allclose(net.points[0], seed)
+
+
+def test_sphere_net_takes_real_part_of_real_valued_seeds():
+    # OrthonormalFamily stores complex columns even for a real anchor
+    basis = haar_orthonormal(4, 2, SeededRng(16), real=True).columns.real.copy()
+    model = SubspaceModel(basis, id=3)
+    seed = OrthonormalFamily(basis).columns[:, 0]
+    assert np.iscomplexobj(seed)
+    net = sphere_net(model, 0.3, 50, SeededRng(17), seed_points=[seed])
+    assert not np.iscomplexobj(net.points)
+    assert np.array_equal(net.points[0], basis[:, 0])
+
+
+def test_sphere_net_rejects_complex_seeds_on_real_model():
+    model = SubspaceModel(np.eye(4)[:, :2], id=3)
+    seed = np.array([0.6, 0.8j, 0.0, 0.0])
+    with pytest.raises(ValueError, match="real model 3 have imaginary parts up to 0.8"):
+        sphere_net(model, 0.3, 50, SeededRng(18), seed_points=[seed])
 
 
 def loop_sphere_net(model, eta, pool_size, rng, seed_points=None):
@@ -213,11 +232,25 @@ def test_nearest_orthonormal_beats_random_tuples():
 def test_lambda_grid_count_and_first_point():
     grid = LambdaGrid(2, 3)
     assert grid.count == 9
-    pts = grid.first(9)
+    pts = list(grid)
     assert np.allclose(pts[0].values, [1.0, 1.0])
     assert np.allclose(pts[-1].values, [1 / 3, 1 / 3])
     for s in pts:
         assert np.all(s.values > 0.0)
+
+
+@pytest.mark.parametrize("j,n", [(1, 1), (1, 4), (2, 3), (3, 2), (2, 5)])
+def test_lambda_grid_rank_decodes_descending_lexicographic_order(j, n):
+    grid = LambdaGrid(j, n)
+    levels = [i / n for i in range(n, 0, -1)]
+    want = list(product(levels, repeat=j))
+    assert len(want) == grid.count
+    for i, values in enumerate(want):
+        assert np.array_equal(grid[i].values, np.array(values))
+    assert [tuple(point.values) for point in grid] == want
+    for bad in (-1, grid.count):
+        with pytest.raises(IndexError):
+            grid[bad]
 
 
 def test_lambda_grid_rejects_bad_parameters():
@@ -233,6 +266,28 @@ def test_build_candidates_minimal_caps():
     fam = build_candidates([model], {0: 1.0}, 4, CandidateCaps(1, 1, 1),
                            SeededRng(10), pool_size=32)
     assert len(fam) == 1
+    assert fam.truncated
+
+
+def test_build_candidates_truncated_iff_enumeration_is_longer():
+    # j_max = 1, n = 3: the full enumeration is 3 * |net| candidates
+    model = full_space_model(3)
+    full = build_candidates([model], {0: 1.0}, 3, CandidateCaps(1, 100, 1000),
+                            SeededRng(19), pool_size=16)
+    size = 3 * full.net_sizes[0]
+    assert len(full) == size and not full.truncated
+    cut = build_candidates([model], {0: 1.0}, 3, CandidateCaps(1, 100, size - 1),
+                           SeededRng(19), pool_size=16)
+    assert len(cut) == size - 1 and cut.truncated
+
+
+def test_build_candidates_huge_j_max_stops_at_p():
+    # levels j > p have no orthonormal tuple and are never enumerated
+    model = full_space_model(3)
+    fam = build_candidates([model], {0: 1.0}, 2, CandidateCaps(10**30, 3, 10**30),
+                           SeededRng(20), pool_size=16)
+    levels = {e.index[0] for e in fam.entries}
+    assert levels == {1, 2, 3}
     assert fam.truncated
 
 

@@ -112,6 +112,33 @@ def test_risk_curve_deterministic():
     assert risk_rows_for_csv(a) == risk_rows_for_csv(b)
 
 
+@pytest.mark.parametrize("means,fitted", [
+    ({100: 0.0, 300: 0.01, 1000: 0.003, 3000: 0.001}, [300, 1000, 3000]),
+    ({100: 0.02, 300: 0.01, 1000: 0.0, 3000: 0.001}, [100, 300, 3000]),
+    ({100: 0.02, 300: 0.01, 1000: 0.003, 3000: 0.001}, [100, 300, 1000, 3000]),
+])
+def test_risk_curve_fits_slope_over_positive_means(monkeypatch, means, fitted):
+    monkeypatch.setattr(experiments, "_risk_replication",
+                        lambda cfg, n, stream: means[n])
+    result = run_risk_curve(RiskCurveConfig(replications=2))
+    assert [r.n for r in result.positive_rows()] == fitted
+    want = np.polyfit(np.log(np.array(fitted, dtype=float)),
+                      np.log(np.array([means[n] for n in fitted])), 1)[0]
+    assert result.slope == want
+
+
+@pytest.mark.parametrize("means", [
+    {100: 0.0, 300: 0.0, 1000: 0.0, 3000: 0.001},
+    {100: math.nan, 300: 0.01, 1000: 0.003, 3000: 0.001},
+    {100: -1e-17, 300: 0.01, 1000: 0.003, 3000: 0.001},
+])
+def test_risk_curve_slope_nan_without_two_positive_means_or_on_bad_means(
+        monkeypatch, means):
+    monkeypatch.setattr(experiments, "_risk_replication",
+                        lambda cfg, n, stream: means[n])
+    assert math.isnan(run_risk_curve(RiskCurveConfig(replications=1)).slope)
+
+
 def test_write_rows_csv_format(tmp_path):
     path = tmp_path / "rows.csv"
     write_rows_csv(path, SWEEP_HEADER, [(0, "x", 0.25, 0.5, 0.25)])

@@ -1,13 +1,13 @@
 """Property tests for the batched sampler, bitmask-native SampleSet, the
-selection tournament, the shared minors of the table engine and the CLI
-exit contract.
+selection tournament, the shared minors of the table engine, the lazy
+candidate enumeration and the CLI exit contract.
 
 Families are Haar draws on small ground sets (p <= 6) from a seeded stream,
 with spectra chosen by hypothesis.
 """
 import json
 import math
-from itertools import combinations
+from itertools import combinations, islice, product
 
 import numpy as np
 import pytest
@@ -35,6 +35,7 @@ from detproc.estimator import (
     CandidateCaps,
     CandidateEntry,
     CandidateFamily,
+    LambdaGrid,
     SubspaceModel,
     build_candidates,
     nearest_orthonormal,
@@ -284,12 +285,45 @@ def test_subsets_are_cached_and_read_only():
                               for c in combinations(range(5), 2)]
 
 
+def reference_candidate_descriptors(models, nets, n, caps):
+    """Every (net tuple, gamma) pair within the caps, in truncation order.
+
+    Returns (descriptors, total_theoretical): descriptors are tuples
+    (depth, j, model_rank, gamma_rank, tuple_rank, payload) sorted on their
+    first five entries, payload = (model_tuple, net_lists, point_idx,
+    gamma); total_theoretical counts the candidates of the full enumeration.
+    """
+    descriptors = []
+    total_theoretical = 0
+    for j in range(1, caps.j_max + 1):
+        # the old LambdaGrid iteration: descending lexicographic order
+        levels = [i / n for i in range(n, 0, -1)]
+        gammas = [Spectrum(np.array(values)) for values in
+                  islice(product(levels, repeat=j), caps.family_max)]
+        for model_rank, model_tuple in enumerate(product(models, repeat=j)):
+            net_lists = [nets[m.id].points[: caps.per_net] for m in model_tuple]
+            tuples = list(product(*[range(len(pts)) for pts in net_lists]))
+            total_theoretical += (
+                math.prod(len(nets[m.id]) for m in model_tuple) * LambdaGrid(j, n).count
+            )
+            for g_rank, gamma in enumerate(gammas):
+                for t_rank, point_idx in enumerate(tuples):
+                    depth = g_rank + t_rank
+                    payload = (model_tuple, net_lists, point_idx, gamma)
+                    descriptors.append(
+                        (depth, j, model_rank, g_rank, t_rank, payload)
+                    )
+    descriptors.sort(key=lambda d: d[:5])
+    return descriptors, total_theoretical
+
+
 def reference_build_candidates(models, prior, n, caps, rng, pool_size, anchor,
                                anchor_jitter):
-    """build_candidates with one polar factor per candidate (no memo)."""
+    """build_candidates over the sorted descriptor list, with one polar
+    factor per candidate (no memo); returns (entries, total_theoretical)."""
     nets = estimator._candidate_nets(models, n, rng, pool_size, anchor,
                                      anchor_jitter)
-    descriptors, _ = estimator._candidate_descriptors(models, nets, n, caps)
+    descriptors, total = reference_candidate_descriptors(models, nets, n, caps)
     entries = []
     for depth, j, model_rank, g_rank, t_rank, payload in descriptors:
         if len(entries) >= caps.family_max:
@@ -305,43 +339,62 @@ def reference_build_candidates(models, prior, n, caps, rng, pool_size, anchor,
             mass *= prior[m.id] / len(nets[m.id])
         index = (j, tuple(m.id for m in model_tuple), tuple(point_idx), g_rank)
         entries.append(CandidateEntry(index, fam, gamma, mass))
-    return entries
+    return entries, total
+
+
+# the reference lists every descriptor; for j_max > 3 keep that list below
+# ~3 * 10^4 entries (j_max <= 3 draws every per_net up to 4, ~10^5 at most)
+REFERENCE_DESCRIPTORS = 3 * 10**4
 
 
 @st.composite
 def candidate_setups(draw):
     """Two or three models on p <= 6 (random subspaces, all real or all
     complex), so net tuples of different model tuples share point indices,
-    plus caps and an optional anchor."""
+    plus caps (j_max up to p + 1) and an optional anchor of the same field."""
     p = draw(st.integers(2, 6))
     stream = SeededRng(draw(seeds))
     real = draw(st.booleans())
+    j_max = draw(st.integers(1, p + 1))
     models = []
-    for i in range(draw(st.integers(2, 3))):
+    for i in range(draw(st.integers(2, 3 if j_max <= 5 else 2))):
         basis = haar_orthonormal(p, draw(st.integers(1, p)), stream.split(i),
                                  real=real).columns
         models.append(SubspaceModel(basis.real.copy() if real else basis, id=i))
     prior = {m.id: 1.0 / len(models) for m in models}
-    caps = CandidateCaps(draw(st.integers(1, 3)), draw(st.integers(1, 4)),
-                         draw(st.integers(1, 60)))
-    n = draw(st.integers(2, 50))
+    n = draw(st.integers(1, 50))
+    family_max = draw(st.integers(1, 60))
+
+    def size(per_net):
+        return sum((len(models) * per_net) ** j * min(n**j, family_max)
+                   for j in range(1, j_max + 1))
+
+    per_net_max = 4
+    if j_max > 3:  # deeper tuples: cap per_net so the reference list stays small
+        per_net_max = max([1] + [k for k in range(1, 5)
+                                 if size(k) <= REFERENCE_DESCRIPTORS])
+    caps = CandidateCaps(j_max, draw(st.integers(1, per_net_max)), family_max)
     anchor = None
-    if not real and draw(st.booleans()):  # anchors are complex families
-        anchor = haar_orthonormal(p, draw(st.integers(1, 2)), stream.split(9))
+    if draw(st.booleans()):
+        anchor = haar_orthonormal(p, draw(st.integers(1, 2)), stream.split(9),
+                                  real=real)
     return models, prior, n, caps, stream.split(10), anchor
 
 
 @given(candidate_setups())
 def test_build_candidates_matches_unshared_polar_factors(setup):
     models, prior, n, caps, rng, anchor = setup
-    want = reference_build_candidates(models, prior, n, caps, rng, 16, anchor, 1)
+    want, total = reference_build_candidates(models, prior, n, caps, rng, 16,
+                                             anchor, 1)
     if not want:
         with pytest.raises(ValueError, match="caps too tight"):
             build_candidates(models, prior, n, caps, rng, pool_size=16,
                              anchor=anchor, anchor_jitter=1)
         return
-    got = build_candidates(models, prior, n, caps, rng, pool_size=16,
-                           anchor=anchor, anchor_jitter=1).entries
+    family = build_candidates(models, prior, n, caps, rng, pool_size=16,
+                              anchor=anchor, anchor_jitter=1)
+    assert family.truncated == (total > len(want))
+    got = family.entries
     assert [e.index for e in got] == [e.index for e in want]
     assert [e.prior for e in got] == [e.prior for e in want]
     for a, b in zip(got, want):
