@@ -12,6 +12,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+# argparse's gettext imports locale when the first parser is built, inside
+# every command; load it with the module so that it counts as set-up.
+import locale
 import math
 import sys
 

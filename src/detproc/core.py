@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg
 
 # 2^p enumeration is the workhorse; refuse anything beyond this unless the
 # caller explicitly overrides.
@@ -43,8 +42,12 @@ def abs_det(a: np.ndarray) -> float:
     """|det a| for a square matrix, via column-pivoted QR.
 
     Only the modulus is ever needed for densities; the product of |R_ii|
-    from a pivoted QR is stable for near-singular submatrices.
+    from a pivoted QR is stable for near-singular submatrices. This is the
+    oracle route; scipy is imported on the first call, so importing the
+    package (and every CLI command) does not load it.
     """
+    import scipy.linalg
+
     a = np.asarray(a)
     k = a.shape[0]
     if k == 0:

@@ -47,8 +47,10 @@ class SubspaceModel:
         basis = np.asarray(self.basis)
         if basis.ndim != 2 or basis.shape[1] < 1:
             raise ValueError(f"basis must be p x d with d >= 1, got {basis.shape}")
+        if not np.isfinite(basis).all():
+            raise ValueError("model basis entries must be finite")
         gram = basis.conj().T @ basis
-        if np.max(np.abs(gram - np.eye(basis.shape[1]))) > 1e-9:
+        if not np.max(np.abs(gram - np.eye(basis.shape[1]))) <= 1e-9:
             raise ValueError("model basis is not orthonormal")
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
@@ -163,7 +165,7 @@ def sphere_approx(phi: np.ndarray, model: SubspaceModel) -> np.ndarray:
     """
     phi = np.asarray(phi)
     nrm = np.linalg.norm(phi)
-    if abs(nrm - 1.0) > 1e-9:
+    if not abs(nrm - 1.0) <= 1e-9:  # a NaN norm fails too
         raise ValueError(f"phi must be a unit vector, got norm {nrm}")
     proj = model.project(phi)
     pn = np.linalg.norm(proj)
@@ -180,7 +182,7 @@ def nearest_orthonormal(vectors) -> OrthonormalFamily:
     """
     m = np.column_stack([np.asarray(v, dtype=complex) for v in vectors])
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    if s.min() < POLAR_RANK_TOL:
+    if not s.min() >= POLAR_RANK_TOL:  # a NaN singular value fails too
         raise ValueError("vectors are numerically rank deficient")
     return OrthonormalFamily(u @ vh)
 

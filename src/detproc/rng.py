@@ -7,6 +7,9 @@ no global generator. Parallel work gets one child stream per task via
 from __future__ import annotations
 
 import numpy as np
+# numpy 2 loads numpy.random lazily, on first attribute access; load it with
+# the package so its import is not charged to the first SeededRng.
+import numpy.random
 
 
 class SeededRng:

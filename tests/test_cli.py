@@ -262,6 +262,26 @@ def test_estimate_mask_outside_ground_set_exits_2(tmp_path, capsys):
     assert "draw 1 has mask 64" in err and "p=2" in err
 
 
+def test_estimate_non_finite_model_basis_exits_2(tmp_path, capsys):
+    # a NaN passes a Gram check written as "> tol"; the error must name the
+    # basis, not report an empty candidate family
+    basis = [[float(x), 0.0] for x in np.eye(3)[:, :2].T.reshape(-1)]
+    basis[0][0] = math.nan
+    cfg = write_config(tmp_path, "e.json", {
+        "models": [{"id": 0, "p": 3, "dim": 2, "basis": basis, "prior": 1.0}],
+        "n": 20,
+        "caps": {"j_max": 1, "per_net": 4, "family_max": 8},
+        "pool_size": 16,
+        "truth": params_to_dict(haar_orthonormal(3, 1, SeededRng(3)),
+                                Spectrum.ones(1)),
+    })
+    out = tmp_path / "est.json"
+    err = assert_usage_error(capsys, ["estimate", "--config", cfg,
+                                      "--out", str(out)])
+    assert "model basis" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # risk curve
 

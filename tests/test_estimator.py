@@ -45,6 +45,14 @@ def test_model_requires_orthonormal_basis():
         SubspaceModel(np.ones((3, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_model_rejects_non_finite_basis(bad):
+    basis = np.eye(3)[:, :2]
+    basis[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SubspaceModel(basis)
+
+
 def test_model_real_dimension_doubles_for_complex():
     assert full_space_model(3).dim_real == 6
     assert SubspaceModel(np.eye(3)[:, :2]).dim_real == 2
@@ -195,6 +203,11 @@ def test_sphere_approx_rejects_non_unit_input():
         sphere_approx(np.array([2.0, 0.0, 0.0]), full_space_model(3))
 
 
+def test_sphere_approx_rejects_nan_input():
+    with pytest.raises(ValueError, match="unit vector"):
+        sphere_approx(np.array([np.nan, 0.0, 0.0]), full_space_model(3))
+
+
 def test_nearest_orthonormal_fixes_orthonormal_input():
     fam = haar_orthonormal(4, 2, SeededRng(6))
     out = nearest_orthonormal([fam.columns[:, 0], fam.columns[:, 1]])
@@ -211,6 +224,14 @@ def test_nearest_orthonormal_rejects_rank_deficient():
     v = haar_orthonormal(4, 1, SeededRng(8)).columns[:, 0]
     with pytest.raises(ValueError):
         nearest_orthonormal([v, v])
+
+
+def test_nearest_orthonormal_rejects_nan():
+    v = haar_orthonormal(4, 2, SeededRng(8)).columns
+    w = v[:, 1].copy()
+    w[0] = np.nan
+    with pytest.raises(ValueError):
+        nearest_orthonormal([v[:, 0], w])
 
 
 def test_nearest_orthonormal_beats_random_tuples():

@@ -69,6 +69,27 @@ def test_sampler_check_small():
     assert len(rows) == 3
 
 
+def test_sampler_check_nan_is_a_failure(monkeypatch):
+    monkeypatch.setattr(experiments, "total_variation", lambda *_: math.nan)
+    cfg = SamplerCheckConfig(p=4, rank=2, draws=500, settings=2, seed=2)
+    rows, failures = run_sampler_check(cfg)
+    assert failures == cfg.settings
+    assert sum(math.isnan(row[2]) for row in rows) == 2 * cfg.settings
+
+
+def test_chi2_two_sample_exact_at_two_degrees_of_freedom():
+    # the empty last cell is dropped, leaving 3 cells and dof = 2, where the
+    # chi-square survival function is exp(-stat / 2). Both samples have 60
+    # draws, so each expected count is (15, 20, 25) and
+    # stat = 2 * (5^2 / 15 + 0 + 5^2 / 25) = 16 / 3.
+    pval = experiments._chi2_two_sample([10, 20, 30, 0], [20, 20, 20, 0])
+    assert pval == pytest.approx(math.exp(-8.0 / 3.0), rel=1e-12, abs=0.0)
+
+
+def test_chi2_two_sample_single_cell_is_one():
+    assert experiments._chi2_two_sample([5, 0], [7, 0]) == 1.0
+
+
 def test_risk_curve_config_validation():
     with pytest.raises(ValueError):
         RiskCurveConfig(n_grid=(100, 100))
