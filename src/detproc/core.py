@@ -160,7 +160,7 @@ class OrthonormalFamily:
     Inputs failing the Gram check are rejected rather than silently
     re-orthonormalized, so caller bugs surface here. The squared minors of
     each active set are computed once and kept with the family (the columns
-    are read-only), so every table built on it shares them.
+    are read-only), so every mixture-sum table built on it shares them.
     """
 
     columns: np.ndarray
@@ -420,25 +420,106 @@ def correlation(kernel: KernelMatrix, alpha: Config) -> float:
 
 
 def density_table(density, cap: int = DEFAULT_ENUM_CAP) -> DensityTable:
-    """Exhaustive probability table over all 2^p configurations."""
+    """Exhaustive probability table over all 2^p configurations.
+
+    Two routes give the same table up to rounding, and the input picks
+    between them. A DppDensity whose mixture sum would need more squared
+    minors than the table has entries (_chain_rule_pays) goes to the chain
+    rule over the points, _chain_table, at O(p^2 2^p). Every other density,
+    including every ProjectionDensity (C(p, k) <= 2^p minors), is summed
+    from the family's memoized minors by _mixture_table.
+    """
     fam = density.family
     check_enum_cap(fam.p, cap)
     ground = GroundSet(fam.p, cap)
-    probs = np.zeros(1 << fam.p)
-    if isinstance(density, ProjectionDensity):
-        _accumulate_projection(probs, fam, density.active, 1.0)
-    elif isinstance(density, DppDensity):
-        spec = density.spectrum
-        for active, w in weighted_active_sets(spec, range(spec.r + 1)):
-            _accumulate_projection(probs, fam, active, w)
-    else:
+    if not isinstance(density, (ProjectionDensity, DppDensity)):
         raise TypeError(f"unsupported density type {type(density).__name__}")
+    if isinstance(density, DppDensity) and _chain_rule_pays(fam.p, density.spectrum):
+        probs = _chain_table(fam, density.spectrum)
+    else:
+        probs = _mixture_table(density)
     return DensityTable(ground, probs)
 
 
-def _accumulate_projection(probs, fam, active, weight):
-    masks, sq = fam._squared_minors(active)
-    probs[masks] += weight * sq
+def _chain_rule_pays(p: int, spectrum: Spectrum) -> bool:
+    """Whether the mixture sum needs more squared minors than 2^p.
+
+    It computes C(p, |J|) minors for each index set J of nonzero weight:
+    M = sum_t C(free, t) C(p, forced_in + t), with forced_in = #{lambda_j
+    = 1} and free = #{0 < lambda_j < 1}. M <= C(p + r, r) (Vandermonde), so
+    the exact count is skipped when that bound is <= 2^p, and the thousands
+    of small tables of an estimation run pay O(1) here.
+    """
+    r = spectrum.r
+    if math.comb(p + r, r) <= 1 << p:
+        return False
+    sq = spectrum.values**2
+    forced_in = int(np.count_nonzero(sq == 1.0))
+    free = int(np.count_nonzero((sq > 0.0) & (sq < 1.0)))
+    minors = sum(math.comb(free, t) * math.comb(p, forced_in + t)
+                 for t in range(free + 1))
+    return minors > 1 << p
+
+
+def _mixture_table(density) -> np.ndarray:
+    """Table entries as the weighted sum of the family's memoized squared
+    minors, one |det|^2 vector per index set J (the mixture-sum route)."""
+    fam = density.family
+    if isinstance(density, ProjectionDensity):
+        terms = [(density.active, 1.0)]
+    else:
+        terms = weighted_active_sets(density.spectrum, range(density.spectrum.r + 1))
+    probs = np.zeros(1 << fam.p)
+    for active, w in terms:
+        masks, sq = fam._squared_minors(active)
+        probs[masks] += w * sq
+    return probs
+
+
+def _chain_table(family: OrthonormalFamily, spectrum: Spectrum) -> np.ndarray:
+    """Table entries by the chain rule over the points 1..p.
+
+    P(N = alpha) is the product over x = 1..p of the probability of the
+    decision on x given the decisions on 1..x-1. Given them, N restricted
+    to {x..p} is again determinantal, with kernel the Schur complement
+    K <- K - K[:,0] K[0,:] / d after taking x and K <- K + K[:,0] K[0,:] /
+    (1 - d) after leaving it, where d = K[0,0] is the probability of taking
+    x (Poulson 2019; Launay, Galerne and Desolneux 2020). Level i keeps the
+    kernels of all 2^i decision prefixes in one (2^i, p-i, p-i) array; leaf
+    index = bitmask, point i <-> bit i-1. A branch with d = 0 or d = 1 has
+    probability 0, and its kernel is carried along without dividing.
+
+    The mixture lives on the sizes [#{lambda_j = 1}, #{lambda_j > 0}]. A
+    prefix that no configuration of those sizes extends gets probability
+    exactly 0 (rounding would leave ~1e-18) and a zero kernel, so that
+    rounding noise there is not amplified by later pivots into an overflow.
+    """
+    p = family.p
+    sq = spectrum.values**2
+    lo, hi = np.count_nonzero(sq == 1.0), np.count_nonzero(sq > 0.0)
+    kern = kernel_from_params(family, spectrum).entries[None]
+    probs = np.ones(1)
+    sizes = np.zeros(1, dtype=np.intp)
+    for i in range(p):
+        n, m = kern.shape[0], p - i - 1
+        d = np.minimum(np.maximum(kern[:, 0, 0].real, 0.0), 1.0)
+        e = 1.0 - d
+        leave = np.divide(1.0, e, out=np.zeros(n), where=e > 0.0)
+        take = np.divide(-1.0, d, out=np.zeros(n), where=d > 0.0)
+        col, rest = kern[:, 1:, 0], kern[:, 1:, 1:]
+        outer = col[:, :, None] * col.conj()[:, None, :]
+        kern = np.empty((2 * n, m, m), dtype=complex)
+        np.multiply(outer, leave[:, None, None], out=kern[:n])
+        np.multiply(outer, take[:, None, None], out=kern[n:])
+        kern[:n] += rest
+        kern[n:] += rest
+        probs = np.concatenate([probs * e, probs * d])
+        sizes = np.concatenate([sizes, sizes + 1])
+        if i + 1 > hi or m < lo:  # else every prefix can still reach the support
+            dead = (sizes > hi) | (sizes + m < lo)
+            probs[dead] = 0.0
+            kern[dead] = 0.0
+    return probs
 
 
 def normalization_check(table: DensityTable) -> float:

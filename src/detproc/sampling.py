@@ -38,6 +38,8 @@ COUNT_TOL = 1e-6
 # blocks of 512 to 2048 draw equally fast, and 512 keeps each array near
 # 0.6 MB.
 _BLOCK = 512
+# Points an int64 bitmask can hold: bit 63 is the sign bit.
+MAX_POINTS = 63
 
 
 class SamplerConsistencyError(RuntimeError):
@@ -97,6 +99,9 @@ def _projection_masks(columns: np.ndarray, active: np.ndarray,
     B has the row norms of an orthonormal basis of the subspace vanishing
     at x, so no re-orthonormalization is needed.
     """
+    if columns.shape[0] > MAX_POINTS:
+        raise ValueError(f"p={columns.shape[0]} exceeds {MAX_POINTS}, the most "
+                         "points an int64 draw bitmask can hold")
     count = active.sum(axis=1)
     order = np.argsort(-count, kind="stable")
     count = count[order]

@@ -114,6 +114,29 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     assert_usage_error(capsys, ["sample", "--config", cfg, "--out", str(out)])
 
 
+@pytest.mark.parametrize("p", [64, 70])
+def test_sample_beyond_int64_masks_exits_2(tmp_path, capsys, p):
+    # all mass on point p, which no int64 bitmask can hold
+    phi = [[0.0, 0.0]] * (p - 1) + [[1.0, 0.0]]
+    cfg = write_config(tmp_path, "c.json",
+                       {"params": {"p": p, "phi": phi, "lambda": [1.0]}, "n": 3})
+    out = tmp_path / "o.csv"
+    err = assert_usage_error(capsys, ["sample", "--config", cfg, "--out", str(out)])
+    assert "int64" in err
+    assert not out.exists()
+
+
+def test_memory_error_exits_2(tmp_path, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 7.3 TiB")
+
+    monkeypatch.setattr(cli, "sample_dpp", exhausted)
+    cfg = write_config(tmp_path, "c.json", {"params": diag_params(), "n": 10**12})
+    err = assert_usage_error(capsys, ["sample", "--config", cfg,
+                                      "--out", str(tmp_path / "o.csv")])
+    assert "out of memory" in err and "7.3 TiB" in err
+
+
 # ---------------------------------------------------------------------------
 # sample / density / hellinger
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from detproc.core import (
+    TABLE_TOL,
     Config,
     DensityTable,
     DppDensity,
@@ -477,6 +478,22 @@ def test_l_ensemble_cross_check_random():
             assert l_ensemble_oracle(density, alpha) == pytest.approx(
                 dpp_density_eval(density, alpha), abs=1e-8
             )
+
+
+def test_density_table_at_the_enumeration_cap():
+    # p = 20, r = 10: the mixture sum would need C(30, 10) ~ 3e7 minors, so
+    # this table comes from the chain rule over the points
+    rng = SeededRng(20)
+    fam = haar_orthonormal(20, 10, rng.split(0))
+    density = DppDensity(fam, Spectrum(np.linspace(0.95, 0.45, 10)))
+    table = density_table(density)
+    assert abs(normalization_check(table) - 1.0) <= TABLE_TOL
+    gen = rng.split(1).generator
+    for _ in range(10):
+        members = gen.choice(20, size=int(gen.integers(0, 11)), replace=False) + 1
+        alpha = Config(members)
+        assert abs(table[alpha] - dpp_density_eval(density, alpha)) <= 1e-12
+        assert abs(table[alpha] - l_ensemble_oracle(density, alpha)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from detproc.core import (
     subsets,
     weighted_active_sets,
 )
+from detproc.core import _chain_rule_pays, _chain_table, _mixture_table
 from detproc.estimator import (
     CandidateCaps,
     CandidateEntry,
@@ -240,16 +241,19 @@ def reused_families(draw):
 
 @given(reused_families())
 def test_reused_family_tables_match_fresh_and_loop(case):
+    """The mixture-sum route against a fresh family and the per-subset loop;
+    density_table returns whichever route its rule picks, bit for bit."""
     fam, spectra = case
     used = set()
     for spec in spectra:
-        table = density_table(DppDensity(fam, spec))
+        probs = _mixture_table(DppDensity(fam, spec))
         fresh = OrthonormalFamily(np.array(fam.columns))
         assert not fresh._sq_minors
-        assert np.array_equal(table.probs,
-                              density_table(DppDensity(fresh, spec)).probs)
-        assert np.array_equal(table.probs, _loop_table(fam, spec))
-        assert abs(math.fsum(table.probs) - 1.0) <= TABLE_TOL
+        assert np.array_equal(probs, _mixture_table(DppDensity(fresh, spec)))
+        assert np.array_equal(probs, _loop_table(fam, spec))
+        assert abs(math.fsum(probs) - 1.0) <= TABLE_TOL
+        picked = _chain_table(fam, spec) if _chain_rule_pays(fam.p, spec) else probs
+        assert np.array_equal(density_table(DppDensity(fam, spec)).probs, picked)
         used |= {a for a, _ in weighted_active_sets(spec, range(spec.r + 1))}
     # one memo entry per index set J that entered some table
     assert set(fam._sq_minors) == used
@@ -258,6 +262,75 @@ def test_reused_family_tables_match_fresh_and_loop(case):
             OrthonormalFamily(np.array(fam.columns)), active)).probs
         assert np.array_equal(density_table(ProjectionDensity(fam, active)).probs,
                               want)
+
+
+# ---------------------------------------------------------------------------
+# the chain rule over the points: the table route for large mixtures
+
+edge_values = st.sampled_from([0.0, 1.0, 1 - 1e-12, 1 - 1e-6, 0.3, 1e-7])
+
+
+@st.composite
+def chain_cases(draw):
+    """A family on p <= 10 of rank r <= 6, real or complex, with a spectrum
+    mixing edge entries and uniform draws."""
+    p = draw(st.integers(1, 10))
+    r = draw(st.integers(0, min(p, 6)))
+    fam = haar_orthonormal(p, r, SeededRng(draw(seeds)), real=draw(st.booleans()))
+    values = draw(st.lists(edge_values | st.floats(0.0, 1.0), min_size=r, max_size=r))
+    return fam, Spectrum(np.array(values, dtype=float))
+
+
+@given(chain_cases())
+def test_chain_table_matches_loop_and_support(case):
+    fam, spec = case
+    probs = _chain_table(fam, spec)
+    assert np.abs(probs - _loop_table(fam, spec)).max() <= 1e-12
+    sq = spec.values**2
+    sizes = np.array([bin(m).count("1") for m in range(1 << fam.p)])
+    outside = (sizes < np.count_nonzero(sq == 1.0)) | (sizes > np.count_nonzero(sq > 0.0))
+    assert np.all(probs[outside] == 0.0)
+    assert probs.min() >= 0.0
+
+
+def _minors_needed(p, spec):
+    """Squared minors of the mixture sum: C(p, |J|) for every index set J
+    whose Bernoulli factors are all nonzero."""
+    sq = spec.values**2
+    return sum(math.comb(p, k)
+               for k in range(spec.r + 1)
+               for active in combinations(range(spec.r), k)
+               if all(sq[j] > 0.0 if j in active else sq[j] < 1.0
+                      for j in range(spec.r)))
+
+
+@pytest.mark.parametrize("p, values, chain", [
+    (4, [0.5, 0.5], False),  # M = 15 <= 16
+    (2, [0.5, 0.5], True),  # M = 6 > 4
+    (4, [0.5, 0.5, 0.0], False),  # C(7, 3) = 35 > 16, but M = 15
+    (4, [0.5, 0.5, 1.0], True),  # M = 20
+    (6, [1.0, 1.0, 1.0], False),  # a projection: M = C(6, 3)
+    (8, [0.9, 0.7], False),  # the estimator's tables: C(10, 2) = 45
+    (15, np.linspace(0.95, 0.45, 7), True),  # M = C(22, 7) = 170,544
+])
+def test_density_table_picks_chain_rule_when_minors_exceed_table(p, values, chain):
+    spec = Spectrum(np.array(values, dtype=float))
+    assert (_minors_needed(p, spec) > 1 << p) == chain
+    assert _chain_rule_pays(p, spec) == chain
+    fam = haar_orthonormal(p, spec.r, SeededRng(p))
+    table = density_table(DppDensity(fam, spec))
+    # only the mixture-sum route fills the family's minor memo
+    assert (not fam._sq_minors) == chain
+    want = _chain_table(fam, spec) if chain else _mixture_table(DppDensity(fam, spec))
+    assert np.array_equal(table.probs, want)
+
+
+@given(st.integers(1, 7).flatmap(lambda p: st.tuples(
+    st.just(p), st.lists(edge_values | st.floats(0.0, 1.0), max_size=p))))
+def test_chain_rule_choice_matches_minor_count(case):
+    p, values = case
+    spec = Spectrum(np.array(values, dtype=float))
+    assert _chain_rule_pays(p, spec) == (_minors_needed(p, spec) > 1 << p)
 
 
 @given(st.integers(0, 8).flatmap(

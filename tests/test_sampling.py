@@ -162,6 +162,16 @@ def test_dpp_projection_spectrum_fixed_cardinality():
     assert all(len(d) == 2 for d in samples)
 
 
+def test_dpp_bitmask_holds_point_63():
+    # all mass on the last point of p = 63: bit 62, the highest an int64
+    # mask holds
+    cols = np.zeros((63, 1), dtype=complex)
+    cols[62, 0] = 1.0
+    density = DppDensity(OrthonormalFamily(cols), Spectrum.ones(1))
+    masks = sample_dpp(density, 5, SeededRng(0)).masks()
+    assert masks.tolist() == [1 << 62] * 5
+
+
 def test_dpp_determinism():
     rng_params = SeededRng(10)
     fam = haar_orthonormal(5, 2, rng_params.split(0))
