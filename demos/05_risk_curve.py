@@ -8,7 +8,7 @@ k * 2p * log(n) / n benchmark; the fitted log-log slope should sit near -1.
 The same experiment is available from the command line:
     detproc risk-curve --config cfg.json --out risk.csv
 
-Run: python demos/05_risk_curve.py   (about half a minute)
+Run: python demos/05_risk_curve.py   (about 2 s)
 """
 from detproc import RiskCurveConfig, run_risk_curve
 

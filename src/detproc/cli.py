@@ -167,8 +167,6 @@ def _cmd_estimate(args) -> int:
         raise ConfigError("unknown test_statistic (only 'signed-root' is available)")
     models = [_model_from_dict(m) for m in cfg["models"]]
     prior = {int(m["id"]): float(m["prior"]) for m in cfg["models"]}
-    if math.fsum(prior.values()) > 1.0 + 1e-12:
-        raise ConfigError("model prior weights must sum to at most 1")
     n = int(cfg["n"])
     caps_cfg = cfg["caps"]
     caps = CandidateCaps(int(caps_cfg["j_max"]), int(caps_cfg["per_net"]),

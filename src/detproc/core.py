@@ -4,8 +4,10 @@ The ground space is {1, ..., p} with the counting measure, so the space of
 configurations (finite subsets) has 2^p elements and every integral is a
 finite sum. This module holds the parameter types, the density evaluators
 for projection processes and their Bernoulli mixtures, the kernel and its
-correlation function, and two exact-enumeration oracles (the full density
-table and the L-ensemble likelihood) used to cross-validate each other.
+correlation function, and the full density table, the production object
+every estimate and distance is computed from. The table is checked against
+three independent oracles: the per-configuration mixture sum, the
+L-ensemble likelihood and the pivoted-QR determinant abs_det.
 """
 from __future__ import annotations
 
@@ -18,8 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-# 2^p enumeration is the workhorse; refuse anything beyond this unless the
-# caller explicitly overrides.
+# 2^p enumeration is the workhorse; no ground set is larger than this.
 DEFAULT_ENUM_CAP = 20
 GRAM_TOL = 1e-9
 KERNEL_TOL = 1e-9
@@ -27,12 +28,7 @@ TABLE_TOL = 1e-9
 
 
 class EnumerationCapError(ValueError):
-    """Raised when an operation would enumerate more than 2^cap configurations."""
-
-
-def check_enum_cap(p: int, cap: int = DEFAULT_ENUM_CAP):
-    if p > cap:
-        raise EnumerationCapError(f"p={p} exceeds enumeration cap {cap}")
+    """Raised for a ground set of more than DEFAULT_ENUM_CAP points."""
 
 
 # ---------------------------------------------------------------------------
@@ -59,17 +55,14 @@ def abs_det(a: np.ndarray) -> float:
 
 
 def abs_det_many(stack: np.ndarray) -> np.ndarray:
-    """|det| for a stack of square matrices (..., k, k), batched QR.
+    """|det| for a stack of square matrices (..., k, k), one batched LU.
 
-    Bulk companion of abs_det for enumeration loops; agreement between the
-    two routes is asserted in the test suite.
+    The one production kernel for k x k minors: the tables and the
+    inequality checks both take their moduli from it, through
+    OrthonormalFamily.moduli. A 0 x 0 block has determinant 1. Agreement
+    with the pivoted-QR oracle abs_det is asserted in the test suite.
     """
-    stack = np.asarray(stack)
-    k = stack.shape[-1]
-    if k == 0:
-        return np.ones(stack.shape[:-2])
-    r = np.linalg.qr(stack, mode="r")
-    return np.abs(np.prod(np.abs(np.diagonal(r, axis1=-2, axis2=-1)), axis=-1))
+    return np.abs(np.linalg.det(stack))
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +105,13 @@ class GroundSet:
     """The finite ground space {1, ..., p}."""
 
     p: int
-    cap: int = DEFAULT_ENUM_CAP
 
     def __post_init__(self):
-        if not 1 <= self.p <= self.cap:
-            raise ValueError(f"p must be in [1, {self.cap}], got {self.p}")
+        if self.p > DEFAULT_ENUM_CAP:
+            raise EnumerationCapError(
+                f"p={self.p} exceeds enumeration cap {DEFAULT_ENUM_CAP}")
+        if self.p < 1:
+            raise ValueError(f"p must be >= 1, got {self.p}")
 
     def validate(self, alpha: Config):
         if len(alpha) and alpha.members[-1] > self.p:
@@ -158,14 +153,14 @@ class OrthonormalFamily:
     """p x r complex matrix whose columns are orthonormal in C^p.
 
     Inputs failing the Gram check are rejected rather than silently
-    re-orthonormalized, so caller bugs surface here. The squared minors of
+    re-orthonormalized, so caller bugs surface here. The minor moduli of
     each active set are computed once and kept with the family (the columns
-    are read-only), so every mixture-sum table built on it shares them.
+    are read-only), so every table and inequality check on it shares them.
     """
 
     columns: np.ndarray
-    _sq_minors: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
+    _moduli: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         cols = np.atleast_2d(np.asarray(self.columns, dtype=complex))
@@ -189,8 +184,8 @@ class OrthonormalFamily:
     def r(self) -> int:
         return self.columns.shape[1]
 
-    def ground(self, cap: int = DEFAULT_ENUM_CAP) -> GroundSet:
-        return GroundSet(self.p, cap)
+    def ground(self) -> GroundSet:
+        return GroundSet(self.p)
 
     def check_active(self, active) -> tuple:
         active = tuple(sorted(int(j) for j in active))
@@ -205,15 +200,15 @@ class OrthonormalFamily:
         cols = [j - 1 for j in active]
         return self.columns[np.ix_(rows, cols)]
 
-    def _squared_minors(self, active: tuple):
-        """(masks, |det|^2) of the (alpha, J) blocks over every alpha with
-        |alpha| = |J|, J = active, in core.subsets order; memoized per J."""
-        memo = self._sq_minors.get(active)
+    def moduli(self, active: tuple) -> np.ndarray:
+        """|det| of the (alpha, J) blocks over every alpha with |alpha| = |J|,
+        J = active (a sorted tuple), in core.subsets order; memoized per J."""
+        memo = self._moduli.get(active)
         if memo is None:
-            masks, rows = subsets(self.p, len(active))
-            blocks = self.columns[:, [j - 1 for j in active]][rows]
-            memo = masks, abs_det_many(blocks) ** 2
-            self._sq_minors[active] = memo
+            rows = subsets(self.p, len(active))[1]
+            memo = abs_det_many(self.columns[:, [j - 1 for j in active]][rows])
+            memo.setflags(write=False)
+            self._moduli[active] = memo
         return memo
 
 
@@ -303,13 +298,14 @@ class DensityTable:
     """Exhaustive map from every configuration to its probability.
 
     probs is indexed by configuration bitmask (bit i-1 set iff point i is
-    in the configuration). This is the exact-enumeration oracle that every
-    other route in the package is checked against.
+    in the configuration). This is the production object: samples, tests,
+    distances and inequality checks all read it. It is checked against the
+    mixture-sum (dpp_density_eval), L-ensemble (l_ensemble_oracle) and
+    pivoted-QR (abs_det) oracles.
     """
 
     ground: GroundSet
     probs: np.ndarray
-    check: bool = True
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
@@ -317,15 +313,14 @@ class DensityTable:
             raise ValueError(
                 f"expected {1 << self.ground.p} entries, got {probs.shape}"
             )
-        if self.check:
-            # comparisons written so that NaN fails them
-            if not probs.min() >= -1e-12:
-                raise ValueError(
-                    f"probabilities must be finite and >= 0 (min {probs.min():.3e})"
-                )
-            total = math.fsum(probs)
-            if not abs(total - 1.0) <= TABLE_TOL:
-                raise ValueError(f"total mass {total} differs from 1")
+        # comparisons written so that NaN fails them
+        if not probs.min() >= -1e-12:
+            raise ValueError(
+                f"probabilities must be finite and >= 0 (min {probs.min():.3e})"
+            )
+        total = math.fsum(probs)
+        if not abs(total - 1.0) <= TABLE_TOL:
+            raise ValueError(f"total mass {total} differs from 1")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
@@ -419,7 +414,7 @@ def correlation(kernel: KernelMatrix, alpha: Config) -> float:
     return float(np.linalg.det(sub).real)
 
 
-def density_table(density, cap: int = DEFAULT_ENUM_CAP) -> DensityTable:
+def density_table(density) -> DensityTable:
     """Exhaustive probability table over all 2^p configurations.
 
     Two routes give the same table up to rounding, and the input picks
@@ -430,8 +425,7 @@ def density_table(density, cap: int = DEFAULT_ENUM_CAP) -> DensityTable:
     from the family's memoized minors by _mixture_table.
     """
     fam = density.family
-    check_enum_cap(fam.p, cap)
-    ground = GroundSet(fam.p, cap)
+    ground = fam.ground()
     if not isinstance(density, (ProjectionDensity, DppDensity)):
         raise TypeError(f"unsupported density type {type(density).__name__}")
     if isinstance(density, DppDensity) and _chain_rule_pays(fam.p, density.spectrum):
@@ -463,7 +457,7 @@ def _chain_rule_pays(p: int, spectrum: Spectrum) -> bool:
 
 def _mixture_table(density) -> np.ndarray:
     """Table entries as the weighted sum of the family's memoized squared
-    minors, one |det|^2 vector per index set J (the mixture-sum route)."""
+    minor moduli, one vector per index set J (the mixture-sum route)."""
     fam = density.family
     if isinstance(density, ProjectionDensity):
         terms = [(density.active, 1.0)]
@@ -471,8 +465,8 @@ def _mixture_table(density) -> np.ndarray:
         terms = weighted_active_sets(density.spectrum, range(density.spectrum.r + 1))
     probs = np.zeros(1 << fam.p)
     for active, w in terms:
-        masks, sq = fam._squared_minors(active)
-        probs[masks] += w * sq
+        masks = subsets(fam.p, len(active))[0]
+        probs[masks] += w * fam.moduli(active) ** 2
     return probs
 
 

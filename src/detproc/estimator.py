@@ -289,6 +289,17 @@ def build_candidates(models, prior, n: int, caps: CandidateCaps, rng: SeededRng,
     models = list(models)
     if not models:
         raise ValueError("need at least one model")
+    # comparisons written so that NaN fails them
+    if not n >= 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not anchor_jitter >= 0:
+        raise ValueError(f"anchor_jitter must be >= 0, got {anchor_jitter}")
+    for mid, weight in prior.items():
+        if not (math.isfinite(weight) and weight >= 0.0):
+            raise ValueError(f"prior of model {mid} must be finite and >= 0, "
+                             f"got {weight}")
+    if not math.fsum(prior.values()) <= 1.0 + 1e-12:
+        raise ValueError("model prior weights must sum to at most 1")
     nets = _candidate_nets(models, n, rng, pool_size, anchor, anchor_jitter)
     entries = []
     polar = {}  # (j, model_rank, point_idx) -> family, or None if rank deficient
@@ -382,17 +393,43 @@ def test_statistic(u: DensityTable, v: DensityTable, samples: SampleSet) -> floa
     """Signed-root statistic sum_i [sqrt(v(N_i)) - sqrt(u(N_i))] / sqrt(u+v).
 
     Positive values favor v over u; exactly antisymmetric in (u, v); a term
-    where both densities vanish contributes zero.
+    where both densities vanish contributes zero. The one-pair case of the
+    arithmetic select runs on every pair.
     """
     if u.ground.p != v.ground.p:
         raise ValueError("tables live on different ground sets")
-    counts = np.bincount(samples.masks(), minlength=len(u.probs))
-    su = np.sqrt(u.probs)
-    sv = np.sqrt(v.probs)
-    denom = np.sqrt(u.probs + v.probs)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        terms = np.where(denom > 0.0, (sv - su) / np.where(denom > 0, denom, 1.0), 0.0)
-    return float(np.dot(counts, terms))
+    cells, weights = _observed_cells(samples, u)
+    p_obs = np.stack([u.probs[cells], v.probs[cells]])
+    return float(_signed_roots(p_obs, np.sqrt(p_obs), weights, [0], [1])[0])
+
+
+def _observed_cells(samples: SampleSet, table: DensityTable):
+    """The configurations the samples hit, in ascending bitmask order, and
+    how often each was drawn; a mask outside the table's ground set raises."""
+    masks = samples.masks()
+    size = len(table.probs)
+    outside = np.flatnonzero(masks >= size)
+    if outside.size:
+        i = int(outside[0])
+        raise ValueError(
+            f"draw {i} has mask {int(masks[i])}, outside the ground set of "
+            f"p={table.ground.p} (masks must be < {size})")
+    counts = np.bincount(masks, minlength=size)
+    cells = np.flatnonzero(counts)
+    return cells, counts[cells].astype(float)
+
+
+def _signed_roots(p_obs, r_obs, weights, a, b) -> np.ndarray:
+    """Statistic t(a[i], b[i]) for each pair i, from the candidates'
+    probabilities p_obs and their square roots r_obs on the observed cells
+    (one row per candidate) and the cell counts weights."""
+    denom = p_obs[a]  # fancy indexing copies, so in-place ops are safe
+    denom += p_obs[b]
+    np.sqrt(denom, out=denom)
+    diff = r_obs[b]
+    diff -= r_obs[a]
+    terms = np.divide(diff, denom, out=np.zeros_like(denom), where=denom > 0.0)
+    return terms @ weights
 
 
 @dataclass
@@ -417,22 +454,13 @@ def select(family: CandidateFamily, samples: SampleSet) -> SelectionResult:
     if m == 0:
         raise ValueError("empty candidate family")
     tables = [e.table() for e in entries]
+    cells, weights = _observed_cells(samples, tables[0])
     probs = np.stack([t.probs for t in tables])
     roots = np.sqrt(probs)
-    masks = samples.masks()
-    outside = np.flatnonzero(masks >= probs.shape[1])
-    if outside.size:
-        i = int(outside[0])
-        raise ValueError(
-            f"draw {i} has mask {int(masks[i])}, outside the ground set of "
-            f"p={tables[0].ground.p} (masks must be < {probs.shape[1]})")
-    counts = np.bincount(masks, minlength=probs.shape[1])
     affinity = np.clip(roots @ roots.T, 0.0, 1.0)
     h_matrix = np.sqrt(np.clip(1.0 - affinity, 0.0, None))
     np.fill_diagonal(h_matrix, 0.0)
 
-    cells = np.flatnonzero(counts)
-    weights = counts[cells].astype(float)
     p_obs = probs[:, cells]
     r_obs = roots[:, cells]
     priors = np.array([e.prior for e in entries])
@@ -440,15 +468,8 @@ def select(family: CandidateFamily, samples: SampleSet) -> SelectionResult:
     t = np.empty(first.size)
     step = max(1, _PAIR_BLOCK_CELLS // max(1, cells.size))
     for lo in range(0, first.size, step):
-        a, b = first[lo:lo + step], second[lo:lo + step]
-        denom = p_obs[a]  # fancy indexing copies, so in-place ops are safe
-        denom += p_obs[b]
-        np.sqrt(denom, out=denom)
-        diff = r_obs[b]
-        diff -= r_obs[a]
-        terms = np.divide(diff, denom, out=np.zeros_like(denom),
-                          where=denom > 0.0)
-        t[lo:lo + step] = terms @ weights
+        t[lo:lo + step] = _signed_roots(p_obs, r_obs, weights,
+                                        first[lo:lo + step], second[lo:lo + step])
     b_beats_a = (t > 0.0) | ((t == 0.0) & (priors[second] > priors[first]))
     sign = np.zeros((m, m), dtype=np.int8)
     sign[first, second] = np.where(b_beats_a, 1, -1)

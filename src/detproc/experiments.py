@@ -82,6 +82,10 @@ class BoundsSweepConfig:
     rank_max: int = 3
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.instances >= 1:
+            raise ValueError(f"instances must be >= 1, got {self.instances}")
+
 
 def run_bounds_sweep(cfg: BoundsSweepConfig):
     """Random instances of all three distance inequalities.
@@ -142,6 +146,10 @@ class IsometrySweepConfig:
     k_max: int = 3
     seed: int = 0
     gap_tol: float = 1e-9
+
+    def __post_init__(self):
+        if not self.instances >= 1:
+            raise ValueError(f"instances must be >= 1, got {self.instances}")
 
 
 def run_isometry_sweep(cfg: IsometrySweepConfig):

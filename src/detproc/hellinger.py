@@ -1,12 +1,13 @@
 """Exact Hellinger geometry of determinantal densities.
 
-Everything here is exact enumeration (no sampling estimators): this module
-is the oracle layer the estimator relies on. It computes distances and
-affinities between density tables, the closed-form distance between two
-Bernoulli weight distributions, numerical verification of the three
-distance inequalities (projection, mixture, full-mixture forms), and the
-minor-vector coordinates whose modulus map is isometric to rank-k
-projection densities under sqrt(2) * Hellinger.
+Everything here is exact enumeration (no sampling estimators). It computes
+distances and affinities between density tables, the closed-form distance
+between two Bernoulli weight distributions, numerical verification of the
+three distance inequalities (projection, mixture, full-mixture forms), and
+the minor-vector coordinates whose modulus map is isometric to rank-k
+projection densities under sqrt(2) * Hellinger. The minor moduli come from
+OrthonormalFamily.moduli, the same memoized vectors the tables are built
+from.
 """
 from __future__ import annotations
 
@@ -110,18 +111,16 @@ class WedgeVector:
         return complex(self.coords[masks.index(alpha.mask)])
 
 
-def _minors(cols: np.ndarray) -> np.ndarray:
-    """Signed minors det cols[alpha, :] over all configurations alpha of size
-    cols.shape[1], in core.subsets order (LU, independent of the QR route
-    the density tables take)."""
-    return np.linalg.det(cols[subsets(*cols.shape)[1]])
-
-
 def wedge_coords(family: OrthonormalFamily, k: int) -> WedgeVector:
-    """Signed k x k minors of the first k columns, one per size-k configuration."""
+    """Signed k x k minors of the first k columns, one per size-k configuration.
+
+    The only consumer of signed minors; every modulus elsewhere comes from
+    OrthonormalFamily.moduli.
+    """
     if not 0 <= k <= family.r:
         raise ValueError(f"k={k} outside [0, {family.r}]")
-    return WedgeVector(family.p, k, _minors(family.columns[:, :k]))
+    rows = subsets(family.p, k)[1]
+    return WedgeVector(family.p, k, np.linalg.det(family.columns[:, :k][rows]))
 
 
 def gplus_delta(wedge_a: WedgeVector, wedge_b: WedgeVector):
@@ -144,12 +143,6 @@ def gplus_delta(wedge_a: WedgeVector, wedge_b: WedgeVector):
 # ---------------------------------------------------------------------------
 # inequality checks
 
-def _det_moduli(family: OrthonormalFamily, active) -> np.ndarray:
-    """|det submatrix| over all configurations of size |active|, in
-    core.subsets order."""
-    return np.abs(_minors(family.columns[:, [j - 1 for j in active]]))
-
-
 def check_bound_projection(fam_phi: OrthonormalFamily, fam_psi: OrthonormalFamily,
                            active) -> list:
     """Three reports on the distance between two projection densities.
@@ -157,19 +150,18 @@ def check_bound_projection(fam_phi: OrthonormalFamily, fam_psi: OrthonormalFamil
     (i) the exact h^2 equals 1 minus the determinant-table affinity;
     (ii) h^2 <= 1 - |det Gram|; (iii) h^2 <= (5/2) sum ||phi_j - psi_j||^2.
     Both families are compared on the same index set J (re-align by
-    permuting columns beforehand if needed).
+    permuting columns beforehand if needed). The affinity in (i) reads the
+    minor moduli the two tables were just built from.
     """
     active = fam_phi.check_active(active)
     fam_psi.check_active(active)
     if fam_phi.p != fam_psi.p:
         raise ValueError("families live on different ground sets")
-    da = _det_moduli(fam_phi, active)
-    db = _det_moduli(fam_psi, active)
-    affinity = float(np.sum(da * db))
     h2_exact, _ = hellinger(
         density_table(ProjectionDensity(fam_phi, active)),
         density_table(ProjectionDensity(fam_psi, active)),
     )
+    affinity = float(np.sum(fam_phi.moduli(active) * fam_psi.moduli(active)))
     cols_phi = fam_phi.columns[:, [j - 1 for j in active]]
     cols_psi = fam_psi.columns[:, [j - 1 for j in active]]
     gram = cols_phi.conj().T @ cols_psi
@@ -233,9 +225,8 @@ def check_bound_dpp(fam_phi: OrthonormalFamily, spec_lam: Spectrum,
     # weighted sum of component projection distances under the gamma weights
     comp_sum = 0.0
     for active, w in weighted_active_sets(spec_gam, range(1, spec_gam.r + 1)):
-        da = _det_moduli(fam_phi, active)
-        db = _det_moduli(fam_psi, active)
-        comp_sum += w * (1.0 - min(float(np.sum(da * db)), 1.0))
+        affinity = float(np.sum(fam_phi.moduli(active) * fam_psi.moduli(active)))
+        comp_sum += w * (1.0 - min(affinity, 1.0))
 
     return [
         BoundReport(lhs, 2.0 * weight_term + 5.0 * col_term,

@@ -194,6 +194,17 @@ def test_isometry_sweep_cli(tmp_path):
     assert main(["isometry-sweep", "--config", cfg, "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("command", ["bounds-sweep", "isometry-sweep"])
+@pytest.mark.parametrize("instances", [0, -5])
+def test_sweep_without_instances_exits_2(tmp_path, capsys, command, instances):
+    # an empty sweep would report 0 violations without checking anything
+    cfg = write_config(tmp_path, "c.json", {"instances": instances})
+    out = tmp_path / "sweep.csv"
+    err = assert_usage_error(capsys, [command, "--config", cfg, "--out", str(out)])
+    assert "instances must be >= 1" in err
+    assert not out.exists()
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = write_config(tmp_path, "c.json", {"instances": 5, "seed": 1})
     out_a = tmp_path / "a.csv"
@@ -234,6 +245,30 @@ def test_estimate_outputs_payload(tmp_path):
     assert payload["n_samples"] == 40
     tests_csv = (tmp_path / "est.json.out.tests.csv").read_text()
     assert tests_csv.splitlines()[0] == "row,col,sign"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n", 0, "n must be >= 1"),
+    ("prior", -1.0, "prior of model 0"),
+    ("prior", math.nan, "prior of model 0"),
+])
+def test_estimate_bad_n_or_prior_exits_2(tmp_path, capsys, key, value, message):
+    # draws from a file, so that n reaches build_candidates and not the sampler
+    draws = tmp_path / "draws.csv"
+    draws.write_text("draw_index,config_bitmask\n0,1\n1,4\n2,2\n")
+    cfg = json.loads(Path(estimate_config(tmp_path)).read_text())
+    del cfg["truth"]
+    cfg["samples_csv"] = str(draws)
+    if key == "prior":
+        cfg["models"][0]["prior"] = value
+    else:
+        cfg[key] = value
+    path = write_config(tmp_path, "bad.json", cfg)
+    out = tmp_path / "o.json"
+    err = assert_usage_error(capsys, ["estimate", "--config", path,
+                                      "--out", str(out)])
+    assert message in err
+    assert not out.exists()
 
 
 def test_estimate_huge_j_max_finishes(tmp_path):
@@ -390,6 +425,18 @@ def test_risk_curve_one_point_grid_exits_2(tmp_path, capsys):
     err = assert_usage_error(capsys, ["risk-curve", "--config", cfg,
                                       "--out", str(out)])
     assert "n_grid" in err
+    assert not out.exists()
+
+
+def test_risk_curve_negative_anchor_jitter_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {
+        "p": 4, "k": 1, "n_grid": [30, 60], "replications": 1,
+        "caps": [1, 2, 4], "pool_size": 8, "anchor_jitter": -1,
+    })
+    out = tmp_path / "risk.csv"
+    err = assert_usage_error(capsys, ["risk-curve", "--config", cfg,
+                                      "--out", str(out)])
+    assert "anchor_jitter must be >= 0" in err
     assert not out.exists()
 
 

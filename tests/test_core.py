@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from detproc.core import (
+    DEFAULT_ENUM_CAP,
     TABLE_TOL,
     Config,
     DensityTable,
@@ -71,7 +72,7 @@ def test_abs_det_matches_numpy_on_random_matrices():
 
 
 def test_abs_det_many_agrees_with_scalar_route():
-    # two different QR routes (pivoted scalar vs batched unpivoted) must
+    # two different algorithms (batched LU vs scalar pivoted QR) must
     # agree; they cross-validate each other throughout the package
     gen = SeededRng(11).generator
     for k in range(1, 5):
@@ -84,6 +85,21 @@ def test_abs_det_many_agrees_with_scalar_route():
 def test_abs_det_many_zero_size():
     out = abs_det_many(np.zeros((5, 0, 0)))
     assert np.all(out == 1.0)
+
+
+def test_family_moduli_match_oracle_and_are_memoized():
+    fam = haar_orthonormal(5, 3, SeededRng(12))
+    for active in [(), (2,), (1, 3), (1, 2, 3)]:
+        got = fam.moduli(active)
+        assert fam.moduli(active) is got
+        assert not got.flags.writeable
+        masks, rows = subsets(5, len(active))
+        assert got.shape == masks.shape
+        for mask, value in zip(masks.tolist(), got):
+            alpha = Config.from_mask(mask)
+            assert value == pytest.approx(
+                abs_det(fam.submatrix(alpha, active)), abs=1e-12)
+    assert set(fam._moduli) == {(), (2,), (1, 3), (1, 2, 3)}
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +133,14 @@ def test_ground_set_validates_membership():
 
 
 def test_enumeration_cap_enforced():
-    fam = haar_orthonormal(10, 2, SeededRng(0))
+    fam = haar_orthonormal(DEFAULT_ENUM_CAP + 1, 2, SeededRng(0))
     with pytest.raises(EnumerationCapError):
-        density_table(ProjectionDensity(fam, (1, 2)), cap=8)
+        density_table(ProjectionDensity(fam, (1, 2)))
+    with pytest.raises(EnumerationCapError):
+        GroundSet(DEFAULT_ENUM_CAP + 1)
+    with pytest.raises(ValueError):
+        GroundSet(0)
+    assert GroundSet(DEFAULT_ENUM_CAP).p == DEFAULT_ENUM_CAP
 
 
 # ---------------------------------------------------------------------------

@@ -347,6 +347,23 @@ def test_build_candidates_empty_model_list_rejected():
         build_candidates([], {}, 4, CandidateCaps(1, 1, 1), SeededRng(0))
 
 
+@pytest.mark.parametrize("n, prior, jitter, message", [
+    (0, {0: 1.0}, 0, "n must be >= 1"),
+    (-3, {0: 1.0}, 0, "n must be >= 1"),
+    (4, {0: -1.0}, 0, "prior of model 0"),
+    (4, {0: math.nan}, 0, "prior of model 0"),
+    (4, {0: math.inf}, 0, "prior of model 0"),
+    (4, {0: 0.75, 1: 0.5}, 0, "sum to at most 1"),
+    (4, {0: 1.0}, -1, "anchor_jitter"),
+])
+def test_build_candidates_rejects_bad_inputs(n, prior, jitter, message):
+    model = full_space_model(3)
+    with pytest.raises(ValueError, match=message):
+        build_candidates([model], prior, n, CandidateCaps(1, 2, 4), SeededRng(0),
+                         pool_size=8, anchor=OrthonormalFamily(np.eye(3, 1)),
+                         anchor_jitter=jitter)
+
+
 def test_build_candidates_deterministic():
     model = full_space_model(4)
     a = build_candidates([model], {0: 1.0}, 4, CandidateCaps(2, 3, 20),
@@ -390,6 +407,13 @@ def test_statistic_antisymmetric():
                                  random_spectrum(2, rng.split(3))))
     samples = sample_table(u, 100, rng.split(4))
     assert signed_root_statistic(u, v, samples) == -signed_root_statistic(v, u, samples)
+
+
+def test_statistic_rejects_mask_outside_ground_set():
+    t = density_table(ProjectionDensity(haar_orthonormal(3, 1, SeededRng(18)), (1,)))
+    samples = SampleSet([1, 8, 2], "file", 0)
+    with pytest.raises(ValueError, match="draw 1 has mask 8, outside the ground set"):
+        signed_root_statistic(t, t, samples)
 
 
 def test_statistic_sign_under_true_density():

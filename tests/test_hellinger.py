@@ -16,6 +16,8 @@ from detproc.core import (
     mixture_weight,
     projection_density_eval,
     random_spectrum,
+    subsets,
+    weighted_active_sets,
 )
 from detproc.hellinger import (
     BoundReport,
@@ -246,6 +248,38 @@ def test_projection_bounds_random_pairs():
         fam_b = haar_orthonormal(5, 3, rng.split(1))
         for rep in check_bound_projection(fam_a, fam_b, (1, 2, 3)):
             assert rep.holds
+
+
+def test_projection_bound_reads_the_tables_moduli():
+    # (i) is computed from the moduli memoized by the two tables, and the
+    # check computes no minors for any other index set
+    rng = SeededRng(23)
+    fam_a = haar_orthonormal(5, 3, rng.split(0))
+    fam_b = haar_orthonormal(5, 3, rng.split(1))
+    exact = check_bound_projection(fam_a, fam_b, (3, 1))[0]
+    active = (1, 3)
+    assert set(fam_a._moduli) == set(fam_b._moduli) == {active}
+    want = 1.0 - float(np.sum(fam_a.moduli(active) * fam_b.moduli(active)))
+    assert exact.rhs == want
+    # the table entries are the squares of the same vector, bit for bit
+    table_a = density_table(ProjectionDensity(fam_a, active))
+    assert np.array_equal(table_a.probs[subsets(5, 2)[0]], fam_a.moduli(active) ** 2)
+
+
+def test_dpp_bound_components_read_the_moduli():
+    rng = SeededRng(24)
+    fam_a = haar_orthonormal(4, 2, rng.split(0))
+    fam_b = haar_orthonormal(4, 2, rng.split(1))
+    lam = random_spectrum(2, rng.split(2))
+    gam = random_spectrum(2, rng.split(3))
+    components = check_bound_dpp(fam_a, lam, fam_b, gam)[2]
+    want = 0.0
+    for active, w in weighted_active_sets(gam, (1, 2)):
+        affinity = float(np.sum(fam_a.moduli(active) * fam_b.moduli(active)))
+        want += w * (1.0 - min(affinity, 1.0))
+    assert components.lhs == want
+    # one memo entry per index set of the mixture, shared with the tables
+    assert set(fam_a._moduli) == set(fam_b._moduli) == {(), (1,), (2,), (1, 2)}
 
 
 def test_mixture_bound_identical_mixtures():

@@ -248,7 +248,7 @@ def test_reused_family_tables_match_fresh_and_loop(case):
     for spec in spectra:
         probs = _mixture_table(DppDensity(fam, spec))
         fresh = OrthonormalFamily(np.array(fam.columns))
-        assert not fresh._sq_minors
+        assert not fresh._moduli
         assert np.array_equal(probs, _mixture_table(DppDensity(fresh, spec)))
         assert np.array_equal(probs, _loop_table(fam, spec))
         assert abs(math.fsum(probs) - 1.0) <= TABLE_TOL
@@ -256,7 +256,7 @@ def test_reused_family_tables_match_fresh_and_loop(case):
         assert np.array_equal(density_table(DppDensity(fam, spec)).probs, picked)
         used |= {a for a, _ in weighted_active_sets(spec, range(spec.r + 1))}
     # one memo entry per index set J that entered some table
-    assert set(fam._sq_minors) == used
+    assert set(fam._moduli) == used
     for active in used:
         want = density_table(ProjectionDensity(
             OrthonormalFamily(np.array(fam.columns)), active)).probs
@@ -320,7 +320,7 @@ def test_density_table_picks_chain_rule_when_minors_exceed_table(p, values, chai
     fam = haar_orthonormal(p, spec.r, SeededRng(p))
     table = density_table(DppDensity(fam, spec))
     # only the mixture-sum route fills the family's minor memo
-    assert (not fam._sq_minors) == chain
+    assert (not fam._moduli) == chain
     want = _chain_table(fam, spec) if chain else _mixture_table(DppDensity(fam, spec))
     assert np.array_equal(table.probs, want)
 
