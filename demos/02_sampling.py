@@ -11,6 +11,7 @@ Run: python demos/02_sampling.py
 import numpy as np
 
 from detproc import (
+    Config,
     DppDensity,
     SeededRng,
     density_table,
@@ -40,12 +41,15 @@ print(f"TV(sequential, exact table) = {total_variation(emp_seq, table.probs):.4f
 print(f"TV(oracle,     exact table) = {total_variation(emp_orc, table.probs):.4f}")
 print(f"TV(sequential, oracle)      = {total_variation(emp_seq, emp_orc):.4f}")
 
-sizes = np.bincount([len(d) for d in seq], minlength=r + 1)
+# draws are int64 bitmasks: bit i-1 set iff point i is drawn
+sizes = np.bincount([bin(m).count("1") for m in seq.masks().tolist()],
+                    minlength=r + 1)
 print(f"\ncardinality histogram (sequential): {sizes.tolist()}")
 print("expected cardinality law: sum of independent Bernoulli(lambda_j^2)")
 
 # Determinism: the same seed reproduces the draws bit for bit.
 again = sample_dpp(density, 5, SeededRng(1).split(2))
 print(f"\nfirst five draws, twice with the same seed:")
-print(f"  {[d.members for d in list(seq)[:5]]}")
-print(f"  {[d.members for d in again]}")
+for draws in (seq, again):
+    first = draws.masks()[:5].tolist()
+    print(f"  {[Config.from_mask(m).members for m in first]}")

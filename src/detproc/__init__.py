@@ -45,9 +45,7 @@ from .rng import SeededRng
 from .sampling import (
     SampleSet,
     empirical_table,
-    sample_active_set,
     sample_dpp,
-    sample_projection_sequential,
     sample_table,
     total_variation,
 )

@@ -68,16 +68,28 @@ def _require_out(args) -> str:
     return args.out
 
 
+def _integer(key, value) -> int:
+    """A config value as an int; a number with a fractional part is a usage
+    error naming key, never truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _integers(key, values) -> tuple:
+    return tuple(_integer(key, value) for value in values)
+
+
 def _seed(args, cfg: dict, default=0) -> int:
     if args.seed is not None:
         return args.seed
-    return int(cfg.get("seed", default))
+    return _integer("seed", cfg.get("seed", default))
 
 
 def _cmd_sample(args) -> int:
     cfg = _load_config(args)
     fam, spec = params_from_dict(cfg["params"])
-    n = int(cfg.get("n", 1))
+    n = _integer("n", cfg.get("n", 1))
     rng = SeededRng(_seed(args, cfg))
     samples = sample_dpp(DppDensity(fam, spec), n, rng)
     samples.write_csv(_require_out(args))
@@ -119,15 +131,16 @@ def _sweep_exit(command, rows, violations, quantity, badness) -> int:
 
 
 def _present(cfg: dict, conversions: dict) -> dict:
-    """The config keys that are present, converted; absent keys keep the
-    defaults of the config dataclass."""
-    return {key: convert(cfg[key]) for key, convert in conversions.items()
+    """The config keys that are present, each converted by convert(key,
+    value); absent keys keep the defaults of the config dataclass."""
+    return {key: convert(key, cfg[key]) for key, convert in conversions.items()
             if key in cfg}
 
 
 def _cmd_sweep(args, config, run, keys, quantity, badness) -> int:
     cfg = _load_config(args) if args.config else {}
-    sweep = config(**_present(cfg, dict.fromkeys(keys, int)), seed=_seed(args, cfg))
+    sweep = config(**_present(cfg, dict.fromkeys(keys, _integer)),
+                   seed=_seed(args, cfg))
     rows, violations = run(sweep)
     out = _require_out(args)
     write_rows_csv(out, SWEEP_HEADER, rows)
@@ -146,19 +159,22 @@ def _cmd_isometry_sweep(args) -> int:
 
 
 def _model_from_dict(data: dict) -> SubspaceModel:
-    p = int(data["p"])
-    dim = int(data["dim"])
+    p = _integer("model p", data["p"])
+    dim = _integer("model dim", data["dim"])
     flat = np.array([complex(re, im) for re, im in data["basis"]])
     if flat.size != p * dim:
         raise ConfigError(f"model basis has {flat.size} entries, expected {p * dim}")
-    return SubspaceModel(flat.reshape(dim, p).T, id=int(data["id"]))
+    return SubspaceModel(flat.reshape(dim, p).T,
+                         id=_integer("model id", data["id"]))
 
 
-def _read_samples_csv(path, seed: int) -> SampleSet:
+def _read_samples_csv(path) -> SampleSet:
     with open(path) as fh:
         reader = csv.DictReader(fh)
         masks = [int(row["config_bitmask"]) for row in reader]
-    return SampleSet(masks, path, seed)
+    if not masks:
+        raise ConfigError("samples_csv holds no draws")
+    return SampleSet(masks)
 
 
 def _cmd_estimate(args) -> int:
@@ -166,25 +182,26 @@ def _cmd_estimate(args) -> int:
     if cfg.get("test_statistic", "signed-root") != "signed-root":
         raise ConfigError("unknown test_statistic (only 'signed-root' is available)")
     models = [_model_from_dict(m) for m in cfg["models"]]
-    prior = {int(m["id"]): float(m["prior"]) for m in cfg["models"]}
-    n = int(cfg["n"])
-    caps_cfg = cfg["caps"]
-    caps = CandidateCaps(int(caps_cfg["j_max"]), int(caps_cfg["per_net"]),
-                         int(caps_cfg["family_max"]))
+    prior = {_integer("model id", m["id"]): float(m["prior"])
+             for m in cfg["models"]}
+    n = _integer("n", cfg["n"])
+    caps = CandidateCaps(*(_integer(f"caps {key}", cfg["caps"][key])
+                           for key in ("j_max", "per_net", "family_max")))
     seed = _seed(args, cfg)
     rng = SeededRng(seed)
     anchor = None
     if "anchor" in cfg:
         anchor, _ = params_from_dict(cfg["anchor"])
     if "samples_csv" in cfg:
-        samples = _read_samples_csv(cfg["samples_csv"], seed)
+        samples = _read_samples_csv(cfg["samples_csv"])
     elif "truth" in cfg:
         fam, spec = params_from_dict(cfg["truth"])
         samples = sample_dpp(DppDensity(fam, spec), n, rng.split(0))
     else:
         raise ConfigError("estimate config needs 'samples_csv' or 'truth'")
     family = build_candidates(models, prior, n, caps, rng.split(1),
-                              pool_size=int(cfg.get("pool_size", 256)),
+                              pool_size=_integer("pool_size",
+                                                 cfg.get("pool_size", 256)),
                               anchor=anchor)
     result = select(family, samples)
     chosen = family.entries[result.chosen_index]
@@ -217,8 +234,9 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-RISK_CURVE_KEYS = {"p": int, "k": int, "n_grid": tuple, "replications": int,
-                   "caps": tuple, "pool_size": int, "anchor_jitter": int}
+RISK_CURVE_KEYS = {"p": _integer, "k": _integer, "n_grid": _integers,
+                   "replications": _integer, "caps": _integers,
+                   "pool_size": _integer, "anchor_jitter": _integer}
 
 
 def _cmd_risk_curve(args) -> int:

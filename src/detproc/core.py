@@ -70,7 +70,12 @@ def abs_det_many(stack: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, order=True)
 class Config:
-    """A finite subset of the ground set, stored as sorted 1-based indices."""
+    """A finite subset of the ground set, stored as sorted 1-based indices.
+
+    The input type of the per-configuration oracles (projection_density_eval,
+    dpp_density_eval, l_ensemble_oracle, correlation); tables and samples
+    are indexed by bitmask instead.
+    """
 
     members: tuple
 
@@ -323,13 +328,6 @@ class DensityTable:
             raise ValueError(f"total mass {total} differs from 1")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
-
-    def prob(self, alpha: Config) -> float:
-        self.ground.validate(alpha)
-        return float(self.probs[alpha.mask])
-
-    def __getitem__(self, alpha: Config) -> float:
-        return self.prob(alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from itertools import accumulate, product
 import numpy as np
 
 from .core import (
+    GRAM_TOL,
     DensityTable,
     DppDensity,
     OrthonormalFamily,
@@ -50,7 +51,7 @@ class SubspaceModel:
         if not np.isfinite(basis).all():
             raise ValueError("model basis entries must be finite")
         gram = basis.conj().T @ basis
-        if not np.max(np.abs(gram - np.eye(basis.shape[1]))) <= 1e-9:
+        if not np.max(np.abs(gram - np.eye(basis.shape[1]))) <= GRAM_TOL:
             raise ValueError("model basis is not orthonormal")
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
@@ -253,7 +254,6 @@ class CandidateFamily:
     """Finite candidate list with a sub-probability prior."""
 
     entries: list
-    caps: CandidateCaps
     truncated: bool
     net_sizes: dict
 
@@ -329,7 +329,7 @@ def build_candidates(models, prior, n: int, caps: CandidateCaps, rng: SeededRng,
     sizes = accumulate(base**j for j in range(1, caps.j_max + 1))
     truncated = any(size > len(entries) for size in sizes)
     return CandidateFamily(
-        entries, caps, truncated, {mid: len(net) for mid, net in nets.items()})
+        entries, truncated, {mid: len(net) for mid, net in nets.items()})
 
 
 def _candidate_order(models, nets, n, caps):

@@ -83,8 +83,15 @@ class BoundsSweepConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # comparisons written so that NaN fails them
         if not self.instances >= 1:
             raise ValueError(f"instances must be >= 1, got {self.instances}")
+        # every instance builds tables on up to p_max points
+        if not 2 <= self.p_max <= DEFAULT_ENUM_CAP:
+            raise ValueError(f"p_max must be in [2, {DEFAULT_ENUM_CAP}], "
+                             f"got {self.p_max}")
+        if not self.rank_max >= 1:
+            raise ValueError(f"rank_max must be >= 1, got {self.rank_max}")
 
 
 def run_bounds_sweep(cfg: BoundsSweepConfig):
@@ -148,8 +155,13 @@ class IsometrySweepConfig:
     gap_tol: float = 1e-9
 
     def __post_init__(self):
+        # comparisons written so that NaN fails them
         if not self.instances >= 1:
             raise ValueError(f"instances must be >= 1, got {self.instances}")
+        if not self.p_max >= 2:
+            raise ValueError(f"p_max must be >= 2, got {self.p_max}")
+        if not self.k_max >= 1:
+            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
 
 
 def run_isometry_sweep(cfg: IsometrySweepConfig):
@@ -178,6 +190,10 @@ def run_isometry_sweep(cfg: IsometrySweepConfig):
 # ---------------------------------------------------------------------------
 # sampler validation
 
+# a two-sample chi-square p-value at or below this fails the sampler check
+CHI2_LEVEL = 1e-3
+
+
 @dataclass
 class SamplerCheckConfig:
     p: int = 6
@@ -186,7 +202,6 @@ class SamplerCheckConfig:
     settings: int = 3
     seed: int = 0
     tv_limit: float = 0.02
-    chi2_level: float = 1e-3
 
 
 def _chi2_two_sample(counts_a, counts_b):
@@ -237,10 +252,10 @@ def run_sampler_check(cfg: SamplerCheckConfig):
         pval = _chi2_two_sample(emp_seq * cfg.draws, emp_orc * cfg.draws)
         rows.append((s, "tv_sequential", tv_seq, cfg.tv_limit, cfg.tv_limit - tv_seq))
         rows.append((s, "tv_oracle", tv_orc, cfg.tv_limit, cfg.tv_limit - tv_orc))
-        rows.append((s, "chi2_pvalue", pval, cfg.chi2_level, pval - cfg.chi2_level))
+        rows.append((s, "chi2_pvalue", pval, CHI2_LEVEL, pval - CHI2_LEVEL))
         # written so that a NaN TV or p-value is a failure, never a pass
         if not (tv_seq < cfg.tv_limit and tv_orc < cfg.tv_limit
-                and pval > cfg.chi2_level):
+                and pval > CHI2_LEVEL):
             failures += 1
     return rows, failures
 

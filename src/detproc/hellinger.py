@@ -7,7 +7,8 @@ three distance inequalities (projection, mixture, full-mixture forms), and
 the minor-vector coordinates whose modulus map is isometric to rank-k
 projection densities under sqrt(2) * Hellinger. The minor moduli come from
 OrthonormalFamily.moduli, the same memoized vectors the tables are built
-from.
+from. Tables and coordinates are arrays indexed by bitmask or in
+core.subsets order.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Config,
     DensityTable,
     DppDensity,
     OrthonormalFamily,
@@ -82,9 +82,10 @@ def bernoulli_weight_hellinger(lam: Spectrum, gam: Spectrum) -> float:
 class WedgeVector:
     """Coordinates det M_{alpha, {1..k}} over all cardinality-k configurations.
 
-    coords follows the lexicographic order of size-k subsets given by
-    core.subsets (masks() lists their bitmasks); for an orthonormal family
-    the squared moduli sum to 1 and reproduce the projection density.
+    coords[i] belongs to the configuration with bitmask
+    core.subsets(p, k)[0][i], the lexicographic order of size-k subsets;
+    for an orthonormal family the squared moduli sum to 1 and reproduce the
+    projection density.
     """
 
     p: int
@@ -98,17 +99,6 @@ class WedgeVector:
             raise ValueError(f"expected {expected} coordinates, got {coords.shape}")
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
-
-    def masks(self) -> list:
-        return subsets(self.p, self.k)[0].tolist()
-
-    def coord(self, alpha: Config) -> complex:
-        if len(alpha) != self.k:
-            raise ValueError(f"configuration has size {len(alpha)}, expected {self.k}")
-        masks = self.masks()
-        if alpha.mask not in masks:
-            raise ValueError(f"configuration {alpha.members} outside ground set")
-        return complex(self.coords[masks.index(alpha.mask)])
 
 
 def wedge_coords(family: OrthonormalFamily, k: int) -> WedgeVector:

@@ -3,29 +3,22 @@
 One production route: sample_dpp draws whole blocks of samples at once with
 the sequential projection sampler of Hough, Krishnapur, Peres and Virag
 (2006) (Algorithm 1 in Kulesza and Taskar 2012), run with numpy array
-operations over every draw of the block. sample_projection_sequential is
-the same kernel for one draw on a given index set. sample_table, the
-inverse-CDF sampler over the enumerated density table, is the oracle the
-production route is checked against; agreement of the two is the package's
-core trust mechanism for randomness.
+operations over every draw of the block. A 0/1 spectrum makes it the
+fixed-cardinality projection law on the index set of its ones.
+sample_table, the inverse-CDF sampler over the enumerated density table, is
+the oracle the production route is checked against; agreement of the two is
+the package's core trust mechanism for randomness.
 
-Draws are int64 bitmasks (bit i-1 set iff point i is drawn); Config
-objects are built only when a caller asks for them.
+Samples are int64 bitmasks only (bit i-1 set iff point i is drawn), from
+the samplers through the empirical table and the estimator.
 """
 from __future__ import annotations
 
 import csv
-from functools import cached_property
 
 import numpy as np
 
-from .core import (
-    Config,
-    DensityTable,
-    DppDensity,
-    OrthonormalFamily,
-    Spectrum,
-)
+from .core import DensityTable, DppDensity
 from .rng import SeededRng
 
 RANK_TOL = 1e-10
@@ -47,31 +40,20 @@ class SamplerConsistencyError(RuntimeError):
 
 
 class SampleSet:
-    """Ordered draws as a read-only int64 bitmask array, plus the parameters
-    and seed that produced them."""
+    """Ordered draws as a read-only int64 bitmask array."""
 
-    def __init__(self, masks, source_params, seed: int):
+    def __init__(self, masks):
         masks = np.array(masks, dtype=np.int64).reshape(-1)
         if masks.size and masks.min() < 0:
             raise ValueError(f"negative configuration bitmask {masks.min()}")
         masks.setflags(write=False)
         self._masks = masks
-        self.source_params = source_params
-        self.seed = seed
 
     def __len__(self):
         return self._masks.size
 
-    def __iter__(self):
-        return (Config.from_mask(m) for m in self._masks.tolist())
-
     def masks(self) -> np.ndarray:
         return self._masks
-
-    @cached_property
-    def draws(self) -> tuple:
-        """The draws as Config objects, built on first access."""
-        return tuple(self)
 
     def write_csv(self, path):
         """CSV export: draw_index,config_bitmask."""
@@ -79,12 +61,6 @@ class SampleSet:
             writer = csv.writer(fh)
             writer.writerow(["draw_index", "config_bitmask"])
             writer.writerows(enumerate(self._masks.tolist()))
-
-
-def sample_active_set(spectrum: Spectrum, rng: SeededRng) -> tuple:
-    """Independent Bernoulli(lambda_j^2) inclusion of each index."""
-    u = rng.generator.random(spectrum.r)
-    return tuple(int(j + 1) for j in np.nonzero(u < spectrum.values**2)[0])
 
 
 def _projection_masks(columns: np.ndarray, active: np.ndarray,
@@ -138,16 +114,6 @@ def _projection_masks(columns: np.ndarray, active: np.ndarray,
     return out
 
 
-def sample_projection_sequential(family: OrthonormalFamily, active,
-                                 rng: SeededRng) -> Config:
-    """One draw of the fixed-cardinality law on the index set active."""
-    active = family.check_active(active)
-    row = np.zeros((1, family.r), dtype=bool)
-    row[0, [j - 1 for j in active]] = True
-    u = rng.generator.random((1, family.r))
-    return Config.from_mask(int(_projection_masks(family.columns, row, u)[0]))
-
-
 def sample_table(table: DensityTable, count: int, rng: SeededRng) -> SampleSet:
     """count exact inverse-CDF draws from a density table."""
     if count < 1:
@@ -157,7 +123,7 @@ def sample_table(table: DensityTable, count: int, rng: SeededRng) -> SampleSet:
     # searching u * total keeps every target below the last CDF value, so a
     # trailing cell of zero probability is never drawn
     masks = np.searchsorted(cdf, u * cdf[-1], side="right")
-    return SampleSet(masks, table, rng.seed)
+    return SampleSet(masks)
 
 
 def sample_dpp(density: DppDensity, n: int, rng: SeededRng) -> SampleSet:
@@ -177,7 +143,7 @@ def sample_dpp(density: DppDensity, n: int, rng: SeededRng) -> SampleSet:
         uniforms = gen.random((g, 2 * r))
         masks[start:start + g] = _projection_masks(
             columns, uniforms[:, :r] < sq, uniforms[:, r:])
-    return SampleSet(masks, density, rng.seed)
+    return SampleSet(masks)
 
 
 def empirical_table(samples: SampleSet, p: int) -> np.ndarray:

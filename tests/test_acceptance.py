@@ -234,7 +234,7 @@ def test_criterion_09_selection_sanity():
         CandidateEntry((1, (0,), (0,), 0), truth_fam, spec, 0.5),
         CandidateEntry((1, (0,), (1,), 0), other_fam, spec, 0.5),
     ]
-    family = CandidateFamily(entries, CandidateCaps(1, 2, 2), False, {0: 2})
+    family = CandidateFamily(entries, False, {0: 2})
     h2, _ = hellinger(entries[0].table(), entries[1].table())
     separation_ok = abs(math.sqrt(h2) - 0.8) < 1e-9
     root = SeededRng(109)

@@ -205,6 +205,47 @@ def test_sweep_without_instances_exits_2(tmp_path, capsys, command, instances):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, key, value, message", [
+    ("bounds-sweep", "p_max", 1, "p_max must be in [2, 20], got 1"),
+    ("bounds-sweep", "p_max", 30, "p_max must be in [2, 20], got 30"),
+    ("bounds-sweep", "rank_max", 0, "rank_max must be >= 1, got 0"),
+    ("isometry-sweep", "p_max", 1, "p_max must be >= 2, got 1"),
+    ("isometry-sweep", "k_max", 0, "k_max must be >= 1, got 0"),
+])
+def test_sweep_impossible_size_exits_2(tmp_path, capsys, command, key, value,
+                                       message):
+    # rejected before the first instance, with the key named
+    cfg = write_config(tmp_path, "c.json", {"instances": 5, key: value})
+    out = tmp_path / "sweep.csv"
+    err = assert_usage_error(capsys, [command, "--config", cfg, "--out", str(out)])
+    assert message in err
+    assert not out.exists()
+
+
+TINY_RISK_CURVE = {"p": 4, "k": 1, "n_grid": [30, 60], "replications": 1,
+                   "caps": [1, 2, 4], "pool_size": 8}
+
+
+@pytest.mark.parametrize("command, config, key, value", [
+    ("isometry-sweep", {}, "instances", 3.7),
+    ("isometry-sweep", {"instances": 2}, "k_max", 2.5),
+    ("bounds-sweep", {"instances": 2}, "rank_max", 1.5),
+    ("isometry-sweep", {"instances": 2}, "seed", 1.5),
+    ("risk-curve", TINY_RISK_CURVE, "n_grid", [100.7, 300]),
+    ("risk-curve", TINY_RISK_CURVE, "replications", 1.2),
+    ("risk-curve", TINY_RISK_CURVE, "caps", [1, 2.5, 4]),
+    ("sample", {"params": diag_params()}, "n", 2.5),
+])
+def test_fractional_integer_key_exits_2(tmp_path, capsys, command, config, key,
+                                        value):
+    # a fractional number is refused, not truncated
+    cfg = write_config(tmp_path, "c.json", {**config, key: value})
+    out = tmp_path / "o.csv"
+    err = assert_usage_error(capsys, [command, "--config", cfg, "--out", str(out)])
+    assert f"{key} must be an integer" in err
+    assert not out.exists()
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = write_config(tmp_path, "c.json", {"instances": 5, "seed": 1})
     out_a = tmp_path / "a.csv"
@@ -268,6 +309,33 @@ def test_estimate_bad_n_or_prior_exits_2(tmp_path, capsys, key, value, message):
     err = assert_usage_error(capsys, ["estimate", "--config", path,
                                       "--out", str(out)])
     assert message in err
+    assert not out.exists()
+
+
+def test_estimate_fractional_cap_exits_2(tmp_path, capsys):
+    cfg = json.loads(Path(estimate_config(tmp_path)).read_text())
+    cfg["caps"]["per_net"] = 3.5
+    path = write_config(tmp_path, "bad.json", cfg)
+    out = tmp_path / "o.json"
+    err = assert_usage_error(capsys, ["estimate", "--config", path,
+                                      "--out", str(out)])
+    assert "caps per_net must be an integer, got 3.5" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["", "draw_index,config_bitmask\n"])
+def test_estimate_samples_csv_without_draws_exits_2(tmp_path, capsys, text):
+    # with no draws every test is a tie, and the winner would be arbitrary
+    draws = tmp_path / "draws.csv"
+    draws.write_text(text)
+    cfg = json.loads(Path(estimate_config(tmp_path)).read_text())
+    del cfg["truth"]
+    cfg["samples_csv"] = str(draws)
+    path = write_config(tmp_path, "empty.json", cfg)
+    out = tmp_path / "o.json"
+    err = assert_usage_error(capsys, ["estimate", "--config", path,
+                                      "--out", str(out)])
+    assert "samples_csv holds no draws" in err
     assert not out.exists()
 
 

@@ -513,8 +513,9 @@ def test_density_table_at_the_enumeration_cap():
     for _ in range(10):
         members = gen.choice(20, size=int(gen.integers(0, 11)), replace=False) + 1
         alpha = Config(members)
-        assert abs(table[alpha] - dpp_density_eval(density, alpha)) <= 1e-12
-        assert abs(table[alpha] - l_ensemble_oracle(density, alpha)) <= 1e-12
+        value = table.probs[alpha.mask]
+        assert abs(value - dpp_density_eval(density, alpha)) <= 1e-12
+        assert abs(value - l_ensemble_oracle(density, alpha)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

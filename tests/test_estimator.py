@@ -411,7 +411,7 @@ def test_statistic_antisymmetric():
 
 def test_statistic_rejects_mask_outside_ground_set():
     t = density_table(ProjectionDensity(haar_orthonormal(3, 1, SeededRng(18)), (1,)))
-    samples = SampleSet([1, 8, 2], "file", 0)
+    samples = SampleSet([1, 8, 2])
     with pytest.raises(ValueError, match="draw 1 has mask 8, outside the ground set"):
         signed_root_statistic(t, t, samples)
 
@@ -442,7 +442,7 @@ def test_select_single_candidate():
     fam = haar_orthonormal(4, 2, SeededRng(18))
     spec = Spectrum.ones(2)
     entry = make_entry((fam, spec), 1.0, 0)
-    family = CandidateFamily([entry], CandidateCaps(1, 1, 1), False, {0: 1})
+    family = CandidateFamily([entry], False, {0: 1})
     samples = sample_table(entry.table(), 20, SeededRng(3))
     result = select(family, samples)
     assert result.chosen_index == 0
@@ -456,7 +456,7 @@ def test_select_prefers_truth_between_two():
     spec = Spectrum.ones(2)
     entries = [make_entry((truth_fam, spec), 0.5, 0),
                make_entry((other_fam, spec), 0.5, 1)]
-    family = CandidateFamily(entries, CandidateCaps(1, 2, 2), False, {0: 2})
+    family = CandidateFamily(entries, False, {0: 2})
     wins = 0
     for i in range(50):
         samples = sample_table(entries[0].table(), 200, rng.split(100 + i))
@@ -479,7 +479,7 @@ def test_select_matrix_antisymmetric_and_deterministic():
 
 
 def test_select_rejects_empty_family():
-    family = CandidateFamily([], CandidateCaps(1, 1, 1), False, {})
+    family = CandidateFamily([], False, {})
     fam = haar_orthonormal(3, 1, SeededRng(21))
     samples = sample_table(density_table(ProjectionDensity(fam, (1,))), 5,
                            SeededRng(0))

@@ -153,14 +153,14 @@ def test_bernoulli_weight_pads_shorter_spectrum():
 def test_wedge_identity_columns():
     fam = OrthonormalFamily(np.eye(4, 2, dtype=complex))
     w = wedge_coords(fam, 2)
-    assert w.coord(Config([1, 2])) == pytest.approx(1.0)
+    assert w.coords[0] == pytest.approx(1.0)  # {1, 2}, first in subsets order
     assert np.sum(np.abs(w.coords)) == pytest.approx(1.0)
 
 
 def test_wedge_squared_moduli_equal_projection_density():
     fam = haar_orthonormal(5, 2, SeededRng(7))
     w = wedge_coords(fam, 2)
-    for i, mask in enumerate(w.masks()):
+    for i, mask in enumerate(subsets(5, 2)[0].tolist()):
         alpha = Config.from_mask(mask)
         assert abs(w.coords[i]) ** 2 == pytest.approx(
             projection_density_eval(fam, (1, 2), alpha), abs=1e-12
@@ -168,11 +168,14 @@ def test_wedge_squared_moduli_equal_projection_density():
 
 
 def test_wedge_coord_follows_masks_order():
-    w = wedge_coords(haar_orthonormal(6, 3, SeededRng(11)), 3)
-    for i, mask in enumerate(w.masks()):
-        assert w.coord(Config.from_mask(mask)) == w.coords[i]
-    with pytest.raises(ValueError):
-        w.coord(Config([2, 5, 7]))
+    # coords[i] is the minor on the rows of the i-th size-k subset
+    fam = haar_orthonormal(6, 3, SeededRng(11))
+    w = wedge_coords(fam, 3)
+    masks = subsets(6, 3)[0].tolist()
+    assert masks == [Config(c).mask for c in combinations(range(1, 7), 3)]
+    for coord, mask in zip(w.coords, masks):
+        minor = np.linalg.det(fam.submatrix(Config.from_mask(mask), (1, 2, 3)))
+        assert coord == pytest.approx(minor, abs=1e-12)
 
 
 def test_wedge_unit_norm():

@@ -6,7 +6,9 @@ importing it costs about a second per command. numpy.random (which numpy
 loads lazily) and locale (which argparse's gettext loads when the first
 parser is built) are loaded with the package, so that their imports land in
 set-up rather than inside the first command. Both checks run in a fresh child
-interpreter, since this test process has long since imported scipy.
+interpreter, since this test process has long since imported scipy. The last
+check loads the benchmark's modules and installs its tracer, so that a name
+the benchmark needs cannot disappear from the package unnoticed.
 """
 import json
 import os
@@ -21,6 +23,7 @@ from detproc.core import Spectrum, haar_orthonormal, params_to_dict
 from detproc.rng import SeededRng
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+BENCH = SRC.parent / "bench"
 
 REFUSE_SCIPY = """
 import sys
@@ -99,3 +102,28 @@ print(json.dumps(codes))
     assert stderr == ""
     for command in configs:
         assert (tmp_path / f"{command}.out").stat().st_size > 0
+
+
+def test_benchmark_tracer_binds_every_name_it_wraps():
+    # bench/run.py imports these modules and wraps detproc functions by
+    # name; a deleted or renamed binding must fail here, not only there
+    wrapped, _ = run_child(f"""
+        import json, sys
+        sys.path.insert(0, {str(BENCH)!r})
+        import detproc.cli
+        import detproc.sampling
+        import tracing, workloads
+
+        original = detproc.sampling.sample_dpp
+        tracer = tracing.Tracer()
+        tracer.install()
+        swapped = detproc.sampling.sample_dpp is not original
+        tracer.uninstall()
+        print(json.dumps({{
+            "swapped": swapped,
+            "restored": detproc.sampling.sample_dpp is original,
+            "workloads": sorted(workloads.WORKLOADS),
+        }}))
+    """)
+    assert wrapped == {"swapped": True, "restored": True, "workloads": [
+        "bounds_sweep", "risk_curve", "sample_seq", "table_large"]}

@@ -92,15 +92,12 @@ def test_same_seed_same_masks(density, n, seed):
     assert np.array_equal(a, b)
 
 
-@given(st.lists(st.integers(0, 2**20 - 1), min_size=0, max_size=50), seeds)
-def test_sample_set_round_trip(tmp_path_factory, masks, seed):
-    samples = SampleSet(masks, None, seed)
+@given(st.lists(st.integers(0, 2**20 - 1), min_size=0, max_size=50))
+def test_sample_set_round_trip(tmp_path_factory, masks):
+    samples = SampleSet(masks)
     assert len(samples) == len(masks)
     assert samples.masks().tolist() == masks
     assert not samples.masks().flags.writeable
-    assert [d.mask for d in samples.draws] == masks
-    assert [d.mask for d in samples] == masks
-    assert SampleSet([d.mask for d in samples.draws], None, seed).draws == samples.draws
     path = tmp_path_factory.mktemp("csv") / "draws.csv"
     samples.write_csv(path)
     lines = path.read_text().splitlines()
@@ -169,11 +166,10 @@ def tournaments(draw):
                            min_size=len(picks), max_size=len(picks)))
     entries = [CandidateEntry((1, (0,), (i,), 0), *distinct[k], prior)
                for i, (k, prior) in enumerate(zip(picks, priors))]
-    family = CandidateFamily(entries, CandidateCaps(1, len(entries), len(entries)),
-                             False, {0: len(entries)})
+    family = CandidateFamily(entries, False, {0: len(entries)})
     n = draw(st.integers(0, 200))
     if n == 0:  # no draws: every statistic is an exact tie
-        return family, SampleSet([], None, 0)
+        return family, SampleSet([])
     source = entries[draw(st.integers(0, len(entries) - 1))].table()
     return family, sample_table(source, n, stream.split(1))
 

@@ -21,13 +21,10 @@ from detproc.core import (
 from detproc.rng import SeededRng
 from detproc.sampling import (
     _BLOCK,
-    SampleSet,
     SamplerConsistencyError,
     _projection_masks,
     empirical_table,
-    sample_active_set,
     sample_dpp,
-    sample_projection_sequential,
     sample_table,
     total_variation,
 )
@@ -55,51 +52,44 @@ def test_rng_split_is_stable():
     assert np.array_equal(a, b)
 
 
-# ---------------------------------------------------------------------------
-# active-set draws
-
-def test_active_set_degenerate_spectra():
-    rng = SeededRng(0)
-    assert sample_active_set(Spectrum(np.zeros(3)), rng) == ()
-    assert sample_active_set(Spectrum.ones(3), rng) == (1, 2, 3)
-
-
-def test_active_set_inclusion_frequency():
-    spec = Spectrum(np.array([math.sqrt(0.5)]))
-    rng = SeededRng(1)
-    hits = sum(1 in sample_active_set(spec, rng) for _ in range(100_000))
-    assert hits / 100_000 == pytest.approx(0.5, abs=0.01)
+def popcount(masks):
+    return np.array([bin(m).count("1") for m in masks.tolist()], dtype=int)
 
 
 # ---------------------------------------------------------------------------
-# sequential projection sampler
+# fixed-cardinality draws: sample_dpp on a 0/1 spectrum
+
+def projection_law(fam, active):
+    """The DppDensity whose law is the projection law on the index set active."""
+    values = np.zeros(fam.r)
+    values[[j - 1 for j in active]] = 1.0
+    return DppDensity(fam, Spectrum(values))
+
 
 def test_sequential_empty_active_set():
     fam = haar_orthonormal(4, 2, SeededRng(2))
-    assert sample_projection_sequential(fam, (), SeededRng(0)) == Config()
+    samples = sample_dpp(projection_law(fam, ()), 20, SeededRng(0))
+    assert samples.masks().tolist() == [0] * 20
 
 
 def test_sequential_point_mass():
     fam = OrthonormalFamily(np.eye(3, 1, dtype=complex))
-    for i in range(20):
-        assert sample_projection_sequential(fam, (1,), SeededRng(i)) == Config([1])
+    samples = sample_dpp(projection_law(fam, (1,)), 20, SeededRng(0))
+    assert samples.masks().tolist() == [1] * 20
 
 
 def test_sequential_draw_cardinality():
     fam = haar_orthonormal(6, 3, SeededRng(3))
-    for i in range(30):
-        draw = sample_projection_sequential(fam, (1, 2, 3), SeededRng(i))
-        assert len(draw) == 3
+    samples = sample_dpp(projection_law(fam, (1, 2, 3)), 30, SeededRng(0))
+    assert np.all(popcount(samples.masks()) == 3)
 
 
 def test_sequential_tv_against_table():
     rng = SeededRng(4)
     fam = haar_orthonormal(6, 2, rng.split(0))
     table = density_table(ProjectionDensity(fam, (1, 2)))
-    n = 20_000
-    draws = [sample_projection_sequential(fam, (1, 2), rng.split(100 + i))
-             for i in range(n)]
-    emp = empirical_table(SampleSet([d.mask for d in draws], fam, 4), 6)
+    samples = sample_dpp(projection_law(fam, (1, 2)), 20_000, rng.split(1))
+    emp = empirical_table(samples, 6)
     assert total_variation(emp, table.probs) < 0.03
 
 
@@ -119,8 +109,6 @@ def test_sample_table_two_point_symmetry():
 
 class _FixedUniforms:
     """Stands in for a SeededRng whose uniforms are all u."""
-
-    seed = 0
 
     def __init__(self, u):
         self.generator = self
@@ -152,14 +140,14 @@ def test_sample_table_rejects_bad_count():
 def test_dpp_zero_spectrum_always_empty():
     fam = haar_orthonormal(4, 2, SeededRng(8))
     samples = sample_dpp(DppDensity(fam, Spectrum(np.zeros(2))), 50, SeededRng(0))
-    assert all(d == Config() for d in samples)
+    assert not samples.masks().any()
 
 
 def test_dpp_projection_spectrum_fixed_cardinality():
     fam = haar_orthonormal(5, 3, SeededRng(9))
     spec = Spectrum(np.array([1.0, 0.0, 1.0]))
     samples = sample_dpp(DppDensity(fam, spec), 100, SeededRng(1))
-    assert all(len(d) == 2 for d in samples)
+    assert np.all(popcount(samples.masks()) == 2)
 
 
 def test_dpp_bitmask_holds_point_63():
@@ -179,7 +167,7 @@ def test_dpp_determinism():
     d = DppDensity(fam, spec)
     a = sample_dpp(d, 200, SeededRng(11))
     b = sample_dpp(d, 200, SeededRng(11))
-    assert a.draws == b.draws
+    assert np.array_equal(a.masks(), b.masks())
 
 
 def test_dpp_tv_against_table():
@@ -198,7 +186,7 @@ def test_dpp_cardinality_law_chi_square():
     fam = haar_orthonormal(6, 3, rng.split(0))
     spec = random_spectrum(3, rng.split(1))
     samples = sample_dpp(DppDensity(fam, spec), 20_000, rng.split(2))
-    sizes = np.array([len(d) for d in samples])
+    sizes = popcount(samples.masks())
     observed = np.bincount(sizes, minlength=4)
     # law of a sum of independent Bernoulli(lambda_j^2) variables
     expected = np.zeros(4)
@@ -295,4 +283,4 @@ def test_sample_set_csv(tmp_path):
     assert len(lines) == 6
     idx, mask = lines[1].split(",")
     assert idx == "0"
-    assert int(mask) == samples.draws[0].mask
+    assert int(mask) == samples.masks()[0]
