@@ -1,7 +1,7 @@
 """Density estimation by testing over a net-based candidate family.
 
 Builds separated nets on the unit sphere of a model subspace, combines
-net tuples (projected to the nearest orthonormal tuple) with a uniform
+sets of net points (projected to the nearest orthonormal tuple) with a uniform
 weight grid into a candidate family carrying a sub-probability prior,
 then selects by pairwise signed-root tests: the winner minimizes the
 largest distance to any candidate that beats it.

@@ -203,6 +203,10 @@ def _cmd_estimate(args) -> int:
                               pool_size=_integer("pool_size",
                                                  cfg.get("pool_size", 256)),
                               anchor=anchor)
+    # after build_candidates, so that a bad n or prior is reported as such
+    if len(samples) != n:
+        raise ConfigError(f"samples_csv holds {len(samples)} draws but the config's "
+                          f"n is {n}, the size the nets, grid and prior are built for")
     result = select(family, samples)
     chosen = family.entries[result.chosen_index]
     out = _require_out(args)

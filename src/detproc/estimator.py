@@ -1,7 +1,7 @@
 """Aggregation-by-testing estimation of a point-process density.
 
 Pipeline: separated nets on unit spheres of finite-dimensional subspaces,
-a uniform grid for the mixture weights, projection of net tuples onto the
+a uniform grid for the mixture weights, projection of net point sets onto the
 closest orthonormal tuple (polar factor), a candidate family carrying a
 sub-probability prior, and selection by pairwise signed-root tests: the
 winner minimizes the largest Hellinger distance to any candidate that
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, product
+from itertools import accumulate, combinations, islice
 
 import numpy as np
 
@@ -267,23 +267,23 @@ class CandidateFamily:
 def build_candidates(models, prior, n: int, caps: CandidateCaps, rng: SeededRng,
                      pool_size: int = 256, anchor=None,
                      anchor_jitter: int = 0) -> CandidateFamily:
-    """Enumerate candidate densities from net tuples and the weight grid.
+    """Enumerate candidate densities from sets of net points and the weight grid.
 
-    prior maps model id to its weight (a sub-probability over models). Each
-    candidate (j, m_1..m_j, Psi, gamma) gets prior mass
-    (2n)^(-j) * prod_l prior(m_l) / |net(m_l)|, which sums to at most 1
-    over the full enumeration and hence also after truncation.
+    prior maps model id to its weight (a sub-probability over models). A candidate
+    (j, {(m_1, psi_1), .., (m_j, psi_j)}, gamma) stands for the j! orderings of its
+    points, so its prior mass j! (2n)^(-j) prod_l prior(m_l) / |net(m_l)| sums to at
+    most 1 over the full enumeration (j! e_j(w) <= (sum w)^j), and after truncation.
 
     Truncation is deterministic: candidates are ordered by interleaved
-    depth (grid rank + net-tuple rank) across truncation levels j, so each
+    depth (grid rank + subset rank) across truncation levels j, so each
     j keeps its shallowest candidates when family_max binds. An anchor
     (OrthonormalFamily) seeds every net with its columns, putting the
-    anchored tuple at depth zero; anchor_jitter adds that many perturbed
+    anchored set at depth zero; anchor_jitter adds that many perturbed
     copies per column at distance 1.5 * eta, emulating the neighbors a
     maximal net would contain around the anchor.
 
-    Candidates on the same net tuple differ only in gamma, so the polar
-    factor is computed once per tuple and the candidates share one
+    Candidates on the same set of net points differ only in gamma, so the
+    polar factor is computed once per set and the candidates share one
     OrthonormalFamily (and with it the squared minors of their tables).
     """
     models = list(models)
@@ -302,51 +302,51 @@ def build_candidates(models, prior, n: int, caps: CandidateCaps, rng: SeededRng,
         raise ValueError("model prior weights must sum to at most 1")
     nets = _candidate_nets(models, n, rng, pool_size, anchor, anchor_jitter)
     entries = []
-    polar = {}  # (j, model_rank, point_idx) -> family, or None if rank deficient
-    for j, model_rank, model_tuple, point_idx, g_rank in _candidate_order(
-            models, nets, n, caps):
-        key = (j, model_rank, point_idx)
-        if key not in polar:
-            vectors = [nets[m.id].points[i] for m, i in zip(model_tuple, point_idx)]
+    polar = {}  # subset -> family, or None if rank deficient
+    for j, subset, g_rank in _candidate_order(models, nets, n, caps):
+        if subset not in polar:
+            vectors = [nets[mid].points[i] for mid, i in subset]
             try:
-                polar[key] = nearest_orthonormal(vectors)
+                polar[subset] = nearest_orthonormal(vectors)
             except ValueError:
-                polar[key] = None  # repeated/near-parallel net points
-        if polar[key] is None:
+                polar[subset] = None  # near-parallel net points
+        if polar[subset] is None:
             continue
-        mass = (2.0 * n) ** (-j)
-        for m in model_tuple:
-            mass *= prior[m.id] / len(nets[m.id])
-        index = (j, tuple(m.id for m in model_tuple), point_idx, g_rank)
+        mass = math.factorial(j) * (2.0 * n) ** (-j)
+        for mid, _ in subset:
+            mass *= prior[mid] / len(nets[mid])
+        index = (j, *zip(*subset), g_rank)
         gamma = LambdaGrid(j, n)[g_rank]  # only survivors get a Spectrum
-        entries.append(CandidateEntry(index, polar[key], gamma, mass))
+        entries.append(CandidateEntry(index, polar[subset], gamma, mass))
         if len(entries) == caps.family_max:
             break
     if not entries:
         raise ValueError("caps too tight: empty candidate family")
-    # the full enumeration has sum_{j <= j_max} (n * sum_m |net(m)|)^j members
-    base = n * sum(len(nets[m.id]) for m in models)
-    sizes = accumulate(base**j for j in range(1, caps.j_max + 1))
+    # the full enumeration has sum_j C(N, j) * n^j members, N = sum_m |net(m)|
+    N = sum(len(net) for net in nets.values())
+    sizes = accumulate(math.comb(N, j) * n**j for j in range(1, min(caps.j_max, N) + 1))
     truncated = any(size > len(entries) for size in sizes)
     return CandidateFamily(
         entries, truncated, {mid: len(net) for mid, net in nets.items()})
 
 
 def _candidate_order(models, nets, n, caps):
-    """Yield (j, model_rank, model_tuple, point_idx, g_rank) by depth g_rank +
-    t_rank, then j, model_rank, g_rank; t_rank ranks point_idx in product
-    order. j > p is skipped: j vectors in C^p have no orthonormal polar factor."""
-    levels = range(1, min(caps.j_max, models[0].p) + 1)
-    # the deepest candidate: the last gamma on a tuple of the widest nets
-    width = max(min(len(nets[m.id]), caps.per_net) for m in models)
-    for depth in range(max(min(n**j, caps.family_max) + width**j - 1 for j in levels)):
+    """Yield (j, subset, g_rank) by depth g_rank + t_rank, then j, g_rank; subset
+    is a j-subset of the (model id, point index) pairs of each net's first per_net
+    points, in model then point order, and t_rank ranks it in combinations order.
+    j > p is skipped: j vectors in C^p have no orthonormal polar factor."""
+    pool = [(m.id, i) for m in models for i in range(min(len(nets[m.id]), caps.per_net))]
+    levels = range(1, min(caps.j_max, models[0].p, len(pool)) + 1)
+    counts = {j: math.comb(len(pool), j) for j in levels}
+    walks = {j: combinations(pool, j) for j in levels}
+    subsets = {j: [] for j in levels}  # grows by one subset per depth
+    # the deepest candidate: the last gamma on the last subset
+    for depth in range(max(min(n**j, caps.family_max) + counts[j] - 1 for j in levels)):
         for j in levels:
-            for model_rank, model_tuple in enumerate(product(models, repeat=j)):
-                radices = [min(len(nets[m.id]), caps.per_net) for m in model_tuple]
-                for g_rank in range(max(0, depth - math.prod(radices) + 1),
-                                    min(depth, n**j - 1, caps.family_max - 1) + 1):
-                    yield (j, model_rank, model_tuple,
-                           _mixed_radix(depth - g_rank, radices), g_rank)
+            subsets[j].extend(islice(walks[j], 1))
+            for g_rank in range(max(0, depth - counts[j] + 1),
+                                min(depth, n**j - 1, caps.family_max - 1) + 1):
+                yield j, subsets[j][depth - g_rank], g_rank
 
 
 def _mixed_radix(rank: int, radices) -> tuple:
@@ -363,6 +363,8 @@ def _candidate_nets(models, n, rng, pool_size, anchor, anchor_jitter) -> dict:
     eta = 1.0 / math.sqrt(n)
     nets = {}
     for rank, model in enumerate(models):
+        if model.id in nets:
+            raise ValueError(f"model id {model.id} is given to more than one model")
         stream = rng.split(rank)
         seed_points = None
         if anchor is not None:

@@ -339,6 +339,33 @@ def test_estimate_samples_csv_without_draws_exits_2(tmp_path, capsys, text):
     assert not out.exists()
 
 
+def test_estimate_samples_csv_size_must_match_n_exits_2(tmp_path, capsys):
+    # nets, weight grid and prior are built for the config's n
+    draws = tmp_path / "draws.csv"
+    draws.write_text("draw_index,config_bitmask\n0,1\n1,4\n2,2\n")
+    cfg = json.loads(Path(estimate_config(tmp_path)).read_text())
+    del cfg["truth"]
+    cfg["samples_csv"] = str(draws)
+    cfg["n"] = 5000
+    path = write_config(tmp_path, "mismatch.json", cfg)
+    out = tmp_path / "o.json"
+    err = assert_usage_error(capsys, ["estimate", "--config", path,
+                                      "--out", str(out)])
+    assert "3 draws" in err and "n is 5000" in err
+    assert not out.exists()
+
+
+def test_estimate_repeated_model_id_exits_2(tmp_path, capsys):
+    cfg = json.loads(Path(estimate_config(tmp_path)).read_text())
+    cfg["models"] = [dict(cfg["models"][0], prior=0.5)] * 2
+    path = write_config(tmp_path, "twice.json", cfg)
+    out = tmp_path / "o.json"
+    err = assert_usage_error(capsys, ["estimate", "--config", path,
+                                      "--out", str(out)])
+    assert "model id 0" in err
+    assert not out.exists()
+
+
 def test_estimate_huge_j_max_finishes(tmp_path):
     # levels j > p are never enumerated, so a j_max of 10^30 costs no more
     # than j_max = p

@@ -322,6 +322,42 @@ def test_build_candidates_prior_formula():
         assert entry.prior == pytest.approx(0.25 * 0.5 / net_size)
 
 
+def test_build_candidates_prior_counts_both_orders_of_a_pair():
+    # a j = 2 entry stands for the two orders of its net points, so its prior
+    # is 2! * (1/4)^2 * (pi(m) / |net|)^2
+    model = full_space_model(3)
+    fam = build_candidates([model], {0: 0.5}, 2, CandidateCaps(2, 100, 1000),
+                           SeededRng(11), pool_size=64)
+    pairs = [e for e in fam.entries if e.index[0] == 2]
+    assert pairs
+    for entry in pairs:
+        assert entry.prior == pytest.approx(2 * 0.25**2 * (0.5 / fam.net_sizes[0]) ** 2)
+
+
+def test_build_candidates_one_point_net_is_complete():
+    # the whole enumeration is one candidate: a single net point and n = 1,
+    # however large j_max is
+    model = full_space_model(3)
+    fam = build_candidates([model], {0: 1.0}, 1, CandidateCaps(10**30, 4, 100),
+                           SeededRng(21), pool_size=1)
+    assert len(fam) == 1
+    assert not fam.truncated
+
+
+def test_build_candidates_holds_each_anchored_density_once():
+    # ordered tuples held (0, 1) and (1, 0) at gamma = (1, 1): one density
+    # twice, whose mutual test came down to rounding noise
+    anchor = haar_orthonormal(3, 2, SeededRng(3))
+    fam = build_candidates([full_space_model(3)], {0: 1.0}, 60,
+                           CandidateCaps(3, 4, 60), SeededRng(3).split(1),
+                           anchor=anchor)
+    keys = [(frozenset(zip(e.index[1], e.index[2])), tuple(sorted(e.spectrum.values)))
+            for e in fam.entries]
+    assert len(set(keys)) == len(keys)
+    # the anchor's columns are net points 0 and 1, the pair at depth zero
+    assert fam.entries[1].index == (2, (0, 0), (0, 1), 0)
+
+
 def test_build_candidates_prior_mass_sub_probability():
     model = full_space_model(4)
     for caps in [CandidateCaps(1, 2, 10), CandidateCaps(2, 3, 60),
@@ -362,6 +398,15 @@ def test_build_candidates_rejects_bad_inputs(n, prior, jitter, message):
         build_candidates([model], prior, n, CandidateCaps(1, 2, 4), SeededRng(0),
                          pool_size=8, anchor=OrthonormalFamily(np.eye(3, 1)),
                          anchor_jitter=jitter)
+
+
+def test_build_candidates_rejects_repeated_model_id():
+    # nets and priors are keyed by model id: a second model under the same
+    # id would replace the first one's
+    models = [full_space_model(3), SubspaceModel(np.eye(3, 2, dtype=complex))]
+    with pytest.raises(ValueError, match="model id 0"):
+        build_candidates(models, {0: 0.5}, 4, CandidateCaps(1, 2, 4), SeededRng(0),
+                         pool_size=8)
 
 
 def test_build_candidates_deterministic():

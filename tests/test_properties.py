@@ -218,7 +218,8 @@ def test_select_matches_reference_across_blocks(monkeypatch, block_cells):
 
 
 # ---------------------------------------------------------------------------
-# shared minors: one |det|^2 vector per (family, J), one polar factor per tuple
+# shared minors: one |det|^2 vector per (family, J), one polar factor per set
+# of net points
 
 spectrum_values = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
 
@@ -411,38 +412,36 @@ def reference_build_candidates(models, prior, n, caps, rng, pool_size, anchor,
     return entries, total
 
 
-# the reference lists every descriptor; for j_max > 3 keep that list below
-# ~3 * 10^4 entries (j_max <= 3 draws every per_net up to 4, ~10^5 at most)
-REFERENCE_DESCRIPTORS = 3 * 10**4
+# the reference lists every descriptor and builds a table for each full-rank
+# one; keep that list below ~600 entries
+REFERENCE_DESCRIPTORS = 600
 
 
 @st.composite
 def candidate_setups(draw):
-    """Two or three models on p <= 6 (random subspaces, all real or all
-    complex), so net tuples of different model tuples share point indices,
-    plus caps (j_max up to p + 1) and an optional anchor of the same field."""
-    p = draw(st.integers(2, 6))
+    """Two or three models on p <= 5 (random subspaces, all real or all
+    complex), so net points of different models share point indices, plus
+    caps (j_max up to p + 1) whose family_max truncates nothing and an
+    optional anchor of the same field."""
+    p = draw(st.integers(2, 5))
     stream = SeededRng(draw(seeds))
     real = draw(st.booleans())
     j_max = draw(st.integers(1, p + 1))
     models = []
-    for i in range(draw(st.integers(2, 3 if j_max <= 5 else 2))):
+    for i in range(draw(st.integers(2, 3 if j_max <= 3 else 2))):
         basis = haar_orthonormal(p, draw(st.integers(1, p)), stream.split(i),
                                  real=real).columns
         models.append(SubspaceModel(basis.real.copy() if real else basis, id=i))
     prior = {m.id: 1.0 / len(models) for m in models}
-    n = draw(st.integers(1, 50))
-    family_max = draw(st.integers(1, 60))
 
-    def size(per_net):
-        return sum((len(models) * per_net) ** j * min(n**j, family_max)
-                   for j in range(1, j_max + 1))
+    def size(per_net, n):
+        return sum((len(models) * per_net * n) ** j for j in range(1, j_max + 1))
 
-    per_net_max = 4
-    if j_max > 3:  # deeper tuples: cap per_net so the reference list stays small
-        per_net_max = max([1] + [k for k in range(1, 5)
-                                 if size(k) <= REFERENCE_DESCRIPTORS])
-    caps = CandidateCaps(j_max, draw(st.integers(1, per_net_max)), family_max)
+    # largest first, which hypothesis tries first
+    n = draw(st.sampled_from([k for k in (3, 2, 1) if size(1, k) <= REFERENCE_DESCRIPTORS]))
+    per_net = draw(st.sampled_from(
+        [k for k in (4, 3, 2, 1) if size(k, n) <= REFERENCE_DESCRIPTORS] or [1]))
+    caps = CandidateCaps(j_max, per_net, 10**6)
     anchor = None
     if draw(st.booleans()):
         anchor = haar_orthonormal(p, draw(st.integers(1, 2)), stream.split(9),
@@ -452,27 +451,51 @@ def candidate_setups(draw):
 
 @given(candidate_setups())
 def test_build_candidates_matches_unshared_polar_factors(setup):
+    # the ordered reference holds each set of distinct net points in all j!
+    # orders; with nothing truncated the family holds each set once, with
+    # the same densities and the same total prior
     models, prior, n, caps, rng, anchor = setup
-    want, total = reference_build_candidates(models, prior, n, caps, rng, 16,
-                                             anchor, 1)
-    if not want:
-        with pytest.raises(ValueError, match="caps too tight"):
-            build_candidates(models, prior, n, caps, rng, pool_size=16,
-                             anchor=anchor, anchor_jitter=1)
-        return
+    want, _ = reference_build_candidates(models, prior, n, caps, rng, 16, anchor, 1)
     family = build_candidates(models, prior, n, caps, rng, pool_size=16,
                               anchor=anchor, anchor_jitter=1)
-    assert family.truncated == (total > len(want))
     got = family.entries
-    assert [e.index for e in got] == [e.index for e in want]
-    assert [e.prior for e in got] == [e.prior for e in want]
-    for a, b in zip(got, want):
-        assert np.array_equal(a.family.columns, b.family.columns)
-        assert np.array_equal(a.spectrum.values, b.spectrum.values)
-    # candidates on one net tuple share one family object
-    by_tuple = {}
+    points = sum(family.net_sizes.values())
+    full = sum(math.comb(points, j) * n**j for j in range(1, min(caps.j_max, points) + 1))
+    assert family.truncated == (full > len(got))
+    # each entry is one set of net points: (model rank, point index) strictly increasing
+    rank = {m.id: r for r, m in enumerate(models)}
     for e in got:
-        assert by_tuple.setdefault(e.index[:3], e.family) is e.family
+        pairs = [(rank[mid], i) for mid, i in zip(e.index[1], e.index[2])]
+        assert all(a < b for a, b in zip(pairs, pairs[1:]))
+    assert len({e.index for e in got}) == len(got)
+    # entries come in depth order: gamma rank + the set's rank in combinations
+    # order over the pooled net points, then j, then gamma rank
+    pool = [(m.id, i) for m in models
+            for i in range(min(family.net_sizes[m.id], caps.per_net))]
+    order = {j: {c: t for t, c in enumerate(combinations(pool, j))}
+             for j in range(1, min(caps.j_max, len(pool)) + 1)}
+    keys = [(e.index[3] + order[e.index[0]][tuple(zip(e.index[1], e.index[2]))],
+             e.index[0], e.index[3]) for e in got]
+    assert keys == sorted(keys)
+    # a smaller family_max keeps a prefix of that order
+    cut = build_candidates(models, prior, n,
+                           CandidateCaps(caps.j_max, caps.per_net, len(got) // 2 + 1),
+                           rng, pool_size=16, anchor=anchor, anchor_jitter=1)
+    assert [e.index for e in cut.entries] == [e.index for e in got[:len(cut)]]
+    assert len(cut) == len(got) // 2 + 1
+    # the same set of distinct tables, each within 1e-12
+    g = np.stack([e.table().probs for e in got])
+    w = np.stack([e.table().probs for e in want])
+    gap = np.abs(g[:, None, :] - w[None, :, :]).max(axis=2)
+    assert gap.min(axis=1).max() <= 1e-12 and gap.min(axis=0).max() <= 1e-12
+    # the mass of the ordered tuples of distinct points, which are all of the
+    # reference's full-rank tuples
+    assert family.prior_mass() == pytest.approx(math.fsum(e.prior for e in want),
+                                                rel=1e-12, abs=0.0)
+    # candidates on one set of net points share one family object
+    by_set = {}
+    for e in got:
+        assert by_set.setdefault(e.index[:3], e.family) is e.family
 
 
 # ---------------------------------------------------------------------------
