@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations, islice
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -79,7 +79,8 @@ class SubspaceModel:
 
 @dataclass(frozen=True)
 class SphereNet:
-    """Strictly eta-separated unit vectors in a model subspace.
+    """Unit vectors in a model subspace, strictly eta-separated in the
+    distance densities see (_net_distance).
 
     Built greedily from a finite random pool, so maximality (hence the
     covering property) is certified only relative to that pool; the
@@ -102,17 +103,24 @@ class SphereNet:
 
     def min_pairwise_distance(self) -> float:
         pts = self.points
-        if len(self) < 2:
-            return float("inf")
-        best = float("inf")
-        for i in range(len(self) - 1):
-            d = np.linalg.norm(pts[i + 1 :] - pts[i], axis=1).min()
-            best = min(best, float(d))
-        return best
+        return min((float(_net_distance(pts[i + 1:], pts[i]).min())
+                    for i in range(len(self) - 1)), default=float("inf"))
 
     def log_size_bound(self, n: int) -> float:
         """Volumetric ceiling for separation radius 1/sqrt(n)."""
         return self.model.dim_real * math.log(2.0 * math.sqrt(n) + 1.0)
+
+
+def _net_distance(points: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """min over theta of |u - e^(i theta) v| for each unit row u of points.
+
+    A density sees a column phi only through phi phi^*, so phi and
+    e^(i theta) phi (-phi on a real model) are one net point. For unit
+    vectors the minimum is sqrt(2 - 2 |<u, v>|), clipped at zero against
+    rounding.
+    """
+    overlap = np.abs(points @ v.conj())
+    return np.sqrt(np.maximum(2.0 - 2.0 * overlap, 0.0))
 
 
 def _random_unit_coefficients(count, dim, rng, complex_mode):
@@ -128,10 +136,10 @@ def sphere_net(model: SubspaceModel, eta: float, pool_size: int, rng: SeededRng,
                seed_points=None) -> SphereNet:
     """Greedy separated subset of the unit sphere of the model subspace.
 
-    Draws pool_size uniform unit vectors, inserts each iff its distance to
-    every current net point exceeds eta. seed_points (unit vectors in the
-    subspace) are processed first and therefore anchor the net; on a real
-    model their imaginary parts must be exactly zero.
+    Draws pool_size uniform unit vectors, inserts each iff its distance
+    (_net_distance) to every current net point exceeds eta. seed_points
+    (unit vectors in the subspace) are processed first and therefore anchor
+    the net; on a real model their imaginary parts must be exactly zero.
     """
     if not 0.0 < eta <= 2.0:
         raise ValueError(f"eta must be in (0, 2], got {eta}")
@@ -151,8 +159,7 @@ def sphere_net(model: SubspaceModel, eta: float, pool_size: int, rng: SeededRng,
     for i in range(pool.shape[0]):
         if nearest[i] > eta:
             keep.append(i)
-            np.minimum(nearest, np.linalg.norm(pool - pool[i], axis=1),
-                       out=nearest)
+            np.minimum(nearest, _net_distance(pool, pool[i]), out=nearest)
     return SphereNet(model, float(eta), pool[keep], int(pool.shape[0]),
                      float(nearest.max()))
 
@@ -301,17 +308,24 @@ def build_candidates(models, prior, n: int, caps: CandidateCaps, rng: SeededRng,
     if not math.fsum(prior.values()) <= 1.0 + 1e-12:
         raise ValueError("model prior weights must sum to at most 1")
     nets = _candidate_nets(models, n, rng, pool_size, anchor, anchor_jitter)
-    entries = []
     polar = {}  # subset -> family, or None if rank deficient
-    for j, subset, g_rank in _candidate_order(models, nets, n, caps):
+
+    def factor(subset):
         if subset not in polar:
             vectors = [nets[mid].points[i] for mid, i in subset]
             try:
                 polar[subset] = nearest_orthonormal(vectors)
             except ValueError:
                 polar[subset] = None  # near-parallel net points
-        if polar[subset] is None:
+        return polar[subset]
+
+    entries = []
+    levels = set()  # the j that hold a full-rank set
+    walk = _candidate_order(models, nets, n, caps)
+    for j, subset, g_rank in walk:
+        if factor(subset) is None:
             continue
+        levels.add(j)
         mass = math.factorial(j) * (2.0 * n) ** (-j)
         for mid, _ in subset:
             mass *= prior[mid] / len(nets[mid])
@@ -322,10 +336,12 @@ def build_candidates(models, prior, n: int, caps: CandidateCaps, rng: SeededRng,
             break
     if not entries:
         raise ValueError("caps too tight: empty candidate family")
-    # the full enumeration has sum_j C(N, j) * n^j members, N = sum_m |net(m)|
-    N = sum(len(net) for net in nets.values())
-    sizes = accumulate(math.comb(N, j) * n**j for j in range(1, min(caps.j_max, N) + 1))
-    truncated = any(size > len(entries) for size in sizes)
+    # a full-rank candidate is missing iff per_net dropped a net point, the
+    # walk caps the gamma rank of a level that has one, or the walk stopped
+    # at family_max before one (the rest of the walk is read only then)
+    truncated = (any(len(net) > caps.per_net for net in nets.values())
+                 or any(n**j > caps.family_max for j in levels)
+                 or any(factor(subset) is not None for _, subset, _ in walk))
     return CandidateFamily(
         entries, truncated, {mid: len(net) for mid, net in nets.items()})
 
@@ -334,9 +350,11 @@ def _candidate_order(models, nets, n, caps):
     """Yield (j, subset, g_rank) by depth g_rank + t_rank, then j, g_rank; subset
     is a j-subset of the (model id, point index) pairs of each net's first per_net
     points, in model then point order, and t_rank ranks it in combinations order.
-    j > p is skipped: j vectors in C^p have no orthonormal polar factor."""
+    j above the dimension of the models' joint span is skipped: j vectors in a
+    smaller space have no orthonormal polar factor."""
     pool = [(m.id, i) for m in models for i in range(min(len(nets[m.id]), caps.per_net))]
-    levels = range(1, min(caps.j_max, models[0].p, len(pool)) + 1)
+    span = np.linalg.matrix_rank(np.hstack([m.basis for m in models]))
+    levels = range(1, min(caps.j_max, span, len(pool)) + 1)
     counts = {j: math.comb(len(pool), j) for j in levels}
     walks = {j: combinations(pool, j) for j in levels}
     subsets = {j: [] for j in levels}  # grows by one subset per depth
@@ -492,7 +510,8 @@ def oracle_bound(family: OrthonormalFamily, spectrum: Spectrum, models, prior,
     Per retained column: the best over models of approximation error plus a
     complexity price. With nets=None the subspace form is used, with the
     projector distance and price (D_m log n + log(1/prior))/n; passing the
-    constructed nets switches to the net form with the realized net sizes.
+    constructed nets switches to the net form with the realized net sizes,
+    whose error is the squared net distance 2 - 2 max_v |<v, phi>|.
     """
     if j < 0 or j > family.r:
         raise ValueError(f"truncation j={j} outside [0, {family.r}]")
@@ -507,9 +526,7 @@ def oracle_bound(family: OrthonormalFamily, spectrum: Spectrum, models, prior,
                          + math.log(1.0 / prior[model.id])) / n
             else:
                 net = nets[model.id]
-                err = float(
-                    np.min(np.linalg.norm(net.points - phi, axis=1)) ** 2
-                )
+                err = float(_net_distance(net.points, phi).min()) ** 2
                 price = math.log(len(net) * n / prior[model.id]) / n
             best = min(best, err + price)
         total += best

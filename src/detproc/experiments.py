@@ -160,6 +160,9 @@ class IsometrySweepConfig:
             raise ValueError(f"instances must be >= 1, got {self.instances}")
         if not self.p_max >= 2:
             raise ValueError(f"p_max must be >= 2, got {self.p_max}")
+        # an instance's subsets(p, k) holds C(p, k) rows
+        if not self.p_max <= DEFAULT_ENUM_CAP:
+            raise ValueError(f"p_max must be <= {DEFAULT_ENUM_CAP}, got {self.p_max}")
         if not self.k_max >= 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
 

@@ -7,7 +7,9 @@ operations over every draw of the block. A 0/1 spectrum makes it the
 fixed-cardinality projection law on the index set of its ones.
 sample_table, the inverse-CDF sampler over the enumerated density table, is
 the oracle the production route is checked against; agreement of the two is
-the package's core trust mechanism for randomness.
+the package's core trust mechanism for randomness. It has one production
+caller as well: each risk-curve replication draws from the truth's table,
+which it builds anyway to score the selected candidate.
 
 Samples are int64 bitmasks only (bit i-1 set iff point i is drawn), from
 the samplers through the empirical table and the estimator.

@@ -210,6 +210,7 @@ def test_sweep_without_instances_exits_2(tmp_path, capsys, command, instances):
     ("bounds-sweep", "p_max", 30, "p_max must be in [2, 20], got 30"),
     ("bounds-sweep", "rank_max", 0, "rank_max must be >= 1, got 0"),
     ("isometry-sweep", "p_max", 1, "p_max must be >= 2, got 1"),
+    ("isometry-sweep", "p_max", 10**6, "p_max must be <= 20, got 1000000"),
     ("isometry-sweep", "k_max", 0, "k_max must be >= 1, got 0"),
 ])
 def test_sweep_impossible_size_exits_2(tmp_path, capsys, command, key, value,

@@ -68,11 +68,13 @@ def test_model_projection():
 # ---------------------------------------------------------------------------
 # sphere nets
 
-def test_net_one_real_dimension_two_points():
+def test_net_one_real_dimension_one_point():
+    # +e1 and -e1 span one line, so they give one density: the net keeps one
     model = SubspaceModel(np.eye(3)[:, :1])
     net = sphere_net(model, 1.0, 50, SeededRng(0))
-    assert len(net) == 2
-    assert np.allclose(net.points[0], -net.points[1])
+    assert len(net) == 1
+    assert np.allclose(np.abs(net.points[0]), [1.0, 0.0, 0.0])
+    assert net.pool_covering_radius == 0.0
 
 
 def test_net_strict_separation():
@@ -129,9 +131,14 @@ def test_sphere_net_rejects_complex_seeds_on_real_model():
         sphere_net(model, 0.3, 50, SeededRng(18), seed_points=[seed])
 
 
+def phase_distance(u, v):
+    """min over theta of |u - e^(i theta) v|, one pair at a time."""
+    return math.sqrt(max(2.0 - 2.0 * abs(np.vdot(v, u)), 0.0))
+
+
 def loop_sphere_net(model, eta, pool_size, rng, seed_points=None):
-    """Reference greedy net: one distance pass per pool point over the net
-    built so far, then one more pass for the covering radius."""
+    """Reference greedy net: one distance per pair of a pool point and a net
+    point built so far, then one more pass for the covering radius."""
     coeffs = _random_unit_coefficients(pool_size, model.dim, rng, model.is_complex)
     pool = coeffs @ model.basis.T
     if seed_points is not None and len(seed_points):
@@ -139,13 +146,10 @@ def loop_sphere_net(model, eta, pool_size, rng, seed_points=None):
         pool = np.concatenate([seeds, pool], axis=0)
     net = []
     for v in pool:
-        if not net or np.linalg.norm(np.array(net) - v, axis=1).min() > eta:
+        if all(phase_distance(v, u) > eta for u in net):
             net.append(v)
-    net = np.array(net)
-    covering = 0.0
-    for v in pool:
-        covering = max(covering, float(np.linalg.norm(net - v, axis=1).min()))
-    return net, covering
+    covering = max(min(phase_distance(v, u) for u in net) for v in pool)
+    return np.array(net), covering
 
 
 @pytest.mark.parametrize("p", [4, 6, 8, 12])
@@ -163,7 +167,10 @@ def test_net_matches_loop_reference(p, eta):
         points, covering = loop_sphere_net(model, eta, 60 + 20 * seed, rng.split(1),
                                            seed_points)
         assert np.array_equal(net.points, points)
-        assert net.pool_covering_radius == covering
+        # vdot and the batched product round differently; the squared
+        # distance 2 - 2|<u, v>| carries that rounding without the square
+        # root's amplification near zero
+        assert net.pool_covering_radius**2 == pytest.approx(covering**2, rel=0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +349,39 @@ def test_build_candidates_one_point_net_is_complete():
                            SeededRng(21), pool_size=1)
     assert len(fam) == 1
     assert not fam.truncated
+
+
+def test_build_candidates_complete_above_p_is_not_truncated():
+    # j_max = 4 > p = 2: the sets of 3 or 4 points of C^2 have no polar
+    # factor, so every full-rank member is a point or a pair, at n^j weights
+    model = full_space_model(2)
+    fam = build_candidates([model], {0: 1.0}, 2, CandidateCaps(4, 100, 10**6),
+                           SeededRng(22), pool_size=16)
+    size = fam.net_sizes[0]
+    assert len(fam) == size * 2 + math.comb(size, 2) * 4
+    assert not fam.truncated
+
+
+def test_build_candidates_complete_nested_models_is_not_truncated():
+    # M2 = span(e1, e2) inside M3 = span(e1, e2, e3) in R^5, j_max = 4: three
+    # points of M2 are dependent and no four points are independent
+    m2 = SubspaceModel(np.eye(5)[:, :2], id=0)
+    m3 = SubspaceModel(np.eye(5)[:, :3], id=1)
+
+    def build(family_max):
+        return build_candidates([m2, m3], {0: 0.5, 1: 0.5}, 1,
+                                CandidateCaps(4, 100, family_max), SeededRng(23),
+                                pool_size=16)
+
+    fam = build(10**6)
+    n2, total = fam.net_sizes[0], sum(fam.net_sizes.values())
+    size = total + math.comb(total, 2) + math.comb(total, 3) - math.comb(n2, 3)
+    assert len(fam) == size and not fam.truncated
+    # a family_max that the full-rank members just fill leaves only
+    # dependent sets behind; one less drops a member
+    assert not build(size).truncated
+    cut = build(size - 1)
+    assert len(cut) == size - 1 and cut.truncated
 
 
 def test_build_candidates_holds_each_anchored_density_once():

@@ -1,6 +1,6 @@
 """Property tests for the batched sampler, bitmask-native SampleSet, the
-selection tournament, the shared minors of the table engine, the lazy
-candidate enumeration and the CLI exit contract.
+selection tournament, the shared minors of the table engine, the sphere
+net certificate, the lazy candidate enumeration and the CLI exit contract.
 
 Families are Haar draws on small ground sets (p <= 6) from a seeded stream,
 with spectra chosen by hypothesis.
@@ -355,6 +355,38 @@ def test_subsets_are_cached_and_read_only():
                               for c in combinations(range(5), 2)]
 
 
+@st.composite
+def net_setups(draw):
+    """A random real or complex subspace of dimension <= 3 in R^p or C^p,
+    p <= 6, with a separation radius and a pool size."""
+    p = draw(st.integers(1, 6))
+    real = draw(st.booleans())
+    basis = haar_orthonormal(p, draw(st.integers(1, min(p, 3))), SeededRng(draw(seeds)),
+                             real=real).columns
+    model = SubspaceModel(basis.real.copy() if real else basis)
+    eta = draw(st.sampled_from([0.1, 0.3, 0.7, 1.0, 1.5, 2.0]))
+    return model, eta, draw(st.integers(1, 300)), draw(seeds)
+
+
+@given(net_setups())
+def test_sphere_net_certificate_in_phase_invariant_distance(setup):
+    # u and e^(i theta) u are one net point: the net is separated, and the
+    # pool covered, in min_theta |u - e^(i theta) v|^2 = 2 - 2|<u, v>|
+    model, eta, pool_size, seed = setup
+    net = estimator.sphere_net(model, eta, pool_size, SeededRng(seed))
+    coeffs = estimator._random_unit_coefficients(pool_size, model.dim, SeededRng(seed),
+                                                  model.is_complex)
+    pool = coeffs @ model.basis.T
+    squared = 2.0 - 2.0 * np.abs(pool.conj() @ net.points.T)  # pool x net
+    assert squared.min(axis=1).max() <= net.pool_covering_radius**2 + 1e-12
+    assert net.pool_covering_radius <= eta
+    gram = 2.0 - 2.0 * np.abs(net.points.conj() @ net.points.T)
+    pairs = np.triu_indices(len(net), 1)
+    assert np.all(gram[pairs] > eta**2)
+    assert net.min_pairwise_distance() == pytest.approx(
+        math.sqrt(gram[pairs].min()) if len(net) > 1 else math.inf)
+
+
 def reference_candidate_descriptors(models, nets, n, caps):
     """Every (net tuple, gamma) pair within the caps, in truncation order.
 
@@ -459,9 +491,9 @@ def test_build_candidates_matches_unshared_polar_factors(setup):
     family = build_candidates(models, prior, n, caps, rng, pool_size=16,
                               anchor=anchor, anchor_jitter=1)
     got = family.entries
-    points = sum(family.net_sizes.values())
-    full = sum(math.comb(points, j) * n**j for j in range(1, min(caps.j_max, points) + 1))
-    assert family.truncated == (full > len(got))
+    # family_max and n^j <= 3^6 never bind, so only per_net can drop a
+    # full-rank candidate
+    assert family.truncated == any(size > caps.per_net for size in family.net_sizes.values())
     # each entry is one set of net points: (model rank, point index) strictly increasing
     rank = {m.id: r for r, m in enumerate(models)}
     for e in got:
