@@ -177,11 +177,21 @@ def _read_samples_csv(path) -> SampleSet:
     return SampleSet(masks)
 
 
+def _same_ground_set(key, p, models) -> None:
+    """A usage error unless p, the ground-set size of the config key, is the
+    first model's: models, truth and anchor must share one ground set."""
+    if models and p != models[0].p:
+        raise ConfigError(f"{key} has p={p} but models[0] has p={models[0].p}; "
+                          "models, truth and anchor must share one ground set")
+
+
 def _cmd_estimate(args) -> int:
     cfg = _load_config(args)
     if cfg.get("test_statistic", "signed-root") != "signed-root":
         raise ConfigError("unknown test_statistic (only 'signed-root' is available)")
     models = [_model_from_dict(m) for m in cfg["models"]]
+    for i, model in enumerate(models[1:], 1):
+        _same_ground_set(f"models[{i}]", model.p, models)
     prior = {_integer("model id", m["id"]): float(m["prior"])
              for m in cfg["models"]}
     n = _integer("n", cfg["n"])
@@ -192,10 +202,12 @@ def _cmd_estimate(args) -> int:
     anchor = None
     if "anchor" in cfg:
         anchor, _ = params_from_dict(cfg["anchor"])
+        _same_ground_set("anchor", anchor.p, models)
     if "samples_csv" in cfg:
         samples = _read_samples_csv(cfg["samples_csv"])
     elif "truth" in cfg:
         fam, spec = params_from_dict(cfg["truth"])
+        _same_ground_set("truth", fam.p, models)
         samples = sample_dpp(DppDensity(fam, spec), n, rng.split(0))
     else:
         raise ConfigError("estimate config needs 'samples_csv' or 'truth'")

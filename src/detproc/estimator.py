@@ -23,6 +23,7 @@ from .core import (
     Spectrum,
     density_table,
 )
+from .hellinger import _h2
 from .rng import SeededRng
 from .sampling import SampleSet
 
@@ -139,7 +140,8 @@ def sphere_net(model: SubspaceModel, eta: float, pool_size: int, rng: SeededRng,
     Draws pool_size uniform unit vectors, inserts each iff its distance
     (_net_distance) to every current net point exceeds eta. seed_points
     (unit vectors in the subspace) are processed first and therefore anchor
-    the net; on a real model their imaginary parts must be exactly zero.
+    the net; a seed farther than core.GRAM_TOL from the subspace is
+    rejected, and on a real model their imaginary parts must be exactly zero.
     """
     if not 0.0 < eta <= 2.0:
         raise ValueError(f"eta must be in (0, 2], got {eta}")
@@ -152,6 +154,11 @@ def sphere_net(model: SubspaceModel, eta: float, pool_size: int, rng: SeededRng,
         if not model.is_complex and np.any(seeds.imag):
             raise ValueError(f"seed points for the real model {model.id} have "
                              f"imaginary parts up to {np.abs(seeds.imag).max():.3g}")
+        off = np.linalg.norm(seeds.T - model.project(seeds.T), axis=0)
+        if not off.max() <= GRAM_TOL:  # a NaN distance fails too
+            i = int(np.argmax(off))  # the first NaN, if there is one
+            raise ValueError(f"seed point {i} lies {off[i]:.3g} from model "
+                             f"{model.id}, farther than {GRAM_TOL:g}")
         pool = np.concatenate([seeds if model.is_complex else seeds.real, pool])
     # nearest[i]: distance from pool[i] to the closest net point so far
     nearest = np.full(pool.shape[0], np.inf)
@@ -386,12 +393,15 @@ def _candidate_nets(models, n, rng, pool_size, anchor, anchor_jitter) -> dict:
         stream = rng.split(rank)
         seed_points = None
         if anchor is not None:
-            seed_points = [anchor.columns[:, i] for i in range(anchor.r)]
+            # each anchor column moved onto the model's sphere, so that seeds
+            # and their jittered copies lie in the model
+            anchored = [sphere_approx(anchor.columns[:, i], model)
+                        for i in range(anchor.r)]
+            seed_points = list(anchored)
             gen = stream.split(10**6).generator
             cos_t = 1.0 - (1.5 * eta) ** 2 / 2.0
             sin_t = math.sqrt(max(1.0 - cos_t**2, 0.0))
-            for i in range(anchor.r):
-                phi = anchor.columns[:, i]
+            for phi in anchored:
                 for _ in range(anchor_jitter):
                     u = (gen.standard_normal(model.dim)
                          + (1j * gen.standard_normal(model.dim)
@@ -467,7 +477,8 @@ def select(family: CandidateFamily, samples: SampleSet) -> SelectionResult:
     Candidate b beats a when the signed-root statistic t(a, b) is positive.
     An exact tie (t == 0) goes to the larger prior, then to the lower index.
     Only configurations observed in the samples enter t, and only the pairs
-    a < b are tested; the verdict for (b, a) is the negation.
+    a < b are tested; the verdict for (b, a) is the negation. The distances
+    are the square roots of hellinger._h2 over the candidates' table roots.
     """
     entries = family.entries
     m = len(entries)
@@ -477,9 +488,7 @@ def select(family: CandidateFamily, samples: SampleSet) -> SelectionResult:
     cells, weights = _observed_cells(samples, tables[0])
     probs = np.stack([t.probs for t in tables])
     roots = np.sqrt(probs)
-    affinity = np.clip(roots @ roots.T, 0.0, 1.0)
-    h_matrix = np.sqrt(np.clip(1.0 - affinity, 0.0, None))
-    np.fill_diagonal(h_matrix, 0.0)
+    h_matrix = np.sqrt(_h2(roots, roots))
 
     p_obs = probs[:, cells]
     r_obs = roots[:, cells]

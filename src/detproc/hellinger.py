@@ -1,14 +1,15 @@
 """Exact Hellinger geometry of determinantal densities.
 
 Everything here is exact enumeration (no sampling estimators). It computes
-distances and affinities between density tables, the closed-form distance
-between two Bernoulli weight distributions, numerical verification of the
+distances and affinities between density tables, the distance between two
+Bernoulli weight distributions, numerical verification of the
 three distance inequalities (projection, mixture, full-mixture forms), and
 the minor-vector coordinates whose modulus map is isometric to rank-k
 projection densities under sqrt(2) * Hellinger. The minor moduli come from
 OrthonormalFamily.moduli, the same memoized vectors the tables are built
 from. Tables and coordinates are arrays indexed by bitmask or in
-core.subsets order.
+core.subsets order. Every h^2 in the package, here and in the estimator's
+selection, comes from one kernel, _h2, over arrays of square roots.
 """
 from __future__ import annotations
 
@@ -48,31 +49,53 @@ class BoundReport:
         return self.slack >= -SLACK_TOL
 
 
+def _h2(roots_a: np.ndarray, roots_b: np.ndarray):
+    """h^2 = 1 - clip(roots_a . roots_b^T, 0, 1) from arrays of square roots.
+
+    Two vectors of square roots of two distributions (table entries, minor
+    moduli, mixture weights) give a float; two stacks of them, one
+    distribution per row, give the matrix of every pair. The one place in
+    the package where an affinity becomes h^2: the clip keeps rounding from
+    pushing h^2 below 0 or above 1, and keeps a NaN affinity NaN.
+    """
+    h2 = 1.0 - np.clip(roots_a @ roots_b.T, 0.0, 1.0)
+    return float(h2) if h2.ndim == 0 else h2
+
+
 def hellinger(table_p: DensityTable, table_q: DensityTable):
     """Squared Hellinger distance and affinity between two tables.
 
-    Returns (h2, affinity) with affinity = sum sqrt(P Q) and h2 = 1 - affinity.
+    Returns (h2, affinity) with h2 = 1 - sum sqrt(P) sqrt(Q) (clipped to
+    [0, 1]) and affinity = 1 - h2.
     """
     if table_p.ground.p != table_q.ground.p:
         raise ValueError("tables live on different ground sets")
-    affinity = float(np.sqrt(table_p.probs * table_q.probs).sum())
-    affinity = min(max(affinity, 0.0), 1.0)
-    return 1.0 - affinity, affinity
+    h2 = _h2(np.sqrt(table_p.probs), np.sqrt(table_q.probs))
+    return h2, 1.0 - h2
 
 
 def bernoulli_weight_hellinger(lam: Spectrum, gam: Spectrum) -> float:
     """Exact h^2 between the two weight distributions over index sets.
 
-    Product-of-affinities form: h^2 = 1 - prod_j (l_j g_j + sqrt(1-l_j^2) sqrt(1-g_j^2)).
-    Shorter spectrum is padded with zeros.
+    Index j is in the set with probability l_j^2, independently, so the
+    root of the weight of a set is the product over j of l_j or
+    sqrt(1 - l_j^2); the affinity is prod_j (l_j g_j + sqrt(1-l_j^2)
+    sqrt(1-g_j^2)). Shorter spectrum is padded with zeros.
     """
     r = max(lam.r, gam.r)
     a = np.zeros(r)
     b = np.zeros(r)
     a[: lam.r] = lam.values
     b[: gam.r] = gam.values
-    affinity = np.prod(a * b + np.sqrt((1.0 - a**2) * (1.0 - b**2)))
-    return float(1.0 - affinity)
+    return _h2(_index_set_roots(a), _index_set_roots(b))
+
+
+def _index_set_roots(values: np.ndarray) -> np.ndarray:
+    """Square roots of the 2^r index-set weights, indexed by bitmask."""
+    roots = np.ones(1)
+    for v in values:
+        roots = np.concatenate([roots * math.sqrt(1.0 - v * v), roots * v])
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -113,20 +136,22 @@ def wedge_coords(family: OrthonormalFamily, k: int) -> WedgeVector:
     return WedgeVector(family.p, k, np.linalg.det(family.columns[:, :k][rows]))
 
 
+def wedge_hellinger(wedge_a: WedgeVector, wedge_b: WedgeVector) -> float:
+    """Exact h^2 between the projection densities |coords_a|^2 and |coords_b|^2."""
+    if (wedge_a.p, wedge_a.k) != (wedge_b.p, wedge_b.k):
+        raise ValueError("wedge vectors have mismatched shape")
+    return _h2(np.abs(wedge_a.coords), np.abs(wedge_b.coords))
+
+
 def gplus_delta(wedge_a: WedgeVector, wedge_b: WedgeVector):
     """Squared distance between modulus vectors, and its gap to 2 h^2.
 
-    Returns (delta2, isometry_gap); the gap must vanish up to enumeration
-    round-off for coordinates built from orthonormal families.
+    Returns (delta2, isometry_gap) with isometry_gap = |delta2 - 2 h^2| and
+    h^2 = wedge_hellinger(wedge_a, wedge_b); the gap must vanish up to
+    enumeration round-off for coordinates built from orthonormal families.
     """
-    if (wedge_a.p, wedge_a.k) != (wedge_b.p, wedge_b.k):
-        raise ValueError("wedge vectors have mismatched shape")
-    a = np.abs(wedge_a.coords)
-    b = np.abs(wedge_b.coords)
-    delta2 = float(np.sum((a - b) ** 2))
-    # exact h^2 between the two projection densities |coords|^2
-    affinity = float(np.sum(a * b))
-    h2 = 1.0 - min(affinity, 1.0)
+    h2 = wedge_hellinger(wedge_a, wedge_b)
+    delta2 = float(np.sum((np.abs(wedge_a.coords) - np.abs(wedge_b.coords)) ** 2))
     return delta2, abs(delta2 - 2.0 * h2)
 
 
@@ -151,14 +176,14 @@ def check_bound_projection(fam_phi: OrthonormalFamily, fam_psi: OrthonormalFamil
         density_table(ProjectionDensity(fam_phi, active)),
         density_table(ProjectionDensity(fam_psi, active)),
     )
-    affinity = float(np.sum(fam_phi.moduli(active) * fam_psi.moduli(active)))
+    h2_minors = _h2(fam_phi.moduli(active), fam_psi.moduli(active))
     cols_phi = fam_phi.columns[:, [j - 1 for j in active]]
     cols_psi = fam_psi.columns[:, [j - 1 for j in active]]
     gram = cols_phi.conj().T @ cols_psi
     gram_bound = 1.0 - abs(np.linalg.det(gram))
     l2_bound = 2.5 * float(np.sum(np.abs(cols_phi - cols_psi) ** 2))
     return [
-        BoundReport(h2_exact, 1.0 - affinity, "h2 equals det-table affinity"),
+        BoundReport(h2_exact, h2_minors, "h2 equals det-table affinity"),
         BoundReport(h2_exact, gram_bound, "h2 <= 1 - |det gram|"),
         BoundReport(h2_exact, l2_bound, "h2 <= 2.5 * sum ||phi-psi||^2"),
     ]
@@ -178,7 +203,7 @@ def check_bound_mixture(weights_p, weights_q, tables_p, tables_q) -> BoundReport
     for w, t in zip(weights_q, tables_q):
         mix_q += w * t.probs
     lhs, _ = hellinger(DensityTable(ground, mix_p), DensityTable(ground, mix_q))
-    h2_weights = 1.0 - float(np.sqrt(weights_p * weights_q).sum())
+    h2_weights = _h2(np.sqrt(weights_p), np.sqrt(weights_q))
     h2_parts = sum(
         w * hellinger(tp, tq)[0] for w, tp, tq in zip(weights_q, tables_p, tables_q)
     )
@@ -215,8 +240,7 @@ def check_bound_dpp(fam_phi: OrthonormalFamily, spec_lam: Spectrum,
     # weighted sum of component projection distances under the gamma weights
     comp_sum = 0.0
     for active, w in weighted_active_sets(spec_gam, range(1, spec_gam.r + 1)):
-        affinity = float(np.sum(fam_phi.moduli(active) * fam_psi.moduli(active)))
-        comp_sum += w * (1.0 - min(affinity, 1.0))
+        comp_sum += w * _h2(fam_phi.moduli(active), fam_psi.moduli(active))
 
     return [
         BoundReport(lhs, 2.0 * weight_term + 5.0 * col_term,

@@ -367,6 +367,33 @@ def test_estimate_repeated_model_id_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def model_dict(p, model_id, prior):
+    basis = [[float(x), 0.0] for x in np.eye(p).reshape(-1)]
+    return {"id": model_id, "p": p, "dim": p, "basis": basis, "prior": prior}
+
+
+@pytest.mark.parametrize("models, truth_p, anchor_p, message", [
+    # without the check this fits a 5-point density to 4-point draws, exit 0
+    ([(5, 1.0)], 4, None, "truth has p=4 but models[0] has p=5"),
+    ([(5, 0.5), (4, 0.5)], 5, None, "models[1] has p=4 but models[0] has p=5"),
+    ([(5, 1.0)], 5, 4, "anchor has p=4 but models[0] has p=5"),
+])
+def test_estimate_mixed_ground_sets_exit_2(tmp_path, capsys, models, truth_p,
+                                           anchor_p, message):
+    cfg = json.loads(Path(estimate_config(tmp_path)).read_text())
+    cfg["models"] = [model_dict(p, i, prior) for i, (p, prior) in enumerate(models)]
+    cfg["truth"] = random_params(3, p=truth_p, r=1)
+    del cfg["anchor"]
+    if anchor_p is not None:
+        cfg["anchor"] = random_params(4, p=anchor_p, r=1)
+    path = write_config(tmp_path, "mixed.json", cfg)
+    out = tmp_path / "o.json"
+    err = assert_usage_error(capsys, ["estimate", "--config", path,
+                                      "--out", str(out)])
+    assert message in err
+    assert not out.exists()
+
+
 def test_estimate_huge_j_max_finishes(tmp_path):
     # levels j > p are never enumerated, so a j_max of 10^30 costs no more
     # than j_max = p

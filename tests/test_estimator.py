@@ -19,6 +19,7 @@ from detproc.estimator import (
     CandidateFamily,
     LambdaGrid,
     SubspaceModel,
+    _candidate_nets,
     _random_unit_coefficients,
     build_candidates,
     nearest_orthonormal,
@@ -129,6 +130,25 @@ def test_sphere_net_rejects_complex_seeds_on_real_model():
     seed = np.array([0.6, 0.8j, 0.0, 0.0])
     with pytest.raises(ValueError, match="real model 3 have imaginary parts up to 0.8"):
         sphere_net(model, 0.3, 50, SeededRng(18), seed_points=[seed])
+
+
+def test_sphere_net_rejects_seeds_off_the_model():
+    model = SubspaceModel(np.eye(4, dtype=complex)[:, :2], id=5)
+    seed = np.array([0.6, 0.0, 0.8, 0.0], dtype=complex)
+    with pytest.raises(ValueError, match="seed point 1 lies 0.8 from model 5"):
+        sphere_net(model, 0.3, 50, SeededRng(19),
+                   seed_points=[np.eye(4, dtype=complex)[0], seed])
+
+
+def test_anchored_nets_lie_in_the_model():
+    # an anchor outside span(e1, e2): its columns and their jittered copies
+    # are moved onto the model's sphere before they seed the net
+    anchor = haar_orthonormal(5, 1, SeededRng(3))
+    model = SubspaceModel(np.eye(5, dtype=complex)[:, :2], id=0)
+    net = _candidate_nets([model], 50, SeededRng(1), 64, anchor, 1)[0]
+    off = np.linalg.norm(net.points.T - model.project(net.points.T), axis=0)
+    assert off.max() <= 1e-12
+    assert np.allclose(net.points[0], sphere_approx(anchor.columns[:, 0], model))
 
 
 def phase_distance(u, v):

@@ -46,6 +46,20 @@ def test_isometry_sweep_small_corpus_clean():
         assert delta2 == pytest.approx(two_h2, abs=1e-9)
 
 
+def test_isometry_sweep_rows_agree_with_their_gap():
+    # each row writes the 2 h^2 its gap was computed from, clipped at 0
+    rows, violations = run_isometry_sweep(IsometrySweepConfig())
+    assert violations == 0
+    assert [i for i, _, delta2, two_h2, gap in rows
+            if not (two_h2 >= 0.0 and gap == abs(delta2 - two_h2))] == []
+
+
+def test_bounds_sweep_exact_projection_h2_is_never_negative():
+    rows, violations = run_bounds_sweep(BoundsSweepConfig())
+    assert violations == 0
+    assert [row[0] for row in rows if row[1] == "proj_exact" and not row[3] >= 0.0] == []
+
+
 def test_bounds_sweep_counts_nan_slack_as_violation(monkeypatch):
     nan_report = BoundReport(math.nan, 1.0, "mixture bound")
     monkeypatch.setattr(experiments, "check_bound_mixture",

@@ -278,7 +278,7 @@ def test_dpp_bound_components_read_the_moduli():
     components = check_bound_dpp(fam_a, lam, fam_b, gam)[2]
     want = 0.0
     for active, w in weighted_active_sets(gam, (1, 2)):
-        affinity = float(np.sum(fam_a.moduli(active) * fam_b.moduli(active)))
+        affinity = float(fam_a.moduli(active) @ fam_b.moduli(active))
         want += w * (1.0 - min(affinity, 1.0))
     assert components.lhs == want
     # one memo entry per index set of the mixture, shared with the tables

@@ -7,8 +7,9 @@ loads lazily) and locale (which argparse's gettext loads when the first
 parser is built) are loaded with the package, so that their imports land in
 set-up rather than inside the first command. Both checks run in a fresh child
 interpreter, since this test process has long since imported scipy. The last
-check loads the benchmark's modules and installs its tracer, so that a name
-the benchmark needs cannot disappear from the package unnoticed.
+two checks load the benchmark's modules and install its tracer, so that a name
+the benchmark needs cannot disappear from the package unnoticed, and a traced
+command cannot drift from the counts its config implies.
 """
 import json
 import os
@@ -127,3 +128,40 @@ def test_benchmark_tracer_binds_every_name_it_wraps():
     """)
     assert wrapped == {"swapped": True, "restored": True, "workloads": [
         "bounds_sweep", "risk_curve", "sample_seq", "table_large"]}
+
+
+def test_benchmark_counts_match_what_each_config_implies(tmp_path):
+    # bench/run.py --trace 1 fails a run whose traced counts differ from
+    # Workload.expected_counts; each workload's command at a tiny size here
+    result, _ = run_child(f"""
+        import json, os, sys
+        sys.path.insert(0, {str(BENCH)!r})
+        import detproc.cli
+        import tracing, workloads
+
+        workdir = sys.argv[1]
+        tiny = [workloads.RiskCurve(replications=2, n_grid=(100, 300)),
+                workloads.BoundsSweep(instances=3),
+                workloads.SampleSeq(p=6, rank=3, draws=50),
+                workloads.TableLarge(p=6, rank=3)]
+        result = {{}}
+        for workload in tiny:
+            base = os.path.join(workdir, workload.name)
+            with open(base + ".json", "w") as fh:
+                json.dump(workload.config(0), fh)
+            tracer = tracing.Tracer()
+            tracer.install()
+            try:
+                rc = detproc.cli.main([workload.command, "--config", base + ".json",
+                                       "--out", base + ".out"])
+            finally:
+                tracer.uninstall()
+            counts = tracer.counts()
+            result[workload.name] = [rc, {{
+                key: [counts.get(key, 0), want]
+                for key, want in workload.expected_counts(counts).items()
+                if counts.get(key, 0) != want}}]
+        print(json.dumps(result))
+    """, str(tmp_path))
+    assert result == {name: [0, {}] for name in (
+        "risk_curve", "bounds_sweep", "sample_seq", "table_large")}

@@ -1,6 +1,7 @@
 """Property tests for the batched sampler, bitmask-native SampleSet, the
 selection tournament, the shared minors of the table engine, the sphere
-net certificate, the lazy candidate enumeration and the CLI exit contract.
+net certificate, the lazy candidate enumeration, the one Hellinger kernel
+and the CLI exit contract.
 
 Families are Haar draws on small ground sets (p <= 6) from a seeded stream,
 with spectra chosen by hypothesis.
@@ -41,6 +42,18 @@ from detproc.estimator import (
     build_candidates,
     nearest_orthonormal,
     select,
+)
+from detproc.hellinger import (
+    BoundReport,
+    _h2,
+    bernoulli_weight_hellinger,
+    check_bound_dpp,
+    check_bound_mixture,
+    check_bound_projection,
+    gplus_delta,
+    hellinger,
+    wedge_coords,
+    wedge_hellinger,
 )
 from detproc.rng import SeededRng
 from detproc.sampling import SampleSet, sample_dpp, sample_table
@@ -528,6 +541,60 @@ def test_build_candidates_matches_unshared_polar_factors(setup):
     by_set = {}
     for e in got:
         assert by_set.setdefault(e.index[:3], e.family) is e.family
+
+
+# ---------------------------------------------------------------------------
+# one Hellinger kernel
+
+@st.composite
+def hellinger_cases(draw):
+    """Two families of one rank r on p <= 5, spectra from hypothesis (exact
+    0s and 1s included) and the weights of two two-component mixtures."""
+    p = draw(st.integers(1, 5))
+    r = draw(st.integers(1, p))
+    stream = SeededRng(draw(seeds))
+    fams = [haar_orthonormal(p, r, stream.split(i)) for i in range(2)]
+    specs = [Spectrum(np.array(draw(st.lists(
+        st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=r, max_size=r))))
+        for _ in range(2)]
+    weights = [np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+               for _ in range(2)]
+    weights = [w / w.sum() if w.sum() > 0 else np.array([1.0, 0.0]) for w in weights]
+    return fams, specs, weights
+
+
+@given(hellinger_cases())
+def test_every_h2_lies_in_the_unit_interval(case):
+    (fam_a, fam_b), (lam, gam), (w_p, w_q) = case
+    ta, tb = (density_table(DppDensity(f, s)) for f, s in ((fam_a, lam), (fam_b, gam)))
+    active = tuple(range(1, fam_a.r + 1))
+    wa, wb = wedge_coords(fam_a, fam_a.r), wedge_coords(fam_b, fam_b.r)
+    delta2, gap = gplus_delta(wa, wb)
+    two_h2 = 2.0 * wedge_hellinger(wa, wb)
+    assert gap == abs(delta2 - two_h2)
+    projection = check_bound_projection(fam_a, fam_b, active)
+    mixture = check_bound_mixture(w_p, w_q, [ta, tb], [tb, ta])
+    dpp = check_bound_dpp(fam_a, lam, fam_b, gam)
+    h2s = [hellinger(ta, tb)[0], two_h2 / 2.0, bernoulli_weight_hellinger(lam, gam),
+           projection[0].lhs, projection[0].rhs, mixture.lhs,
+           dpp[0].lhs, dpp[1].lhs, dpp[2].lhs]
+    assert all(0.0 <= h2 <= 1.0 for h2 in h2s), h2s
+    # the matrix form of the kernel against its pair form and hellinger
+    roots = np.sqrt(np.stack([ta.probs, tb.probs]))
+    matrix = _h2(roots, roots)
+    for i, j in product(range(2), repeat=2):
+        assert abs(matrix[i, j] - _h2(roots[i], roots[j])) <= 1e-15
+    assert abs(matrix[0, 1] - hellinger(ta, tb)[0]) <= 1e-15
+
+
+def test_nan_affinity_stays_nan():
+    roots = np.array([[0.6, 0.8], [math.nan, 0.8]])
+    assert math.isnan(_h2(roots[1], roots[0]))
+    matrix = _h2(roots, roots)
+    assert matrix[0, 0] == pytest.approx(0.0, abs=1e-15)
+    assert np.isnan(matrix[1]).all() and np.isnan(matrix[:, 1]).all()
+    # Python's min(1.0, nan) would read 1.0, an h^2 of 0 that passes any bound
+    assert not BoundReport(_h2(roots[1], roots[0]), 1.0, "nan").holds
 
 
 # ---------------------------------------------------------------------------
