@@ -52,7 +52,6 @@ from .sampling import (
 from .estimator import (
     CandidateCaps,
     CandidateFamily,
-    LambdaGrid,
     SelectionResult,
     SphereNet,
     SubspaceModel,

@@ -384,12 +384,19 @@ def weighted_active_sets(spectrum: Spectrum, sizes):
 
 
 def dpp_density_eval(density: DppDensity, alpha: Config) -> float:
-    """Mixture sum over all index sets J of matching cardinality."""
+    """Mixture sum over all index sets J of matching cardinality.
+
+    An oracle for the table route: it walks the index sets with
+    itertools.combinations and weighs each by mixture_weight, sharing no
+    code with weighted_active_sets.
+    """
     fam, spec = density.family, density.spectrum
     fam.ground().validate(alpha)
     total = 0.0
-    for active, w in weighted_active_sets(spec, (len(alpha),)):
-        total += w * projection_density_eval(fam, active, alpha)
+    for active in combinations(range(1, spec.r + 1), len(alpha)):
+        w = mixture_weight(spec, active)
+        if w != 0.0:
+            total += w * projection_density_eval(fam, active, alpha)
     return total
 
 
@@ -592,7 +599,10 @@ def params_to_dict(family: OrthonormalFamily, spectrum: Spectrum) -> dict:
 
 
 def params_from_dict(data: dict):
-    p = int(data["p"])
+    p = data["p"]
+    if isinstance(p, float) and not p.is_integer():  # NaN and inf too
+        raise ValueError(f"p must be an integer, got {p!r}")
+    p = int(p)
     lam = np.asarray(data["lambda"], dtype=float)
     r = lam.size
     flat = np.array([complex(re, im) for re, im in data["phi"]])

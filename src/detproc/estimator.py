@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 
 import numpy as np
 
@@ -203,32 +203,7 @@ def nearest_orthonormal(vectors) -> OrthonormalFamily:
 
 
 # ---------------------------------------------------------------------------
-# weight grids and candidate families
-
-@dataclass(frozen=True)
-class LambdaGrid:
-    """All weight vectors with first j entries on the uniform 1/n grid
-    (zero excluded) and zeros afterwards; n^j points in total."""
-
-    j: int
-    n: int
-
-    def __post_init__(self):
-        if self.j < 1 or self.n < 1:
-            raise ValueError("j and n must be >= 1")
-
-    @property
-    def count(self) -> int:
-        return self.n**self.j
-
-    def __getitem__(self, rank: int) -> Spectrum:
-        """Point of the given rank in descending lexicographic order: (1, ..., 1)
-        first, so a truncation keeps the projection-like corner."""
-        if not 0 <= rank < self.count:
-            raise IndexError(f"grid rank {rank} outside [0, {self.count})")
-        digits = _mixed_radix(rank, [self.n] * self.j)
-        return Spectrum(np.array([(self.n - d) / self.n for d in digits]))
-
+# candidate families
 
 @dataclass(frozen=True)
 class CandidateCaps:
@@ -329,7 +304,7 @@ def build_candidates(models, prior, n: int, caps: CandidateCaps, rng: SeededRng,
     entries = []
     levels = set()  # the j that hold a full-rank set
     walk = _candidate_order(models, nets, n, caps)
-    for j, subset, g_rank in walk:
+    for j, subset, g_rank, gamma in walk:
         if factor(subset) is None:
             continue
         levels.add(j)
@@ -337,8 +312,8 @@ def build_candidates(models, prior, n: int, caps: CandidateCaps, rng: SeededRng,
         for mid, _ in subset:
             mass *= prior[mid] / len(nets[mid])
         index = (j, *zip(*subset), g_rank)
-        gamma = LambdaGrid(j, n)[g_rank]  # only survivors get a Spectrum
-        entries.append(CandidateEntry(index, polar[subset], gamma, mass))
+        # only survivors get a Spectrum
+        entries.append(CandidateEntry(index, polar[subset], Spectrum(gamma), mass))
         if len(entries) == caps.family_max:
             break
     if not entries:
@@ -348,39 +323,37 @@ def build_candidates(models, prior, n: int, caps: CandidateCaps, rng: SeededRng,
     # at family_max before one (the rest of the walk is read only then)
     truncated = (any(len(net) > caps.per_net for net in nets.values())
                  or any(n**j > caps.family_max for j in levels)
-                 or any(factor(subset) is not None for _, subset, _ in walk))
+                 or any(factor(subset) is not None for _, subset, _, _ in walk))
     return CandidateFamily(
         entries, truncated, {mid: len(net) for mid, net in nets.items()})
 
 
 def _candidate_order(models, nets, n, caps):
-    """Yield (j, subset, g_rank) by depth g_rank + t_rank, then j, g_rank; subset
-    is a j-subset of the (model id, point index) pairs of each net's first per_net
-    points, in model then point order, and t_rank ranks it in combinations order.
-    j above the dimension of the models' joint span is skipped: j vectors in a
-    smaller space have no orthonormal polar factor."""
+    """Yield (j, subset, g_rank, gamma) by depth g_rank + t_rank, then j, g_rank;
+    subset is a j-subset of the (model id, point index) pairs of each net's first
+    per_net points, in model then point order, and t_rank ranks it in combinations
+    order. gamma is the g_rank-th of the n^j weight vectors on the uniform 1/n grid
+    (zero excluded), in descending lexicographic order: (1, ..., 1) first, so a
+    truncation keeps the projection-like corner. j above the dimension of the
+    models' joint span is skipped: j vectors in a smaller space have no
+    orthonormal polar factor."""
     pool = [(m.id, i) for m in models for i in range(min(len(nets[m.id]), caps.per_net))]
     span = np.linalg.matrix_rank(np.hstack([m.basis for m in models]))
     levels = range(1, min(caps.j_max, span, len(pool)) + 1)
+    grid = [i / n for i in range(n, 0, -1)]
     counts = {j: math.comb(len(pool), j) for j in levels}
     walks = {j: combinations(pool, j) for j in levels}
-    subsets = {j: [] for j in levels}  # grows by one subset per depth
+    gamma_walks = {j: product(grid, repeat=j) for j in levels}
+    subsets = {j: [] for j in levels}  # each grows by one entry per depth
+    gammas = {j: [] for j in levels}
     # the deepest candidate: the last gamma on the last subset
     for depth in range(max(min(n**j, caps.family_max) + counts[j] - 1 for j in levels)):
         for j in levels:
             subsets[j].extend(islice(walks[j], 1))
+            gammas[j].extend(islice(gamma_walks[j], 1))
             for g_rank in range(max(0, depth - counts[j] + 1),
                                 min(depth, n**j - 1, caps.family_max - 1) + 1):
-                yield j, subsets[j][depth - g_rank], g_rank
-
-
-def _mixed_radix(rank: int, radices) -> tuple:
-    """The rank-th tuple of itertools.product(*map(range, radices))."""
-    digits = []
-    for radix in reversed(radices):
-        rank, digit = divmod(rank, radix)
-        digits.append(digit)
-    return tuple(reversed(digits))
+                yield j, subsets[j][depth - g_rank], g_rank, gammas[j][g_rank]
 
 
 def _candidate_nets(models, n, rng, pool_size, anchor, anchor_jitter) -> dict:

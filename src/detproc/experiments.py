@@ -210,6 +210,18 @@ class SamplerCheckConfig:
     seed: int = 0
     tv_limit: float = 0.02
 
+    def __post_init__(self):
+        # comparisons written so that NaN fails them
+        if not self.settings >= 1:
+            raise ValueError(f"settings must be >= 1, got {self.settings}")
+        if not self.draws >= 1:
+            raise ValueError(f"draws must be >= 1, got {self.draws}")
+        if not 1 <= self.rank <= self.p <= DEFAULT_ENUM_CAP:
+            raise ValueError(f"need 1 <= rank <= p <= {DEFAULT_ENUM_CAP}, "
+                             f"got rank={self.rank}, p={self.p}")
+        if not 0.0 < self.tv_limit <= 1.0:
+            raise ValueError(f"tv_limit must be in (0, 1], got {self.tv_limit}")
+
 
 def _chi2_two_sample(counts_a, counts_b):
     """Two-sample chi-square homogeneity p-value over pooled non-empty cells.
@@ -222,17 +234,10 @@ def _chi2_two_sample(counts_a, counts_b):
     counts_a = np.asarray(counts_a, dtype=float)
     counts_b = np.asarray(counts_b, dtype=float)
     keep = (counts_a + counts_b) > 0
-    a, b = counts_a[keep], counts_b[keep]
-    na, nb = a.sum(), b.sum()
-    pooled = (a + b) / (na + nb)
-    expected_a = na * pooled
-    expected_b = nb * pooled
-    stat = float(np.sum((a - expected_a) ** 2 / expected_a)
-                 + np.sum((b - expected_b) ** 2 / expected_b))
-    dof = int(keep.sum()) - 1
-    if dof < 1:
+    if keep.sum() < 2:
         return 1.0
-    return float(stats.chi2.sf(stat, dof))
+    table = np.vstack([counts_a[keep], counts_b[keep]])
+    return float(stats.chi2_contingency(table, correction=False).pvalue)
 
 
 def run_sampler_check(cfg: SamplerCheckConfig):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    TABLE_TOL,
     DensityTable,
     DppDensity,
     OrthonormalFamily,
@@ -189,10 +190,25 @@ def check_bound_projection(fam_phi: OrthonormalFamily, fam_psi: OrthonormalFamil
     ]
 
 
+def _probability_vector(name, weights) -> np.ndarray:
+    weights = np.asarray(weights, dtype=float)
+    for i, w in enumerate(weights):
+        if not (math.isfinite(w) and w >= 0.0):
+            raise ValueError(f"{name}[{i}] must be finite and >= 0, got {w}")
+    total = math.fsum(weights)
+    if not abs(total - 1.0) <= TABLE_TOL:
+        raise ValueError(f"{name} sums to {total}, not 1")
+    return weights
+
+
 def check_bound_mixture(weights_p, weights_q, tables_p, tables_q) -> BoundReport:
-    """h^2 between two mixtures vs 2 h^2(weights) + 2 sum q_t h^2(components)."""
-    weights_p = np.asarray(weights_p, dtype=float)
-    weights_q = np.asarray(weights_q, dtype=float)
+    """h^2 between two mixtures vs 2 h^2(weights) + 2 sum q_t h^2(components).
+
+    Each weight vector must be a probability vector: finite entries >= 0
+    summing to 1 within core.TABLE_TOL.
+    """
+    weights_p = _probability_vector("weights_p", weights_p)
+    weights_q = _probability_vector("weights_q", weights_q)
     if not (len(weights_p) == len(weights_q) == len(tables_p) == len(tables_q)):
         raise ValueError("mismatched mixture component counts")
     ground = tables_p[0].ground

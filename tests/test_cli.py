@@ -247,6 +247,18 @@ def test_fractional_integer_key_exits_2(tmp_path, capsys, command, config, key,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sample", "density"])
+@pytest.mark.parametrize("p", [2.7, math.nan, math.inf])
+def test_fractional_or_non_finite_p_exits_2(tmp_path, capsys, command, p):
+    # "p": 2.7 with four phi entries once wrote a p = 2 table
+    params = {**diag_params(), "p": p}
+    cfg = write_config(tmp_path, "c.json", {"params": params, "n": 3})
+    out = tmp_path / "o.csv"
+    err = assert_usage_error(capsys, [command, "--config", cfg, "--out", str(out)])
+    assert "p must be an integer" in err
+    assert not out.exists()
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = write_config(tmp_path, "c.json", {"instances": 5, "seed": 1})
     out_a = tmp_path / "a.csv"

@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from detproc import core
 from detproc.core import (
     DEFAULT_ENUM_CAP,
     TABLE_TOL,
@@ -291,6 +292,22 @@ def test_dpp_density_diagonal_example():
     assert dpp_density_eval(density, Config([1])) == pytest.approx(0.4)
     assert dpp_density_eval(density, Config([2])) == pytest.approx(0.1)
     assert dpp_density_eval(density, Config([1, 2])) == pytest.approx(0.1)
+
+
+def test_dpp_density_eval_is_independent_of_the_table_route(monkeypatch):
+    # the mixture-sum oracle must not share the generator the table sums through
+    rng = SeededRng(12)
+    density = DppDensity(haar_orthonormal(5, 3, rng.split(0)),
+                         random_spectrum(3, rng.split(1)))
+    table = density_table(density)
+
+    def unavailable(*_):
+        raise AssertionError("dpp_density_eval used weighted_active_sets")
+
+    monkeypatch.setattr(core, "weighted_active_sets", unavailable)
+    for mask, alpha in enumerate(GroundSet(5).configs()):
+        assert dpp_density_eval(density, alpha) == pytest.approx(table.probs[mask],
+                                                                  abs=1e-12)
 
 
 def test_dpp_density_zero_spectrum_is_dirac():

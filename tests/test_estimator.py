@@ -17,7 +17,6 @@ from detproc.estimator import (
     CandidateCaps,
     CandidateEntry,
     CandidateFamily,
-    LambdaGrid,
     SubspaceModel,
     _candidate_nets,
     _random_unit_coefficients,
@@ -275,39 +274,23 @@ def test_nearest_orthonormal_beats_random_tuples():
 
 
 # ---------------------------------------------------------------------------
-# weight grids
-
-def test_lambda_grid_count_and_first_point():
-    grid = LambdaGrid(2, 3)
-    assert grid.count == 9
-    pts = list(grid)
-    assert np.allclose(pts[0].values, [1.0, 1.0])
-    assert np.allclose(pts[-1].values, [1 / 3, 1 / 3])
-    for s in pts:
-        assert np.all(s.values > 0.0)
-
-
-@pytest.mark.parametrize("j,n", [(1, 1), (1, 4), (2, 3), (3, 2), (2, 5)])
-def test_lambda_grid_rank_decodes_descending_lexicographic_order(j, n):
-    grid = LambdaGrid(j, n)
-    levels = [i / n for i in range(n, 0, -1)]
-    want = list(product(levels, repeat=j))
-    assert len(want) == grid.count
-    for i, values in enumerate(want):
-        assert np.array_equal(grid[i].values, np.array(values))
-    assert [tuple(point.values) for point in grid] == want
-    for bad in (-1, grid.count):
-        with pytest.raises(IndexError):
-            grid[bad]
-
-
-def test_lambda_grid_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        LambdaGrid(0, 3)
-
-
-# ---------------------------------------------------------------------------
 # candidate families
+
+@pytest.mark.parametrize("j,n,per_net", [(1, 4, 1), (2, 3, 2)])
+def test_build_candidates_walks_gamma_in_descending_lexicographic_order(j, n, per_net):
+    # family_max >= n^j: every point set of level j carries the whole grid
+    fam = build_candidates([full_space_model(3)], {0: 1.0}, n,
+                           CandidateCaps(j, per_net, 100), SeededRng(4), pool_size=32)
+    levels = [i / n for i in range(n, 0, -1)]
+    want = np.array(list(product(levels, repeat=j)))
+    spectra = {}  # (model ids, point indices) -> spectra in family order
+    for entry in fam.entries:
+        if entry.index[0] == j:
+            spectra.setdefault(entry.index[1:3], []).append(entry.spectrum.values)
+    (values,) = spectra.values()
+    assert np.array_equal(np.array(values), want)
+    assert np.array_equal(values[0], np.ones(j))
+    assert np.all(np.array(values) > 0.0)
 
 def test_build_candidates_minimal_caps():
     model = full_space_model(4)

@@ -91,6 +91,23 @@ def test_sampler_check_nan_is_a_failure(monkeypatch):
     assert sum(math.isnan(row[2]) for row in rows) == 2 * cfg.settings
 
 
+@pytest.mark.parametrize("kwargs,key", [
+    ({"settings": 0}, "settings"),
+    ({"draws": 0}, "draws"),
+    ({"rank": 7, "p": 6}, "rank"),
+    ({"rank": 0}, "rank"),
+    ({"p": 21, "rank": 3}, "p"),
+    ({"tv_limit": math.nan}, "tv_limit"),
+    ({"tv_limit": 0.0}, "tv_limit"),
+    ({"tv_limit": 1.5}, "tv_limit"),
+], ids=["settings", "draws", "rank-above-p", "rank-zero", "p-above-cap",
+        "tv-nan", "tv-zero", "tv-above-one"])
+def test_sampler_check_config_validation(kwargs, key):
+    # settings=0 once returned ([], 0): a pass with nothing checked
+    with pytest.raises(ValueError, match=key):
+        SamplerCheckConfig(**kwargs)
+
+
 def test_chi2_two_sample_exact_at_two_degrees_of_freedom():
     # the empty last cell is dropped, leaving 3 cells and dof = 2, where the
     # chi-square survival function is exp(-stat / 2). Both samples have 60

@@ -303,6 +303,19 @@ def test_mixture_bound_identical_components():
     assert rep.holds
 
 
+@pytest.mark.parametrize("side,weights,match", [
+    ("p", [math.nan, 1.0], r"weights_p\[0\] must be finite and >= 0, got nan"),
+    ("q", [-0.5, 1.5], r"weights_q\[0\] must be finite and >= 0, got -0.5"),
+    ("q", [0.2, 0.2], r"weights_q sums to 0.4, not 1"),
+], ids=["nan", "negative", "mass"])
+def test_mixture_bound_rejects_bad_weights_by_name(side, weights, match):
+    t = density_table(ProjectionDensity(haar_orthonormal(4, 2, SeededRng(14)), (1, 2)))
+    good = [0.5, 0.5]
+    weights_p, weights_q = (weights, good) if side == "p" else (good, weights)
+    with pytest.raises(ValueError, match=match):
+        check_bound_mixture(weights_p, weights_q, [t, t], [t, t])
+
+
 def test_dpp_bound_identical_parameters():
     rng = SeededRng(16)
     fam = haar_orthonormal(4, 2, rng.split(0))

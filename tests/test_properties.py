@@ -37,7 +37,6 @@ from detproc.estimator import (
     CandidateCaps,
     CandidateEntry,
     CandidateFamily,
-    LambdaGrid,
     SubspaceModel,
     build_candidates,
     nearest_orthonormal,
@@ -411,7 +410,7 @@ def reference_candidate_descriptors(models, nets, n, caps):
     descriptors = []
     total_theoretical = 0
     for j in range(1, caps.j_max + 1):
-        # the old LambdaGrid iteration: descending lexicographic order
+        # the weight grid in descending lexicographic order
         levels = [i / n for i in range(n, 0, -1)]
         gammas = [Spectrum(np.array(values)) for values in
                   islice(product(levels, repeat=j), caps.family_max)]
@@ -419,7 +418,7 @@ def reference_candidate_descriptors(models, nets, n, caps):
             net_lists = [nets[m.id].points[: caps.per_net] for m in model_tuple]
             tuples = list(product(*[range(len(pts)) for pts in net_lists]))
             total_theoretical += (
-                math.prod(len(nets[m.id]) for m in model_tuple) * LambdaGrid(j, n).count
+                math.prod(len(nets[m.id]) for m in model_tuple) * n**j
             )
             for g_rank, gamma in enumerate(gammas):
                 for t_rank, point_idx in enumerate(tuples):
