@@ -23,6 +23,7 @@ import numpy as np
 from .core import (
     DppDensity,
     density_table,
+    is_integral,
     params_from_dict,
     params_to_dict,
     write_table_csv,
@@ -69,9 +70,10 @@ def _require_out(args) -> str:
 
 
 def _integer(key, value) -> int:
-    """A config value as an int; a number with a fractional part is a usage
-    error naming key, never truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    """A config value as an int. Only an int or a float without a fractional
+    part is one; anything else (a fraction, a boolean, a string) is a usage
+    error naming key, never truncated or parsed."""
+    if not is_integral(value):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
 

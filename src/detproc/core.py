@@ -159,8 +159,9 @@ class OrthonormalFamily:
 
     Inputs failing the Gram check are rejected rather than silently
     re-orthonormalized, so caller bugs surface here. The minor moduli of
-    each active set are computed once and kept with the family (the columns
-    are read-only), so every table and inequality check on it shares them.
+    each active set, and the squared-minor vector of the mixture sum, are
+    computed once and kept with the family (the columns are read-only), so
+    every table and inequality check on it shares them.
     """
 
     columns: np.ndarray
@@ -215,6 +216,30 @@ class OrthonormalFamily:
             memo.setflags(write=False)
             self._moduli[active] = memo
         return memo
+
+    @functools.cached_property
+    def squared_minors(self) -> np.ndarray:
+        """|det|^2 of the (alpha, J) block for every index set J of {1..r}
+        and every alpha with |alpha| = |J|, in _index_sets order (J by size,
+        then lexicographically; alpha in core.subsets order).
+
+        One kernel call per size |J| >= 1 stacks all its (J, alpha) blocks,
+        and its rows fill the moduli memo too, where the inequality checks
+        read them. The 0 x 0 block of J = () has |det| 1.
+        """
+        blocks = [np.ones((1, 1))]
+        for k in range(1, self.r + 1):
+            rows, cols = subsets(self.p, k)[1], subsets(self.r, k)[1]
+            blocks.append(abs_det_many(
+                self.columns[rows[None, :, :, None], cols[:, None, None, :]]))
+        for block in blocks:
+            block.setflags(write=False)
+        moduli = (row for block in blocks for row in block)
+        for active, row in zip(_index_sets(self.r)[0], moduli):
+            self._moduli.setdefault(active, row)
+        sq = np.concatenate([block.reshape(-1) for block in blocks]) ** 2
+        sq.setflags(write=False)
+        return sq
 
 
 @dataclass(frozen=True)
@@ -323,7 +348,9 @@ class DensityTable:
             raise ValueError(
                 f"probabilities must be finite and >= 0 (min {probs.min():.3e})"
             )
-        total = math.fsum(probs)
+        # exact zeros add nothing to the exact sum, and a low-rank table is
+        # mostly zeros
+        total = math.fsum(probs[probs != 0.0].tolist())
         if not abs(total - 1.0) <= TABLE_TOL:
             raise ValueError(f"total mass {total} differs from 1")
         probs.setflags(write=False)
@@ -357,30 +384,44 @@ def mixture_weight(spectrum: Spectrum, active) -> float:
 
 
 @functools.lru_cache(maxsize=32)
-def _active_sets(r: int, k: int):
-    """The size-k subsets J of {1..r} as 1-based tuples, lexicographic, and
-    their (C(r, k), r) membership matrix (inside[i, j-1] iff j in J_i)."""
-    rows = subsets(r, k)[1]
-    inside = np.zeros((rows.shape[0], r), dtype=bool)
-    inside[np.arange(rows.shape[0])[:, None], rows] = True
-    inside.setflags(write=False)
-    return tuple(tuple(row) for row in (rows + 1).tolist()), inside
+def _index_sets(r: int):
+    """The 2^r index sets J of {1..r}, by size and then lexicographically.
 
-
-def weighted_active_sets(spectrum: Spectrum, sizes):
-    """(J, weight) for every index set J with nonzero mixture weight.
-
-    J runs over the sizes in the order given and, within one size, over
-    the subsets of {1..r} in lexicographic order. Each weight equals
-    mixture_weight(spectrum, J) bit for bit.
+    Returns (actives, inside): actives[i] is the i-th J as a 1-based tuple
+    and inside is the read-only (2^r, r) membership matrix (inside[i, j-1]
+    iff j in J_i). The mixture-sum table and check_bound_dpp walk this order.
     """
+    masks = np.concatenate([subsets(r, k)[0] for k in range(r + 1)])
+    inside = (masks[:, None] >> np.arange(r) & 1).astype(bool)
+    inside.setflags(write=False)
+    actives = tuple(tuple(j + 1 for j in range(r) if m >> j & 1)
+                    for m in masks.tolist())
+    return actives, inside
+
+
+# Bounded like subsets: the pairs at p = 20 run to 2^20 entries each.
+@functools.lru_cache(maxsize=32)
+def _minor_pairs(p: int, r: int):
+    """The (J, alpha) pairs of the mixture sum, |alpha| = |J|: J in
+    _index_sets(r) order and, within one J, alpha in core.subsets(p, |J|)
+    order. Returns (rows, cells), read-only: rows holds the index of J,
+    cells the bitmask of alpha. There are C(p + r, r) pairs (Vandermonde).
+    """
+    sizes = [len(active) for active in _index_sets(r)[0]]
+    rows = np.repeat(np.arange(len(sizes)), [math.comb(p, k) for k in sizes])
+    cells = np.concatenate([subsets(p, k)[0] for k in sizes])
+    rows.setflags(write=False)
+    cells.setflags(write=False)
+    return rows, cells
+
+
+def index_set_weights(spectrum: Spectrum):
+    """(actives, weights): every index set J of {1..r}, by size and then
+    lexicographically, and its mixture weight, which equals
+    mixture_weight(spectrum, J) bit for bit. Zero weights are kept."""
+    actives, inside = _index_sets(spectrum.r)
     sq = spectrum.values**2
-    for k in sizes:
-        actives, inside = _active_sets(spectrum.r, k)
-        weights = np.where(inside, sq, 1 - sq).prod(axis=1)
-        for active, w in zip(actives, weights.tolist()):
-            if w != 0.0:
-                yield active, w
+    return actives, np.where(inside, sq, 1 - sq).prod(axis=1)
 
 
 def dpp_density_eval(density: DppDensity, alpha: Config) -> float:
@@ -388,7 +429,7 @@ def dpp_density_eval(density: DppDensity, alpha: Config) -> float:
 
     An oracle for the table route: it walks the index sets with
     itertools.combinations and weighs each by mixture_weight, sharing no
-    code with weighted_active_sets.
+    code with the table's index_set_weights.
     """
     fam, spec = density.family, density.spectrum
     fam.ground().validate(alpha)
@@ -423,9 +464,9 @@ def density_table(density) -> DensityTable:
     """Exhaustive probability table over all 2^p configurations.
 
     Two routes give the same table up to rounding, and the input picks
-    between them. A DppDensity whose mixture sum would need more squared
-    minors than the table has entries (_chain_rule_pays) goes to the chain
-    rule over the points, _chain_table, at O(p^2 2^p). Every other density,
+    between them. A DppDensity whose mixture sum needs more squared minors
+    than the table has entries (_chain_rule_pays) goes to the chain rule
+    over the points, _chain_table, at O(p^2 2^p). Every other density,
     including every ProjectionDensity (C(p, k) <= 2^p minors), is summed
     from the family's memoized minors by _mixture_table.
     """
@@ -433,46 +474,37 @@ def density_table(density) -> DensityTable:
     ground = fam.ground()
     if not isinstance(density, (ProjectionDensity, DppDensity)):
         raise TypeError(f"unsupported density type {type(density).__name__}")
-    if isinstance(density, DppDensity) and _chain_rule_pays(fam.p, density.spectrum):
+    if isinstance(density, DppDensity) and _chain_rule_pays(fam.p, fam.r):
         probs = _chain_table(fam, density.spectrum)
     else:
         probs = _mixture_table(density)
     return DensityTable(ground, probs)
 
 
-def _chain_rule_pays(p: int, spectrum: Spectrum) -> bool:
-    """Whether the mixture sum needs more squared minors than 2^p.
-
-    It computes C(p, |J|) minors for each index set J of nonzero weight:
-    M = sum_t C(free, t) C(p, forced_in + t), with forced_in = #{lambda_j
-    = 1} and free = #{0 < lambda_j < 1}. M <= C(p + r, r) (Vandermonde), so
-    the exact count is skipped when that bound is <= 2^p, and the thousands
-    of small tables of an estimation run pay O(1) here.
-    """
-    r = spectrum.r
-    if math.comb(p + r, r) <= 1 << p:
-        return False
-    sq = spectrum.values**2
-    forced_in = int(np.count_nonzero(sq == 1.0))
-    free = int(np.count_nonzero((sq > 0.0) & (sq < 1.0)))
-    minors = sum(math.comb(free, t) * math.comb(p, forced_in + t)
-                 for t in range(free + 1))
-    return minors > 1 << p
+def _chain_rule_pays(p: int, r: int) -> bool:
+    """Whether the mixture sum needs more squared minors than 2^p: it
+    computes C(p, |J|) minors for every index set J of {1..r}, C(p + r, r)
+    in all (Vandermonde)."""
+    return math.comb(p + r, r) > 1 << p
 
 
 def _mixture_table(density) -> np.ndarray:
     """Table entries as the weighted sum of the family's memoized squared
-    minor moduli, one vector per index set J (the mixture-sum route)."""
+    minor moduli (the mixture-sum route).
+
+    A DppDensity gathers the weight of each (J, alpha) pair's index set and
+    adds the products into the cells with one bincount, which adds in input
+    order (J by size, then lexicographically); a zero weight adds an exact 0.
+    """
     fam = density.family
     if isinstance(density, ProjectionDensity):
-        terms = [(density.active, 1.0)]
-    else:
-        terms = weighted_active_sets(density.spectrum, range(density.spectrum.r + 1))
-    probs = np.zeros(1 << fam.p)
-    for active, w in terms:
-        masks = subsets(fam.p, len(active))[0]
-        probs[masks] += w * fam.moduli(active) ** 2
-    return probs
+        probs = np.zeros(1 << fam.p)
+        probs[subsets(fam.p, density.rank)[0]] = fam.moduli(density.active) ** 2
+        return probs
+    rows, cells = _minor_pairs(fam.p, fam.r)
+    weights = index_set_weights(density.spectrum)[1]
+    return np.bincount(cells, weights=weights[rows] * fam.squared_minors,
+                       minlength=1 << fam.p)
 
 
 def _chain_table(family: OrthonormalFamily, spectrum: Spectrum) -> np.ndarray:
@@ -598,9 +630,17 @@ def params_to_dict(family: OrthonormalFamily, spectrum: Spectrum) -> dict:
     }
 
 
+def is_integral(value) -> bool:
+    """Whether a JSON value stands for an integer: an int, or a float with no
+    fractional part (not NaN or inf). A boolean or a numeric string is not."""
+    if isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def params_from_dict(data: dict):
     p = data["p"]
-    if isinstance(p, float) and not p.is_integer():  # NaN and inf too
+    if not is_integral(p):
         raise ValueError(f"p must be an integer, got {p!r}")
     p = int(p)
     lam = np.asarray(data["lambda"], dtype=float)

@@ -26,8 +26,8 @@ from .core import (
     ProjectionDensity,
     Spectrum,
     density_table,
+    index_set_weights,
     subsets,
-    weighted_active_sets,
 )
 
 SLACK_TOL = 1e-9
@@ -254,9 +254,12 @@ def check_bound_dpp(fam_phi: OrthonormalFamily, spec_lam: Spectrum,
     lhs, _ = hellinger(table_phi, table_psi)
 
     # weighted sum of component projection distances under the gamma weights
+    # (the order and weights of the table's mixture sum, without J = ())
     comp_sum = 0.0
-    for active, w in weighted_active_sets(spec_gam, range(1, spec_gam.r + 1)):
-        comp_sum += w * _h2(fam_phi.moduli(active), fam_psi.moduli(active))
+    actives, weights = index_set_weights(spec_gam)
+    for active, w in zip(actives[1:], weights[1:].tolist()):
+        if w != 0.0:
+            comp_sum += w * _h2(fam_phi.moduli(active), fam_psi.moduli(active))
 
     return [
         BoundReport(lhs, 2.0 * weight_term + 5.0 * col_term,

@@ -236,10 +236,14 @@ TINY_RISK_CURVE = {"p": 4, "k": 1, "n_grid": [30, 60], "replications": 1,
     ("risk-curve", TINY_RISK_CURVE, "replications", 1.2),
     ("risk-curve", TINY_RISK_CURVE, "caps", [1, 2.5, 4]),
     ("sample", {"params": diag_params()}, "n", 2.5),
+    ("sample", {"params": diag_params()}, "n", True),  # once wrote one draw
+    ("sample", {"params": diag_params()}, "n", "3"),  # once wrote three draws
+    ("sample", {"params": diag_params(), "n": 2}, "seed", True),  # once ran
 ])
 def test_fractional_integer_key_exits_2(tmp_path, capsys, command, config, key,
                                         value):
-    # a fractional number is refused, not truncated
+    # a fractional number is refused, not truncated; a boolean or a numeric
+    # string is refused, not read as a number
     cfg = write_config(tmp_path, "c.json", {**config, key: value})
     out = tmp_path / "o.csv"
     err = assert_usage_error(capsys, [command, "--config", cfg, "--out", str(out)])
@@ -248,9 +252,9 @@ def test_fractional_integer_key_exits_2(tmp_path, capsys, command, config, key,
 
 
 @pytest.mark.parametrize("command", ["sample", "density"])
-@pytest.mark.parametrize("p", [2.7, math.nan, math.inf])
+@pytest.mark.parametrize("p", [2.7, math.nan, math.inf, "2", True])
 def test_fractional_or_non_finite_p_exits_2(tmp_path, capsys, command, p):
-    # "p": 2.7 with four phi entries once wrote a p = 2 table
+    # "p": 2.7 or "2" with four phi entries once wrote a p = 2 table
     params = {**diag_params(), "p": p}
     cfg = write_config(tmp_path, "c.json", {"params": params, "n": 3})
     out = tmp_path / "o.csv"

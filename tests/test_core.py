@@ -295,16 +295,18 @@ def test_dpp_density_diagonal_example():
 
 
 def test_dpp_density_eval_is_independent_of_the_table_route(monkeypatch):
-    # the mixture-sum oracle must not share the generator the table sums through
+    # the mixture-sum oracle must not share the index-set layout the table
+    # sums through
     rng = SeededRng(12)
     density = DppDensity(haar_orthonormal(5, 3, rng.split(0)),
                          random_spectrum(3, rng.split(1)))
     table = density_table(density)
 
     def unavailable(*_):
-        raise AssertionError("dpp_density_eval used weighted_active_sets")
+        raise AssertionError("dpp_density_eval used the table's index-set layout")
 
-    monkeypatch.setattr(core, "weighted_active_sets", unavailable)
+    for name in ("index_set_weights", "_index_sets", "_minor_pairs"):
+        monkeypatch.setattr(core, name, unavailable)
     for mask, alpha in enumerate(GroundSet(5).configs()):
         assert dpp_density_eval(density, alpha) == pytest.approx(table.probs[mask],
                                                                   abs=1e-12)
@@ -452,8 +454,10 @@ def test_subsets_match_per_subset_loop():
 
 
 def test_density_table_matches_per_subset_loop():
+    # C(14, 4) = 1001 <= 2^10 minors: the mixture-sum route, which adds the
+    # zero-weight index sets as exact zeros
     rng = SeededRng(31)
-    fam = haar_orthonormal(6, 4, rng.split(0))
+    fam = haar_orthonormal(10, 4, rng.split(0))
     values = np.array(random_spectrum(4, rng.split(1)).values)
     values[[0, 2]] = [1.0, 0.0]  # index 1 always drawn, index 3 never
     spec = Spectrum(values)

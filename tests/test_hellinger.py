@@ -13,11 +13,11 @@ from detproc.core import (
     Spectrum,
     density_table,
     haar_orthonormal,
+    index_set_weights,
     mixture_weight,
     projection_density_eval,
     random_spectrum,
     subsets,
-    weighted_active_sets,
 )
 from detproc.hellinger import (
     BoundReport,
@@ -277,7 +277,7 @@ def test_dpp_bound_components_read_the_moduli():
     gam = random_spectrum(2, rng.split(3))
     components = check_bound_dpp(fam_a, lam, fam_b, gam)[2]
     want = 0.0
-    for active, w in weighted_active_sets(gam, (1, 2)):
+    for active, w in zip(((1,), (2,), (1, 2)), index_set_weights(gam)[1][1:]):
         affinity = float(fam_a.moduli(active) @ fam_b.moduli(active))
         want += w * (1.0 - min(affinity, 1.0))
     assert components.lhs == want

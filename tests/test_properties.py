@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_core import _loop_table
 
-from detproc import estimator
+from detproc import core, estimator
 from detproc.cli import main as cli_main
 from detproc.core import (
     TABLE_TOL,
@@ -26,13 +26,13 @@ from detproc.core import (
     Spectrum,
     density_table,
     haar_orthonormal,
+    index_set_weights,
     mixture_weight,
     params_to_dict,
     random_spectrum,
     subsets,
-    weighted_active_sets,
 )
-from detproc.core import _chain_rule_pays, _chain_table, _mixture_table
+from detproc.core import _chain_rule_pays, _chain_table, _minor_pairs, _mixture_table
 from detproc.estimator import (
     CandidateCaps,
     CandidateEntry,
@@ -253,7 +253,6 @@ def test_reused_family_tables_match_fresh_and_loop(case):
     """The mixture-sum route against a fresh family and the per-subset loop;
     density_table returns whichever route its rule picks, bit for bit."""
     fam, spectra = case
-    used = set()
     for spec in spectra:
         probs = _mixture_table(DppDensity(fam, spec))
         fresh = OrthonormalFamily(np.array(fam.columns))
@@ -261,16 +260,32 @@ def test_reused_family_tables_match_fresh_and_loop(case):
         assert np.array_equal(probs, _mixture_table(DppDensity(fresh, spec)))
         assert np.array_equal(probs, _loop_table(fam, spec))
         assert abs(math.fsum(probs) - 1.0) <= TABLE_TOL
-        picked = _chain_table(fam, spec) if _chain_rule_pays(fam.p, spec) else probs
+        picked = _chain_table(fam, spec) if _chain_rule_pays(fam.p, fam.r) else probs
         assert np.array_equal(density_table(DppDensity(fam, spec)).probs, picked)
-        used |= {a for a, _ in weighted_active_sets(spec, range(spec.r + 1))}
-    # one memo entry per index set J that entered some table
-    assert set(fam._moduli) == used
-    for active in used:
+    # one memo entry per index set J of {1..r}, zero weights included
+    actives = index_set_weights(spectra[0])[0]
+    assert set(fam._moduli) == set(actives)
+    for active in actives:
         want = density_table(ProjectionDensity(
             OrthonormalFamily(np.array(fam.columns)), active)).probs
         assert np.array_equal(density_table(ProjectionDensity(fam, active)).probs,
                               want)
+
+
+def test_second_table_of_a_family_computes_no_minors(monkeypatch):
+    """The squared-minor vector is built once per family: a second spectrum
+    on it gathers and sums without calling the minor kernel."""
+    fam = haar_orthonormal(8, 2, SeededRng(5))
+    density_table(DppDensity(fam, Spectrum(np.array([0.9, 0.7]))))
+    calls = []
+    real = core.abs_det_many
+    monkeypatch.setattr(core, "abs_det_many",
+                        lambda stack: calls.append(stack.shape) or real(stack))
+    for values in ([0.3, 1.0], [0.0, 0.5], [1.0, 1.0]):
+        spec = Spectrum(np.array(values))
+        assert np.array_equal(density_table(DppDensity(fam, spec)).probs,
+                              _loop_table(fam, spec))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -302,30 +317,23 @@ def test_chain_table_matches_loop_and_support(case):
     assert probs.min() >= 0.0
 
 
-def _minors_needed(p, spec):
-    """Squared minors of the mixture sum: C(p, |J|) for every index set J
-    whose Bernoulli factors are all nonzero."""
-    sq = spec.values**2
-    return sum(math.comb(p, k)
-               for k in range(spec.r + 1)
-               for active in combinations(range(spec.r), k)
-               if all(sq[j] > 0.0 if j in active else sq[j] < 1.0
-                      for j in range(spec.r)))
-
-
 @pytest.mark.parametrize("p, values, chain", [
-    (4, [0.5, 0.5], False),  # M = 15 <= 16
-    (2, [0.5, 0.5], True),  # M = 6 > 4
-    (4, [0.5, 0.5, 0.0], False),  # C(7, 3) = 35 > 16, but M = 15
-    (4, [0.5, 0.5, 1.0], True),  # M = 20
-    (6, [1.0, 1.0, 1.0], False),  # a projection: M = C(6, 3)
+    (4, [0.5, 0.5], False),  # C(6, 2) = 15 <= 16
+    (2, [0.5, 0.5], True),  # C(4, 2) = 6 > 4
+    (4, [0.5, 0.0], False),  # C(6, 2) = 15, the zero weights included
+    (4, [0.5, 0.5, 1.0], True),  # C(7, 3) = 35
+    (6, [1.0, 1.0], False),  # a projection as a mixture: C(8, 2) = 28
     (8, [0.9, 0.7], False),  # the estimator's tables: C(10, 2) = 45
-    (15, np.linspace(0.95, 0.45, 7), True),  # M = C(22, 7) = 170,544
+    (15, np.linspace(0.95, 0.45, 7), True),  # C(22, 7) = 170,544
+    # the rule counts every index set: 15 of these 35 minors (respectively
+    # C(6, 3) = 20 of 84) have nonzero weight; the chain rule builds both
+    (4, [0.5, 0.5, 0.0], True),
+    (6, [1.0, 1.0, 1.0], True),
 ])
 def test_density_table_picks_chain_rule_when_minors_exceed_table(p, values, chain):
     spec = Spectrum(np.array(values, dtype=float))
-    assert (_minors_needed(p, spec) > 1 << p) == chain
-    assert _chain_rule_pays(p, spec) == chain
+    assert (math.comb(p + spec.r, spec.r) > 1 << p) == chain
+    assert _chain_rule_pays(p, spec.r) == chain
     fam = haar_orthonormal(p, spec.r, SeededRng(p))
     table = density_table(DppDensity(fam, spec))
     # only the mixture-sum route fills the family's minor memo
@@ -334,23 +342,48 @@ def test_density_table_picks_chain_rule_when_minors_exceed_table(p, values, chai
     assert np.array_equal(table.probs, want)
 
 
-@given(st.integers(1, 7).flatmap(lambda p: st.tuples(
-    st.just(p), st.lists(edge_values | st.floats(0.0, 1.0), max_size=p))))
+@given(st.integers(1, 7).flatmap(lambda p: st.tuples(st.just(p), st.integers(0, p))))
 def test_chain_rule_choice_matches_minor_count(case):
-    p, values = case
-    spec = Spectrum(np.array(values, dtype=float))
-    assert _chain_rule_pays(p, spec) == (_minors_needed(p, spec) > 1 << p)
+    """The rule compares the mixture sum's (J, alpha) pairs, C(p + r, r) by
+    Vandermonde, with the table's 2^p entries."""
+    p, r = case
+    pairs = _minor_pairs(p, r)[0].size
+    assert pairs == sum(math.comb(r, k) * math.comb(p, k) for k in range(r + 1))
+    assert pairs == math.comb(p + r, r)
+    assert _chain_rule_pays(p, r) == (pairs > 1 << p)
+
+
+@pytest.mark.parametrize("p, r", [(1, 0), (1, 1), (3, 2), (4, 2), (4, 3),
+                                  (6, 2), (6, 3), (8, 2), (10, 4)])
+def test_chain_rule_matches_minors_the_kernel_computes(monkeypatch, p, r):
+    """The mixture-sum route on a fresh family computes exactly the minors
+    the rule counts (the 0 x 0 block of J = () is 1 without a kernel call),
+    and the rule sends it to the chain rule iff they outnumber the table's
+    entries."""
+    matrices = []
+    real = core.abs_det_many
+    monkeypatch.setattr(core, "abs_det_many",
+                        lambda stack: matrices.append(math.prod(stack.shape[:-2]))
+                        or real(stack))
+    fam = haar_orthonormal(p, r, SeededRng(p + r))
+    _mixture_table(DppDensity(fam, Spectrum(np.full(r, 0.5))))
+    assert 1 + sum(matrices) == math.comb(p + r, r)
+    assert len(matrices) == r
+    assert _chain_rule_pays(p, r) == (1 + sum(matrices) > 1 << p)
 
 
 @given(st.integers(0, 8).flatmap(
     lambda r: st.lists(spectrum_values, min_size=r, max_size=r)))
-def test_weighted_active_sets_match_mixture_weight(values):
+def test_index_set_weights_match_mixture_weight(values):
+    """The table's weight vector, one entry per index set by size and then
+    lexicographically, zero weights kept, equals mixture_weight bit for bit."""
     spec = Spectrum(np.array(values, dtype=float))
     r = spec.r
-    want = [(active, mixture_weight(spec, active))
-            for k in range(r + 1) for active in combinations(range(1, r + 1), k)]
-    assert list(weighted_active_sets(spec, range(r + 1))) == [
-        (active, w) for active, w in want if w != 0.0]
+    want = [active for k in range(r + 1)
+            for active in combinations(range(1, r + 1), k)]
+    actives, weights = index_set_weights(spec)
+    assert list(actives) == want
+    assert weights.tolist() == [mixture_weight(spec, active) for active in want]
 
 
 def test_subsets_are_cached_and_read_only():
