@@ -18,12 +18,12 @@ import locale
 import math
 import sys
 
-import numpy as np
-
 from .core import (
     DppDensity,
+    complex_pairs,
     density_table,
     is_integral,
+    is_real,
     params_from_dict,
     params_to_dict,
     write_table_csv,
@@ -76,6 +76,14 @@ def _integer(key, value) -> int:
     if not is_integral(value):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(key, value) -> float:
+    """A config value as a float: an int or a float (is_real), never a
+    boolean or a string."""
+    if not is_real(value):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def _integers(key, values) -> tuple:
@@ -163,7 +171,7 @@ def _cmd_isometry_sweep(args) -> int:
 def _model_from_dict(data: dict) -> SubspaceModel:
     p = _integer("model p", data["p"])
     dim = _integer("model dim", data["dim"])
-    flat = np.array([complex(re, im) for re, im in data["basis"]])
+    flat = complex_pairs("model basis", data["basis"])
     if flat.size != p * dim:
         raise ConfigError(f"model basis has {flat.size} entries, expected {p * dim}")
     return SubspaceModel(flat.reshape(dim, p).T,
@@ -194,7 +202,7 @@ def _cmd_estimate(args) -> int:
     models = [_model_from_dict(m) for m in cfg["models"]]
     for i, model in enumerate(models[1:], 1):
         _same_ground_set(f"models[{i}]", model.p, models)
-    prior = {_integer("model id", m["id"]): float(m["prior"])
+    prior = {_integer("model id", m["id"]): _real("model prior", m["prior"])
              for m in cfg["models"]}
     n = _integer("n", cfg["n"])
     caps = CandidateCaps(*(_integer(f"caps {key}", cfg["caps"][key])

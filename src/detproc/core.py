@@ -5,9 +5,10 @@ configurations (finite subsets) has 2^p elements and every integral is a
 finite sum. This module holds the parameter types, the density evaluators
 for projection processes and their Bernoulli mixtures, the kernel and its
 correlation function, and the full density table, the production object
-every estimate and distance is computed from. The table is checked against
-three independent oracles: the per-configuration mixture sum, the
-L-ensemble likelihood and the pivoted-QR determinant abs_det.
+every estimate and distance is computed from; each minor modulus it reads
+is a row of the family's one store, OrthonormalFamily.minors(k). The table
+is checked against three independent oracles: the per-configuration mixture
+sum, the L-ensemble likelihood and the pivoted-QR determinant abs_det.
 """
 from __future__ import annotations
 
@@ -59,7 +60,7 @@ def abs_det_many(stack: np.ndarray) -> np.ndarray:
 
     The one production kernel for k x k minors: the tables and the
     inequality checks both take their moduli from it, through
-    OrthonormalFamily.moduli. A 0 x 0 block has determinant 1. Agreement
+    OrthonormalFamily.minors. A 0 x 0 block has determinant 1. Agreement
     with the pivoted-QR oracle abs_det is asserted in the test suite.
     """
     return np.abs(np.linalg.det(stack))
@@ -158,18 +159,18 @@ class OrthonormalFamily:
     """p x r complex matrix whose columns are orthonormal in C^p.
 
     Inputs failing the Gram check are rejected rather than silently
-    re-orthonormalized, so caller bugs surface here. The minor moduli of
-    each active set, and the squared-minor vector of the mixture sum, are
-    computed once and kept with the family (the columns are read-only), so
-    every table and inequality check on it shares them.
+    re-orthonormalized, so caller bugs surface here. The columns are a
+    read-only copy of the input, so the family's minor moduli, minors(k),
+    are computed once per size k and kept with it; every table and
+    inequality check on the family reads them.
     """
 
     columns: np.ndarray
-    _moduli: dict = field(default_factory=dict, init=False, repr=False,
+    _minors: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
     def __post_init__(self):
-        cols = np.atleast_2d(np.asarray(self.columns, dtype=complex))
+        cols = np.atleast_2d(np.array(self.columns, dtype=complex))
         object.__setattr__(self, "columns", cols)
         p, r = cols.shape
         if not np.isfinite(cols).all():
@@ -206,38 +207,36 @@ class OrthonormalFamily:
         cols = [j - 1 for j in active]
         return self.columns[np.ix_(rows, cols)]
 
+    def minors(self, k: int) -> np.ndarray:
+        """Read-only |det| of the (alpha, J) block for every size-k J of {1..r}
+        (rows) and alpha of {1..p} (columns), both in core.subsets order: one
+        kernel call per k >= 1 on first use, and [[1.0]] for k = 0."""
+        if k not in self._minors:
+            block = np.ones((1, 1))
+            if k:
+                rows, cols = subsets(self.p, k)[1], subsets(self.r, k)[1]
+                block = abs_det_many(
+                    self.columns[rows[None, :, :, None], cols[:, None, None, :]])
+            block.setflags(write=False)
+            self._minors[k] = block
+        return self._minors[k]
+
     def moduli(self, active: tuple) -> np.ndarray:
         """|det| of the (alpha, J) blocks over every alpha with |alpha| = |J|,
-        J = active (a sorted tuple), in core.subsets order; memoized per J."""
-        memo = self._moduli.get(active)
-        if memo is None:
-            rows = subsets(self.p, len(active))[1]
-            memo = abs_det_many(self.columns[:, [j - 1 for j in active]][rows])
-            memo.setflags(write=False)
-            self._moduli[active] = memo
-        return memo
+        J = active (a sorted tuple), in core.subsets order: the row of
+        minors(|J|) that belongs to J."""
+        k = len(active)
+        row = subsets(self.r, k)[0].tolist().index(sum(1 << (j - 1) for j in active))
+        return self.minors(k)[row]
 
     @functools.cached_property
     def squared_minors(self) -> np.ndarray:
         """|det|^2 of the (alpha, J) block for every index set J of {1..r}
         and every alpha with |alpha| = |J|, in _index_sets order (J by size,
-        then lexicographically; alpha in core.subsets order).
-
-        One kernel call per size |J| >= 1 stacks all its (J, alpha) blocks,
-        and its rows fill the moduli memo too, where the inequality checks
-        read them. The 0 x 0 block of J = () has |det| 1.
-        """
-        blocks = [np.ones((1, 1))]
-        for k in range(1, self.r + 1):
-            rows, cols = subsets(self.p, k)[1], subsets(self.r, k)[1]
-            blocks.append(abs_det_many(
-                self.columns[rows[None, :, :, None], cols[:, None, None, :]]))
-        for block in blocks:
-            block.setflags(write=False)
-        moduli = (row for block in blocks for row in block)
-        for active, row in zip(_index_sets(self.r)[0], moduli):
-            self._moduli.setdefault(active, row)
-        sq = np.concatenate([block.reshape(-1) for block in blocks]) ** 2
+        then lexicographically; alpha in core.subsets order): the blocks
+        minors(0), ..., minors(r), flattened in turn and squared."""
+        sq = np.concatenate(
+            [self.minors(k).reshape(-1) for k in range(self.r + 1)]) ** 2
         sq.setflags(write=False)
         return sq
 
@@ -384,19 +383,15 @@ def mixture_weight(spectrum: Spectrum, active) -> float:
 
 
 @functools.lru_cache(maxsize=32)
-def _index_sets(r: int):
-    """The 2^r index sets J of {1..r}, by size and then lexicographically.
-
-    Returns (actives, inside): actives[i] is the i-th J as a 1-based tuple
-    and inside is the read-only (2^r, r) membership matrix (inside[i, j-1]
-    iff j in J_i). The mixture-sum table and check_bound_dpp walk this order.
+def _index_sets(r: int) -> np.ndarray:
+    """The read-only (2^r, r) membership matrix of the 2^r index sets J of
+    {1..r}, by size and then lexicographically: entry [i, j-1] is whether
+    j is in J_i. The mixture-sum table and check_bound_dpp walk this order.
     """
     masks = np.concatenate([subsets(r, k)[0] for k in range(r + 1)])
     inside = (masks[:, None] >> np.arange(r) & 1).astype(bool)
     inside.setflags(write=False)
-    actives = tuple(tuple(j + 1 for j in range(r) if m >> j & 1)
-                    for m in masks.tolist())
-    return actives, inside
+    return inside
 
 
 # Bounded like subsets: the pairs at p = 20 run to 2^20 entries each.
@@ -407,7 +402,7 @@ def _minor_pairs(p: int, r: int):
     order. Returns (rows, cells), read-only: rows holds the index of J,
     cells the bitmask of alpha. There are C(p + r, r) pairs (Vandermonde).
     """
-    sizes = [len(active) for active in _index_sets(r)[0]]
+    sizes = _index_sets(r).sum(axis=1).tolist()
     rows = np.repeat(np.arange(len(sizes)), [math.comb(p, k) for k in sizes])
     cells = np.concatenate([subsets(p, k)[0] for k in sizes])
     rows.setflags(write=False)
@@ -415,13 +410,12 @@ def _minor_pairs(p: int, r: int):
     return rows, cells
 
 
-def index_set_weights(spectrum: Spectrum):
-    """(actives, weights): every index set J of {1..r}, by size and then
-    lexicographically, and its mixture weight, which equals
-    mixture_weight(spectrum, J) bit for bit. Zero weights are kept."""
-    actives, inside = _index_sets(spectrum.r)
+def index_set_weights(spectrum: Spectrum) -> np.ndarray:
+    """The mixture weight of every index set J of {1..r}, by size and then
+    lexicographically, each equal to mixture_weight(spectrum, J) bit for
+    bit. Zero weights are kept."""
     sq = spectrum.values**2
-    return actives, np.where(inside, sq, 1 - sq).prod(axis=1)
+    return np.where(_index_sets(spectrum.r), sq, 1 - sq).prod(axis=1)
 
 
 def dpp_density_eval(density: DppDensity, alpha: Config) -> float:
@@ -468,7 +462,7 @@ def density_table(density) -> DensityTable:
     than the table has entries (_chain_rule_pays) goes to the chain rule
     over the points, _chain_table, at O(p^2 2^p). Every other density,
     including every ProjectionDensity (C(p, k) <= 2^p minors), is summed
-    from the family's memoized minors by _mixture_table.
+    from the family's stored minors by _mixture_table.
     """
     fam = density.family
     ground = fam.ground()
@@ -489,7 +483,7 @@ def _chain_rule_pays(p: int, r: int) -> bool:
 
 
 def _mixture_table(density) -> np.ndarray:
-    """Table entries as the weighted sum of the family's memoized squared
+    """Table entries as the weighted sum of the family's stored squared
     minor moduli (the mixture-sum route).
 
     A DppDensity gathers the weight of each (J, alpha) pair's index set and
@@ -502,7 +496,7 @@ def _mixture_table(density) -> np.ndarray:
         probs[subsets(fam.p, density.rank)[0]] = fam.moduli(density.active) ** 2
         return probs
     rows, cells = _minor_pairs(fam.p, fam.r)
-    weights = index_set_weights(density.spectrum)[1]
+    weights = index_set_weights(density.spectrum)
     return np.bincount(cells, weights=weights[rows] * fam.squared_minors,
                        minlength=1 << fam.p)
 
@@ -638,14 +632,34 @@ def is_integral(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """Whether a JSON value stands for a real number: an int or a float. A
+    boolean or a numeric string is not, where numpy and complex() would
+    read true as 1 and "0.5" as 0.5."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def complex_pairs(key, pairs) -> np.ndarray:
+    """A JSON list of [re, im] pairs as a complex vector; a ValueError naming
+    key unless every entry is a real number (is_real)."""
+    for pair in pairs:
+        if not all(is_real(x) for x in pair):
+            raise ValueError(f"{key} entries must be [re, im] pairs of numbers, "
+                             f"got {pair!r}")
+    return np.array([complex(re, im) for re, im in pairs])
+
+
 def params_from_dict(data: dict):
     p = data["p"]
     if not is_integral(p):
         raise ValueError(f"p must be an integer, got {p!r}")
     p = int(p)
-    lam = np.asarray(data["lambda"], dtype=float)
+    lam = data["lambda"]
+    if not all(is_real(v) for v in lam):
+        raise ValueError(f"lambda entries must be numbers, got {lam!r}")
+    lam = np.asarray(lam, dtype=float)
     r = lam.size
-    flat = np.array([complex(re, im) for re, im in data["phi"]])
+    flat = complex_pairs("phi", data["phi"])
     if flat.size != p * r:
         raise ValueError(f"phi has {flat.size} entries, expected p*r = {p * r}")
     cols = flat.reshape(r, p).T

@@ -46,7 +46,7 @@ class SubspaceModel:
     id: int = 0
 
     def __post_init__(self):
-        basis = np.asarray(self.basis)
+        basis = np.array(self.basis)  # a copy: the caller's array stays writable
         if basis.ndim != 2 or basis.shape[1] < 1:
             raise ValueError(f"basis must be p x d with d >= 1, got {basis.shape}")
         if not np.isfinite(basis).all():
@@ -493,7 +493,9 @@ def oracle_bound(family: OrthonormalFamily, spectrum: Spectrum, models, prior,
     complexity price. With nets=None the subspace form is used, with the
     projector distance and price (D_m log n + log(1/prior))/n; passing the
     constructed nets switches to the net form with the realized net sizes,
-    whose error is the squared net distance 2 - 2 max_v |<v, phi>|.
+    whose error is the squared net distance 2 - 2 max_v |<v, phi>|. A model
+    of prior 0 costs log(1/0) = +inf in both forms, so the other models
+    decide the bound.
     """
     if j < 0 or j > family.r:
         raise ValueError(f"truncation j={j} outside [0, {family.r}]")
@@ -502,6 +504,8 @@ def oracle_bound(family: OrthonormalFamily, spectrum: Spectrum, models, prior,
         phi = family.columns[:, jp]
         best = float("inf")
         for model in models:
+            if prior[model.id] == 0.0:
+                continue
             if nets is None:
                 err = float(np.linalg.norm(phi - model.project(phi)) ** 2)
                 price = (model.dim_real * math.log(n)

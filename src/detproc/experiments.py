@@ -22,6 +22,7 @@ from .core import (
     Spectrum,
     density_table,
     haar_orthonormal,
+    is_integral,
     random_spectrum,
 )
 from .estimator import (
@@ -287,6 +288,8 @@ class RiskCurveConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(is_integral(n) for n in self.n_grid):
+            raise ValueError(f"n_grid entries must be integers, got {self.n_grid!r}")
         grid = tuple(int(n) for n in self.n_grid)
         if len(grid) < 2:
             raise ValueError("n_grid needs at least 2 sample sizes to fit a slope")

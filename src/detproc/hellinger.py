@@ -5,9 +5,9 @@ distances and affinities between density tables, the distance between two
 Bernoulli weight distributions, numerical verification of the
 three distance inequalities (projection, mixture, full-mixture forms), and
 the minor-vector coordinates whose modulus map is isometric to rank-k
-projection densities under sqrt(2) * Hellinger. The minor moduli come from
-OrthonormalFamily.moduli, the same memoized vectors the tables are built
-from. Tables and coordinates are arrays indexed by bitmask or in
+projection densities under sqrt(2) * Hellinger. The minor moduli are rows
+of OrthonormalFamily.minors(k), the one store per family the tables are
+built from. Tables and coordinates are arrays indexed by bitmask or in
 core.subsets order. Every h^2 in the package, here and in the estimator's
 selection, comes from one kernel, _h2, over arrays of square roots.
 """
@@ -129,7 +129,7 @@ def wedge_coords(family: OrthonormalFamily, k: int) -> WedgeVector:
     """Signed k x k minors of the first k columns, one per size-k configuration.
 
     The only consumer of signed minors; every modulus elsewhere comes from
-    OrthonormalFamily.moduli.
+    OrthonormalFamily.minors.
     """
     if not 0 <= k <= family.r:
         raise ValueError(f"k={k} outside [0, {family.r}]")
@@ -256,10 +256,11 @@ def check_bound_dpp(fam_phi: OrthonormalFamily, spec_lam: Spectrum,
     # weighted sum of component projection distances under the gamma weights
     # (the order and weights of the table's mixture sum, without J = ())
     comp_sum = 0.0
-    actives, weights = index_set_weights(spec_gam)
-    for active, w in zip(actives[1:], weights[1:].tolist()):
+    rows = ((row_phi, row_psi) for k in range(1, fam_phi.r + 1)
+            for row_phi, row_psi in zip(fam_phi.minors(k), fam_psi.minors(k)))
+    for w, (row_phi, row_psi) in zip(index_set_weights(spec_gam)[1:].tolist(), rows):
         if w != 0.0:
-            comp_sum += w * _h2(fam_phi.moduli(active), fam_psi.moduli(active))
+            comp_sum += w * _h2(row_phi, row_psi)
 
     return [
         BoundReport(lhs, 2.0 * weight_term + 5.0 * col_term,

@@ -263,6 +263,22 @@ def test_fractional_or_non_finite_p_exits_2(tmp_path, capsys, command, p):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("sample", "lambda", "0.5"),  # once read as 0.5
+    ("density", "lambda", True),  # once read as 1.0
+    ("density", "phi", [True, False]),  # once read as 1 + 0j
+])
+def test_non_number_params_entry_exits_2(tmp_path, capsys, command, key, value):
+    # a boolean or a numeric string is refused, not read as a number
+    params = diag_params()
+    params[key][0] = value
+    cfg = write_config(tmp_path, "c.json", {"params": params, "n": 3})
+    out = tmp_path / "o.csv"
+    err = assert_usage_error(capsys, [command, "--config", cfg, "--out", str(out)])
+    assert f"{key} entries must be" in err
+    assert not out.exists()
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = write_config(tmp_path, "c.json", {"instances": 5, "seed": 1})
     out_a = tmp_path / "a.csv"
@@ -321,6 +337,26 @@ def test_estimate_bad_n_or_prior_exits_2(tmp_path, capsys, key, value, message):
         cfg["models"][0]["prior"] = value
     else:
         cfg[key] = value
+    path = write_config(tmp_path, "bad.json", cfg)
+    out = tmp_path / "o.json"
+    err = assert_usage_error(capsys, ["estimate", "--config", path,
+                                      "--out", str(out)])
+    assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("prior", "0.5", "model prior must be a number"),  # once read as 0.5
+    ("prior", True, "model prior must be a number"),  # once read as 1.0
+    ("basis", [True, False], "model basis entries must be"),  # once 1 + 0j
+])
+def test_estimate_non_number_model_entry_exits_2(tmp_path, capsys, key, value,
+                                                 message):
+    cfg = json.loads(Path(estimate_config(tmp_path)).read_text())
+    if key == "basis":
+        cfg["models"][0]["basis"][0] = value
+    else:
+        cfg["models"][0][key] = value
     path = write_config(tmp_path, "bad.json", cfg)
     out = tmp_path / "o.json"
     err = assert_usage_error(capsys, ["estimate", "--config", path,

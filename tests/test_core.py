@@ -89,18 +89,25 @@ def test_abs_det_many_zero_size():
 
 
 def test_family_moduli_match_oracle_and_are_memoized():
+    # moduli(J) is the row of the stored block minors(|J|) that belongs to J,
+    # rows in combinations order; each block is computed once per size
     fam = haar_orthonormal(5, 3, SeededRng(12))
-    for active in [(), (2,), (1, 3), (1, 2, 3)]:
-        got = fam.moduli(active)
-        assert fam.moduli(active) is got
-        assert not got.flags.writeable
-        masks, rows = subsets(5, len(active))
-        assert got.shape == masks.shape
-        for mask, value in zip(masks.tolist(), got):
-            alpha = Config.from_mask(mask)
-            assert value == pytest.approx(
-                abs_det(fam.submatrix(alpha, active)), abs=1e-12)
-    assert set(fam._moduli) == {(), (2,), (1, 3), (1, 2, 3)}
+    for k in range(4):
+        block = fam.minors(k)
+        assert fam.minors(k) is block
+        assert not block.flags.writeable
+        masks = subsets(5, k)[0]
+        assert block.shape == (math.comb(3, k), masks.size)
+        for row, active in enumerate(combinations(range(1, 4), k)):
+            got = fam.moduli(active)
+            assert got.base is block and np.array_equal(got, block[row])
+            assert not got.flags.writeable
+            for mask, value in zip(masks.tolist(), got):
+                alpha = Config.from_mask(mask)
+                assert value == pytest.approx(
+                    abs_det(fam.submatrix(alpha, active)), abs=1e-12)
+    assert set(fam._minors) == {0, 1, 2, 3}
+    assert np.array_equal(fam.minors(0), [[1.0]])
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,18 @@ def test_model_rejects_non_finite_basis(bad):
         SubspaceModel(basis)
 
 
+def test_model_and_family_leave_the_callers_array_writable():
+    # each freezes a private copy; both once froze the caller's array
+    b = np.eye(3)
+    model = SubspaceModel(b)
+    c = haar_orthonormal(3, 2, SeededRng(3)).columns.copy()
+    fam = OrthonormalFamily(c)
+    assert b.flags.writeable and c.flags.writeable
+    assert not model.basis.flags.writeable and not fam.columns.flags.writeable
+    b[0, 0] = c[0, 0] = 5.0
+    assert model.basis[0, 0] == 1.0 and fam.columns[0, 0] != 5.0
+
+
 def test_model_real_dimension_doubles_for_complex():
     assert full_space_model(3).dim_real == 6
     assert SubspaceModel(np.eye(3)[:, :2]).dim_real == 2
@@ -606,6 +618,20 @@ def test_oracle_bound_tail_dominates():
     model = full_space_model(5)
     bound = oracle_bound(fam, spec, [model], {0: 1.0}, 50, 1)
     assert bound >= 0.3 - 1e-12
+
+
+def test_oracle_bound_prices_a_zero_prior_model_at_infinity():
+    # log(1/0) once raised ZeroDivisionError; the C^3 model decides alone
+    fam = haar_orthonormal(3, 1, SeededRng(27))
+    plane = SubspaceModel(np.eye(3, dtype=complex)[:, :2], id=0)
+    models = [plane, full_space_model(3, 1)]
+    prior = {0: 0.0, 1: 1.0}
+    spec = Spectrum.ones(1)
+    assert oracle_bound(fam, spec, models, prior, 50, 1) == oracle_bound(
+        fam, spec, models[1:], prior, 50, 1)
+    nets = {m.id: sphere_net(m, 0.5, 50, SeededRng(28 + m.id)) for m in models}
+    assert oracle_bound(fam, spec, models, prior, 50, 1, nets=nets) == oracle_bound(
+        fam, spec, models[1:], prior, 50, 1, nets=nets)
 
 
 def test_oracle_bound_net_form_uses_net_distances():

@@ -142,6 +142,13 @@ def test_risk_curve_config_validation():
     RiskCurveConfig(k=2, caps=(2, 4, 12))
 
 
+def test_risk_curve_config_refuses_fractional_n_grid():
+    # (100.7, 300.2) was once run as (100, 300)
+    with pytest.raises(ValueError, match="n_grid"):
+        RiskCurveConfig(n_grid=(100.7, 300.2))
+    assert RiskCurveConfig(n_grid=(100.0, 300)).n_grid == (100, 300)
+
+
 def test_risk_curve_tiny_run():
     cfg = RiskCurveConfig(p=6, k=2, n_grid=(30, 60), replications=4,
                           caps=(2, 4, 12), pool_size=32, seed=3)

@@ -254,14 +254,14 @@ def test_projection_bounds_random_pairs():
 
 
 def test_projection_bound_reads_the_tables_moduli():
-    # (i) is computed from the moduli memoized by the two tables, and the
-    # check computes no minors for any other index set
+    # (i) is computed from the minors the two tables were built from, and
+    # the check computes no minors of any other size
     rng = SeededRng(23)
     fam_a = haar_orthonormal(5, 3, rng.split(0))
     fam_b = haar_orthonormal(5, 3, rng.split(1))
     exact = check_bound_projection(fam_a, fam_b, (3, 1))[0]
     active = (1, 3)
-    assert set(fam_a._moduli) == set(fam_b._moduli) == {active}
+    assert set(fam_a._minors) == set(fam_b._minors) == {2}
     want = 1.0 - float(np.sum(fam_a.moduli(active) * fam_b.moduli(active)))
     assert exact.rhs == want
     # the table entries are the squares of the same vector, bit for bit
@@ -277,12 +277,12 @@ def test_dpp_bound_components_read_the_moduli():
     gam = random_spectrum(2, rng.split(3))
     components = check_bound_dpp(fam_a, lam, fam_b, gam)[2]
     want = 0.0
-    for active, w in zip(((1,), (2,), (1, 2)), index_set_weights(gam)[1][1:]):
+    for active, w in zip(((1,), (2,), (1, 2)), index_set_weights(gam)[1:]):
         affinity = float(fam_a.moduli(active) @ fam_b.moduli(active))
         want += w * (1.0 - min(affinity, 1.0))
     assert components.lhs == want
-    # one memo entry per index set of the mixture, shared with the tables
-    assert set(fam_a._moduli) == set(fam_b._moduli) == {(), (1,), (2,), (1, 2)}
+    # one stored block per size of index set, shared with the tables
+    assert set(fam_a._minors) == set(fam_b._minors) == {0, 1, 2}
 
 
 def test_mixture_bound_identical_mixtures():

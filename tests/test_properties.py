@@ -32,7 +32,13 @@ from detproc.core import (
     random_spectrum,
     subsets,
 )
-from detproc.core import _chain_rule_pays, _chain_table, _minor_pairs, _mixture_table
+from detproc.core import (
+    _chain_rule_pays,
+    _chain_table,
+    _index_sets,
+    _minor_pairs,
+    _mixture_table,
+)
 from detproc.estimator import (
     CandidateCaps,
     CandidateEntry,
@@ -256,16 +262,17 @@ def test_reused_family_tables_match_fresh_and_loop(case):
     for spec in spectra:
         probs = _mixture_table(DppDensity(fam, spec))
         fresh = OrthonormalFamily(np.array(fam.columns))
-        assert not fresh._moduli
+        assert not fresh._minors
         assert np.array_equal(probs, _mixture_table(DppDensity(fresh, spec)))
         assert np.array_equal(probs, _loop_table(fam, spec))
         assert abs(math.fsum(probs) - 1.0) <= TABLE_TOL
         picked = _chain_table(fam, spec) if _chain_rule_pays(fam.p, fam.r) else probs
         assert np.array_equal(density_table(DppDensity(fam, spec)).probs, picked)
-    # one memo entry per index set J of {1..r}, zero weights included
-    actives = index_set_weights(spectra[0])[0]
-    assert set(fam._moduli) == set(actives)
-    for active in actives:
+    # one stored block per size of index set J of {1..r}, zero weights
+    # included, and every J's projection table reads its row
+    assert set(fam._minors) == set(range(fam.r + 1))
+    for active in (a for k in range(fam.r + 1)
+                   for a in combinations(range(1, fam.r + 1), k)):
         want = density_table(ProjectionDensity(
             OrthonormalFamily(np.array(fam.columns)), active)).probs
         assert np.array_equal(density_table(ProjectionDensity(fam, active)).probs,
@@ -286,6 +293,30 @@ def test_second_table_of_a_family_computes_no_minors(monkeypatch):
         assert np.array_equal(density_table(DppDensity(fam, spec)).probs,
                               _loop_table(fam, spec))
     assert calls == []
+
+
+def test_minor_store_calls_the_kernel_once_per_size(monkeypatch):
+    """Every modulus is a row of the family's minors(k): per-J reads, tables
+    and inequality checks share one kernel call per (family, k >= 1)."""
+    calls = []  # the size k of each call's blocks
+    real = core.abs_det_many
+    monkeypatch.setattr(core, "abs_det_many",
+                        lambda stack: calls.append(stack.shape[-1]) or real(stack))
+    fam = haar_orthonormal(8, 2, SeededRng(6))
+    fam.moduli((1,))
+    fam.moduli((2,))
+    density_table(DppDensity(fam, Spectrum(np.array([0.9, 0.7]))))
+    assert calls == [1, 2]
+    # a chain-routed pair of tables computes no minors; the component sum
+    # then reads every size once per family
+    rng = SeededRng(7)
+    fam_a = haar_orthonormal(6, 3, rng.split(0))
+    fam_b = haar_orthonormal(6, 3, rng.split(1))
+    assert _chain_rule_pays(6, 3)
+    calls.clear()
+    check_bound_dpp(fam_a, random_spectrum(3, rng.split(2)),
+                    fam_b, random_spectrum(3, rng.split(3)))
+    assert sorted(calls) == [1, 1, 2, 2, 3, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +367,8 @@ def test_density_table_picks_chain_rule_when_minors_exceed_table(p, values, chai
     assert _chain_rule_pays(p, spec.r) == chain
     fam = haar_orthonormal(p, spec.r, SeededRng(p))
     table = density_table(DppDensity(fam, spec))
-    # only the mixture-sum route fills the family's minor memo
-    assert (not fam._moduli) == chain
+    # only the mixture-sum route fills the family's minor store
+    assert (not fam._minors) == chain
     want = _chain_table(fam, spec) if chain else _mixture_table(DppDensity(fam, spec))
     assert np.array_equal(table.probs, want)
 
@@ -381,8 +412,9 @@ def test_index_set_weights_match_mixture_weight(values):
     r = spec.r
     want = [active for k in range(r + 1)
             for active in combinations(range(1, r + 1), k)]
-    actives, weights = index_set_weights(spec)
-    assert list(actives) == want
+    inside = _index_sets(r)
+    assert [tuple(np.flatnonzero(row) + 1) for row in inside] == want
+    weights = index_set_weights(spec)
     assert weights.tolist() == [mixture_weight(spec, active) for active in want]
 
 
