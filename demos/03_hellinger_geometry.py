@@ -57,7 +57,8 @@ for rep in check_bound_dpp(fam_a, lam, fam_b, gam):
 # and the distance between modulus vectors is exactly 2 h^2.
 wa = wedge_coords(fam_a, k)
 wb = wedge_coords(fam_b, k)
-delta2, gap = gplus_delta(wa, wb)
+delta2, h2 = gplus_delta(wa, wb)
 print(f"\nminor coordinates: |coords|^2 sums to "
       f"{float(np.sum(np.abs(wa.coords) ** 2)):.12f}")
-print(f"Delta^2 = {delta2:.6f}, 2 h^2 gap = {gap:.2e} (isometry)")
+print(f"Delta^2 = {delta2:.6f}, 2 h^2 = {2.0 * h2:.6f}, "
+      f"gap = {abs(delta2 - 2.0 * h2):.2e} (isometry)")

@@ -23,12 +23,10 @@ from .core import (
     inclusion_probabilities,
     kernel_from_params,
     l_ensemble_oracle,
-    load_params,
     mixture_weight,
     normalization_check,
     projection_density_eval,
     random_spectrum,
-    save_params,
 )
 from .hellinger import (
     BoundReport,

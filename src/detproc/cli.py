@@ -87,6 +87,10 @@ def _real(key, value) -> float:
 
 
 def _integers(key, values) -> tuple:
+    """A config list of integers as a tuple; a usage error naming key for
+    anything but a list, or for an entry that is not an integer."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{key} must be a list of integers, got {values!r}")
     return tuple(_integer(key, value) for value in values)
 
 
@@ -195,6 +199,21 @@ def _same_ground_set(key, p, models) -> None:
                           "models, truth and anchor must share one ground set")
 
 
+CAPS_KEYS = ("j_max", "per_net", "family_max")
+
+
+def _caps(value) -> CandidateCaps:
+    """estimate's caps object; a usage error naming caps, or the entry that
+    is missing or not an integer."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"caps must be an object with the keys "
+                          f"{', '.join(CAPS_KEYS)}, got {value!r}")
+    for key in CAPS_KEYS:
+        if key not in value:
+            raise ConfigError(f"caps {key} is missing")
+    return CandidateCaps(*(_integer(f"caps {key}", value[key]) for key in CAPS_KEYS))
+
+
 def _cmd_estimate(args) -> int:
     cfg = _load_config(args)
     if cfg.get("test_statistic", "signed-root") != "signed-root":
@@ -205,8 +224,7 @@ def _cmd_estimate(args) -> int:
     prior = {_integer("model id", m["id"]): _real("model prior", m["prior"])
              for m in cfg["models"]}
     n = _integer("n", cfg["n"])
-    caps = CandidateCaps(*(_integer(f"caps {key}", cfg["caps"][key])
-                           for key in ("j_max", "per_net", "family_max")))
+    caps = _caps(cfg["caps"])
     seed = _seed(args, cfg)
     rng = SeededRng(seed)
     anchor = None

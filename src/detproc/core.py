@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -595,6 +594,9 @@ def haar_orthonormal(p: int, r: int, rng, real: bool = False) -> OrthonormalFami
     the phase so the R diagonal is positive real, which makes the factor
     unique. real=True restricts to real entries for debugging.
     """
+    if r > p:
+        raise ValueError(f"rank r={r} exceeds p={p}: a p x r family has at most "
+                         "p orthonormal columns")
     gen = rng.generator
     if r == 0:
         return OrthonormalFamily(np.zeros((p, 0), dtype=complex))
@@ -625,11 +627,23 @@ def params_to_dict(family: OrthonormalFamily, spectrum: Spectrum) -> dict:
 
 
 def is_integral(value) -> bool:
-    """Whether a JSON value stands for an integer: an int, or a float with no
-    fractional part (not NaN or inf). A boolean or a numeric string is not."""
+    """Whether a value stands for an integer: an int (a numpy integer too),
+    or a float with no fractional part (not NaN or inf). A boolean or a
+    numeric string is not."""
     if isinstance(value, float):
         return value.is_integer()
-    return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def integer_fields(obj, *names) -> None:
+    """Set each named field of the dataclass obj (frozen or not) to the int
+    it stands for; a ValueError naming the field unless it is_integral, so
+    that True is not run as 1 nor 1.5 as 1."""
+    for name in names:
+        value = getattr(obj, name)
+        if not is_integral(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(obj, name, int(value))
 
 
 def is_real(value) -> bool:
@@ -641,9 +655,12 @@ def is_real(value) -> bool:
 
 def complex_pairs(key, pairs) -> np.ndarray:
     """A JSON list of [re, im] pairs as a complex vector; a ValueError naming
-    key unless every entry is a real number (is_real)."""
+    key unless pairs is a list of two-entry lists of real numbers (is_real)."""
+    if not isinstance(pairs, list):
+        raise ValueError(f"{key} must be a list of [re, im] pairs, got {pairs!r}")
     for pair in pairs:
-        if not all(is_real(x) for x in pair):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(is_real(x) for x in pair)):
             raise ValueError(f"{key} entries must be [re, im] pairs of numbers, "
                              f"got {pair!r}")
     return np.array([complex(re, im) for re, im in pairs])
@@ -655,6 +672,8 @@ def params_from_dict(data: dict):
         raise ValueError(f"p must be an integer, got {p!r}")
     p = int(p)
     lam = data["lambda"]
+    if not isinstance(lam, list):
+        raise ValueError(f"lambda must be a list of numbers, got {lam!r}")
     if not all(is_real(v) for v in lam):
         raise ValueError(f"lambda entries must be numbers, got {lam!r}")
     lam = np.asarray(lam, dtype=float)
@@ -664,17 +683,6 @@ def params_from_dict(data: dict):
         raise ValueError(f"phi has {flat.size} entries, expected p*r = {p * r}")
     cols = flat.reshape(r, p).T
     return OrthonormalFamily(cols), Spectrum(lam)
-
-
-def save_params(path, family: OrthonormalFamily, spectrum: Spectrum):
-    with open(path, "w") as fh:
-        json.dump(params_to_dict(family, spectrum), fh, indent=1)
-        fh.write("\n")
-
-
-def load_params(path):
-    with open(path) as fh:
-        return params_from_dict(json.load(fh))
 
 
 def write_table_csv(table: DensityTable, path):

@@ -22,6 +22,7 @@ from .core import (
     OrthonormalFamily,
     Spectrum,
     density_table,
+    integer_fields,
 )
 from .hellinger import _h2
 from .rng import SeededRng
@@ -80,8 +81,8 @@ class SubspaceModel:
 
 @dataclass(frozen=True)
 class SphereNet:
-    """Unit vectors in a model subspace, strictly eta-separated in the
-    distance densities see (_net_distance).
+    """Unit vectors in a model subspace, strictly separated by the eta of
+    sphere_net in the distance densities see (_net_distance).
 
     Built greedily from a finite random pool, so maximality (hence the
     covering property) is certified only relative to that pool; the
@@ -89,9 +90,7 @@ class SphereNet:
     """
 
     model: SubspaceModel
-    eta: float
     points: np.ndarray
-    pool_size: int
     pool_covering_radius: float
 
     def __post_init__(self):
@@ -167,8 +166,7 @@ def sphere_net(model: SubspaceModel, eta: float, pool_size: int, rng: SeededRng,
         if nearest[i] > eta:
             keep.append(i)
             np.minimum(nearest, _net_distance(pool, pool[i]), out=nearest)
-    return SphereNet(model, float(eta), pool[keep], int(pool.shape[0]),
-                     float(nearest.max()))
+    return SphereNet(model, pool[keep], float(nearest.max()))
 
 
 def sphere_approx(phi: np.ndarray, model: SubspaceModel) -> np.ndarray:
@@ -214,6 +212,7 @@ class CandidateCaps:
     family_max: int
 
     def __post_init__(self):
+        integer_fields(self, "j_max", "per_net", "family_max")
         if min(self.j_max, self.per_net, self.family_max) < 1:
             raise ValueError("all caps must be positive")
 

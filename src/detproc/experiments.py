@@ -22,6 +22,7 @@ from .core import (
     Spectrum,
     density_table,
     haar_orthonormal,
+    integer_fields,
     is_integral,
     random_spectrum,
 )
@@ -40,7 +41,6 @@ from .hellinger import (
     gplus_delta,
     hellinger,
     wedge_coords,
-    wedge_hellinger,
 )
 from .rng import SeededRng
 from .sampling import (
@@ -85,7 +85,7 @@ class BoundsSweepConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # comparisons written so that NaN fails them
+        integer_fields(self, "instances", "p_max", "rank_max", "seed")
         if not self.instances >= 1:
             raise ValueError(f"instances must be >= 1, got {self.instances}")
         # every instance builds tables on up to p_max points
@@ -160,7 +160,7 @@ class IsometrySweepConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # comparisons written so that NaN fails them
+        integer_fields(self, "instances", "p_max", "k_max", "seed")
         if not self.instances >= 1:
             raise ValueError(f"instances must be >= 1, got {self.instances}")
         if not self.p_max >= 2:
@@ -185,11 +185,9 @@ def run_isometry_sweep(cfg: IsometrySweepConfig):
         k = int(gen.integers(1, min(cfg.k_max, p) + 1))
         fam_a = haar_orthonormal(p, k, rng.split(0))
         fam_b = haar_orthonormal(p, k, rng.split(1))
-        wa = wedge_coords(fam_a, k)
-        wb = wedge_coords(fam_b, k)
-        delta2, gap = gplus_delta(wa, wb)
-        # the 2 h^2 the gap was computed from
-        rows.append((i, "isometry", delta2, 2.0 * wedge_hellinger(wa, wb), gap))
+        delta2, h2 = gplus_delta(wedge_coords(fam_a, k), wedge_coords(fam_b, k))
+        gap = abs(delta2 - 2.0 * h2)
+        rows.append((i, "isometry", delta2, 2.0 * h2, gap))
         if not gap <= GAP_TOL:  # a NaN gap is a violation
             violations += 1
     return rows, violations
@@ -212,6 +210,7 @@ class SamplerCheckConfig:
     tv_limit: float = 0.02
 
     def __post_init__(self):
+        integer_fields(self, "p", "rank", "draws", "settings", "seed")
         # comparisons written so that NaN fails them
         if not self.settings >= 1:
             raise ValueError(f"settings must be >= 1, got {self.settings}")
@@ -288,8 +287,13 @@ class RiskCurveConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not all(is_integral(n) for n in self.n_grid):
-            raise ValueError(f"n_grid entries must be integers, got {self.n_grid!r}")
+        integer_fields(self, "p", "k", "replications", "pool_size",
+                       "anchor_jitter", "seed")
+        for key in ("n_grid", "caps"):
+            values = getattr(self, key)
+            if not all(is_integral(v) for v in values):
+                raise ValueError(f"{key} entries must be integers, got {values!r}")
+        self.caps = tuple(int(c) for c in self.caps)
         grid = tuple(int(n) for n in self.n_grid)
         if len(grid) < 2:
             raise ValueError("n_grid needs at least 2 sample sizes to fit a slope")

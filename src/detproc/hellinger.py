@@ -78,25 +78,15 @@ def hellinger(table_p: DensityTable, table_q: DensityTable):
 def bernoulli_weight_hellinger(lam: Spectrum, gam: Spectrum) -> float:
     """Exact h^2 between the two weight distributions over index sets.
 
-    Index j is in the set with probability l_j^2, independently, so the
-    root of the weight of a set is the product over j of l_j or
-    sqrt(1 - l_j^2); the affinity is prod_j (l_j g_j + sqrt(1-l_j^2)
-    sqrt(1-g_j^2)). Shorter spectrum is padded with zeros.
+    Index j is in the set with probability l_j^2, independently; both laws
+    are core.index_set_weights, the weights of the mixture sum, so the
+    affinity is prod_j (l_j g_j + sqrt(1-l_j^2) sqrt(1-g_j^2)) up to
+    rounding. Shorter spectrum is padded with zeros.
     """
     r = max(lam.r, gam.r)
-    a = np.zeros(r)
-    b = np.zeros(r)
-    a[: lam.r] = lam.values
-    b[: gam.r] = gam.values
-    return _h2(_index_set_roots(a), _index_set_roots(b))
-
-
-def _index_set_roots(values: np.ndarray) -> np.ndarray:
-    """Square roots of the 2^r index-set weights, indexed by bitmask."""
-    roots = np.ones(1)
-    for v in values:
-        roots = np.concatenate([roots * math.sqrt(1.0 - v * v), roots * v])
-    return roots
+    lam, gam = (Spectrum(np.concatenate([s.values, np.zeros(r - s.r)]))
+                for s in (lam, gam))
+    return _h2(np.sqrt(index_set_weights(lam)), np.sqrt(index_set_weights(gam)))
 
 
 # ---------------------------------------------------------------------------
@@ -145,15 +135,15 @@ def wedge_hellinger(wedge_a: WedgeVector, wedge_b: WedgeVector) -> float:
 
 
 def gplus_delta(wedge_a: WedgeVector, wedge_b: WedgeVector):
-    """Squared distance between modulus vectors, and its gap to 2 h^2.
+    """Squared distance between modulus vectors, and the h^2 it is checked
+    against.
 
-    Returns (delta2, isometry_gap) with isometry_gap = |delta2 - 2 h^2| and
-    h^2 = wedge_hellinger(wedge_a, wedge_b); the gap must vanish up to
-    enumeration round-off for coordinates built from orthonormal families.
+    Returns (delta2, h2) with h2 = wedge_hellinger(wedge_a, wedge_b); for
+    coordinates built from orthonormal families the isometry gap
+    |delta2 - 2 h2| vanishes up to enumeration round-off.
     """
-    h2 = wedge_hellinger(wedge_a, wedge_b)
     delta2 = float(np.sum((np.abs(wedge_a.coords) - np.abs(wedge_b.coords)) ** 2))
-    return delta2, abs(delta2 - 2.0 * h2)
+    return delta2, wedge_hellinger(wedge_a, wedge_b)
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,27 @@ def test_non_number_params_entry_exits_2(tmp_path, capsys, command, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    # each once exited 2 with a Python message naming neither key nor entry
+    ("phi", [[1.0, 0.0, 9.0]] + diag_params()["phi"][1:],
+     "phi entries must be [re, im] pairs of numbers, got [1.0, 0.0, 9.0]"),
+    ("phi", [[1.0]] + diag_params()["phi"][1:],
+     "phi entries must be [re, im] pairs of numbers, got [1.0]"),
+    ("phi", [1.0] + diag_params()["phi"][1:],
+     "phi entries must be [re, im] pairs of numbers, got 1.0"),
+    ("phi", 5, "phi must be a list of [re, im] pairs, got 5"),
+    ("lambda", 0.8, "lambda must be a list of numbers, got 0.8"),
+], ids=["three-numbers", "one-number", "bare-number", "phi-number",
+        "lambda-number"])
+def test_malformed_params_list_exits_2(tmp_path, capsys, key, value, message):
+    params = {**diag_params(), key: value}
+    cfg = write_config(tmp_path, "c.json", {"params": params})
+    out = tmp_path / "o.csv"
+    err = assert_usage_error(capsys, ["density", "--config", cfg, "--out", str(out)])
+    assert message in err
+    assert not out.exists()
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = write_config(tmp_path, "c.json", {"instances": 5, "seed": 1})
     out_a = tmp_path / "a.csv"
@@ -349,6 +370,9 @@ def test_estimate_bad_n_or_prior_exits_2(tmp_path, capsys, key, value, message):
     ("prior", "0.5", "model prior must be a number"),  # once read as 0.5
     ("prior", True, "model prior must be a number"),  # once read as 1.0
     ("basis", [True, False], "model basis entries must be"),  # once 1 + 0j
+    # once "too many values to unpack (expected 2)"
+    ("basis", [1.0, 0.0, 9.0], "model basis entries must be [re, im] pairs of "
+                               "numbers, got [1.0, 0.0, 9.0]"),
 ])
 def test_estimate_non_number_model_entry_exits_2(tmp_path, capsys, key, value,
                                                  message):
@@ -373,6 +397,23 @@ def test_estimate_fractional_cap_exits_2(tmp_path, capsys):
     err = assert_usage_error(capsys, ["estimate", "--config", path,
                                       "--out", str(out)])
     assert "caps per_net must be an integer, got 3.5" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("caps, message", [
+    # once "error: 'per_net'" and "list indices must be integers or slices"
+    ({"j_max": 1, "family_max": 20}, "caps per_net is missing"),
+    ([1, 4, 20], "caps must be an object with the keys j_max, per_net, "
+                 "family_max, got [1, 4, 20]"),
+], ids=["missing-per-net", "list"])
+def test_estimate_malformed_caps_exits_2(tmp_path, capsys, caps, message):
+    cfg = json.loads(Path(estimate_config(tmp_path)).read_text())
+    cfg["caps"] = caps
+    path = write_config(tmp_path, "bad.json", cfg)
+    out = tmp_path / "o.json"
+    err = assert_usage_error(capsys, ["estimate", "--config", path,
+                                      "--out", str(out)])
+    assert message in err
     assert not out.exists()
 
 
@@ -592,6 +633,17 @@ def test_cli_defaults_are_the_config_defaults(tmp_path, monkeypatch):
     assert seen == {"risk-curve": RiskCurveConfig(),
                     "bounds-sweep": BoundsSweepConfig(),
                     "isometry-sweep": IsometrySweepConfig()}
+
+
+@pytest.mark.parametrize("key, value", [("n_grid", 100), ("caps", 2)])
+def test_risk_curve_list_key_given_a_number_exits_2(tmp_path, capsys, key, value):
+    # once "'int' object is not iterable"
+    cfg = write_config(tmp_path, "c.json", {**TINY_RISK_CURVE, key: value})
+    out = tmp_path / "risk.csv"
+    err = assert_usage_error(capsys, ["risk-curve", "--config", cfg,
+                                      "--out", str(out)])
+    assert f"{key} must be a list of integers, got {value}" in err
+    assert not out.exists()
 
 
 def test_risk_curve_one_point_grid_exits_2(tmp_path, capsys):

@@ -26,14 +26,12 @@ from detproc.core import (
     inclusion_probabilities,
     kernel_from_params,
     l_ensemble_oracle,
-    load_params,
     mixture_weight,
     normalization_check,
     params_from_dict,
     params_to_dict,
     projection_density_eval,
     random_spectrum,
-    save_params,
     subsets,
     write_table_csv,
 )
@@ -562,22 +560,18 @@ def test_haar_orthonormal_real_mode():
     assert np.all(fam.columns.imag == 0.0)
 
 
+def test_haar_orthonormal_refuses_rank_above_p():
+    # (3, 5) once returned a 3 x 3 family
+    with pytest.raises(ValueError, match=r"r=5 exceeds p=3"):
+        haar_orthonormal(3, 5, SeededRng(0))
+    assert haar_orthonormal(3, 3, SeededRng(0)).r == 3
+
+
 def test_params_dict_roundtrip():
     rng = SeededRng(22)
     fam = haar_orthonormal(4, 2, rng.split(0))
     spec = random_spectrum(2, rng.split(1))
     fam2, spec2 = params_from_dict(params_to_dict(fam, spec))
-    assert np.allclose(fam.columns, fam2.columns)
-    assert np.allclose(spec.values, spec2.values)
-
-
-def test_params_file_roundtrip(tmp_path):
-    rng = SeededRng(23)
-    fam = haar_orthonormal(3, 2, rng.split(0))
-    spec = random_spectrum(2, rng.split(1))
-    path = tmp_path / "params.json"
-    save_params(path, fam, spec)
-    fam2, spec2 = load_params(path)
     assert np.allclose(fam.columns, fam2.columns)
     assert np.allclose(spec.values, spec2.values)
 

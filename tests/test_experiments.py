@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from detproc import experiments
+from detproc.estimator import CandidateCaps
 from detproc.experiments import (
     SWEEP_HEADER,
     BoundsSweepConfig,
@@ -140,6 +141,34 @@ def test_risk_curve_config_validation():
     with pytest.raises(ValueError, match="j_max=1 is below k=2"):
         RiskCurveConfig(k=2, caps=(1, 4, 12))
     RiskCurveConfig(k=2, caps=(2, 4, 12))
+
+
+@pytest.mark.parametrize("config, kwargs, message", [
+    # each once ran: True as 1, 1.5 as 1 (or as a rank range up to 1.5)
+    (RiskCurveConfig, {"replications": True}, "replications must be an integer"),
+    (RiskCurveConfig, {"seed": True}, "seed must be an integer"),
+    (RiskCurveConfig, {"pool_size": True}, "pool_size must be an integer"),
+    (RiskCurveConfig, {"anchor_jitter": True}, "anchor_jitter must be an integer"),
+    (RiskCurveConfig, {"caps": (2, 4.5, 40)}, "caps entries must be integers"),
+    (BoundsSweepConfig, {"instances": True}, "instances must be an integer"),
+    (BoundsSweepConfig, {"rank_max": 1.5}, "rank_max must be an integer"),
+    (BoundsSweepConfig, {"seed": 1.5}, "seed must be an integer"),
+    (IsometrySweepConfig, {"k_max": True}, "k_max must be an integer"),
+    (SamplerCheckConfig, {"draws": 2.5}, "draws must be an integer"),
+    (CandidateCaps, {"j_max": True, "per_net": 2, "family_max": 3},
+     "j_max must be an integer"),
+])
+def test_library_configs_refuse_booleans_and_fractions(config, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        config(**kwargs)
+
+
+def test_library_configs_take_integral_floats_as_ints():
+    sweep = BoundsSweepConfig(instances=5.0, rank_max=np.int64(2), seed=3.0)
+    assert (sweep.instances, sweep.rank_max, sweep.seed) == (5, 2, 3)
+    assert all(type(v) is int for v in vars(sweep).values())
+    assert CandidateCaps(2.0, 4, 40.0) == CandidateCaps(2, 4, 40)
+    assert RiskCurveConfig(caps=(2.0, 4, 40)).caps == (2, 4, 40)
 
 
 def test_risk_curve_config_refuses_fractional_n_grid():

@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -147,6 +147,33 @@ def test_bernoulli_weight_pads_shorter_spectrum():
     assert bernoulli_weight_hellinger(lam, gam) == pytest.approx(0.0, abs=1e-12)
 
 
+def closed_form_weight_h2(lam: np.ndarray, gam: np.ndarray) -> float:
+    """1 - prod_j (l_j g_j + sqrt(1-l_j^2) sqrt(1-g_j^2)), zero-padded,
+    clipped to [0, 1] like every h^2 of the package."""
+    r = max(lam.size, gam.size)
+    lam, gam = np.pad(lam, (0, r - lam.size)), np.pad(gam, (0, r - gam.size))
+    affinity = math.prod(float(l * g + math.sqrt(1.0 - l * l) * math.sqrt(1.0 - g * g))
+                         for l, g in zip(lam, gam))
+    return 1.0 - min(max(affinity, 0.0), 1.0)
+
+
+def test_bernoulli_weight_matches_closed_form():
+    gen = SeededRng(7).generator
+    ranks = set()
+    for _ in range(1200):
+        pair = []
+        for r in gen.integers(1, 6, size=2):
+            values = gen.uniform(0.0, 1.0, size=r)
+            # about a third of the entries exactly 0 or exactly 1
+            values[gen.uniform(size=r) < 1 / 6] = 0.0
+            values[gen.uniform(size=r) < 1 / 6] = 1.0
+            pair.append(values)
+        ranks.add((pair[0].size, pair[1].size))
+        h2 = bernoulli_weight_hellinger(Spectrum(pair[0]), Spectrum(pair[1]))
+        assert abs(h2 - closed_form_weight_h2(*pair)) <= 1e-15, pair
+    assert ranks == set(product(range(1, 6), repeat=2))
+
+
 # ---------------------------------------------------------------------------
 # wedge coordinates and the modulus isometry
 
@@ -187,7 +214,8 @@ def test_wedge_unit_norm():
 def test_gplus_identical_families():
     fam = haar_orthonormal(4, 2, SeededRng(9))
     w = wedge_coords(fam, 2)
-    delta2, gap = gplus_delta(w, w)
+    delta2, h2 = gplus_delta(w, w)
+    gap = abs(delta2 - 2.0 * h2)
     assert delta2 == pytest.approx(0.0, abs=1e-12)
     assert gap == pytest.approx(0.0, abs=1e-12)
 
@@ -195,7 +223,8 @@ def test_gplus_identical_families():
 def test_gplus_orthogonal_spans():
     a = family_from_columns(e(4, 1), e(4, 2))
     b = family_from_columns(e(4, 3), e(4, 4))
-    delta2, gap = gplus_delta(wedge_coords(a, 2), wedge_coords(b, 2))
+    delta2, h2 = gplus_delta(wedge_coords(a, 2), wedge_coords(b, 2))
+    gap = abs(delta2 - 2.0 * h2)
     assert delta2 == pytest.approx(2.0)
     assert gap == pytest.approx(0.0, abs=1e-12)
 
@@ -204,12 +233,13 @@ def test_gplus_gap_matches_exact_tables():
     rng = SeededRng(10)
     a = haar_orthonormal(5, 2, rng.split(0))
     b = haar_orthonormal(5, 2, rng.split(1))
-    delta2, gap = gplus_delta(wedge_coords(a, 2), wedge_coords(b, 2))
-    h2, _ = hellinger(
+    delta2, h2 = gplus_delta(wedge_coords(a, 2), wedge_coords(b, 2))
+    gap = abs(delta2 - 2.0 * h2)
+    h2_tables, _ = hellinger(
         density_table(ProjectionDensity(a, (1, 2))),
         density_table(ProjectionDensity(b, (1, 2))),
     )
-    assert delta2 == pytest.approx(2.0 * h2, abs=1e-9)
+    assert delta2 == pytest.approx(2.0 * h2_tables, abs=1e-9)
     assert gap <= 1e-9
 
 

@@ -633,7 +633,8 @@ def test_every_h2_lies_in_the_unit_interval(case):
     ta, tb = (density_table(DppDensity(f, s)) for f, s in ((fam_a, lam), (fam_b, gam)))
     active = tuple(range(1, fam_a.r + 1))
     wa, wb = wedge_coords(fam_a, fam_a.r), wedge_coords(fam_b, fam_b.r)
-    delta2, gap = gplus_delta(wa, wb)
+    delta2, h2 = gplus_delta(wa, wb)
+    gap = abs(delta2 - 2.0 * h2)
     two_h2 = 2.0 * wedge_hellinger(wa, wb)
     assert gap == abs(delta2 - two_h2)
     projection = check_bound_projection(fam_a, fam_b, active)
