@@ -5,7 +5,11 @@ estimate, risk-curve. Every run is driven by a JSON config plus the global
 flags --seed/--config/--out, and is byte-identical when repeated
 with the same inputs. Exit codes: 0 all assertions passed, 1 property
 violation, 2 usage, configuration or I/O error (an "error:" line on stderr,
-never a traceback).
+never a traceback; a missing config key is named).
+
+The library classes alone check config values: the configs of the sweeps
+and risk-curve go unchanged (--seed written in) to their experiments class,
+which refuses an unknown key by name, and estimate's caps to CandidateCaps.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ from .core import (
     DppDensity,
     complex_pairs,
     density_table,
-    is_integral,
+    integer,
     is_real,
     params_from_dict,
     params_to_dict,
@@ -46,64 +50,43 @@ from .rng import SeededRng
 from .sampling import SampleSet, sample_dpp
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _load_config(args) -> dict:
     if not args.config:
-        raise ConfigError("this subcommand requires --config <path>")
+        raise ValueError("this subcommand requires --config <path>")
     try:
         with open(args.config) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+        raise ValueError(f"cannot read config: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     return data
 
 
 def _require_out(args) -> str:
     if not args.out:
-        raise ConfigError("this subcommand requires --out <path>")
+        raise ValueError("this subcommand requires --out <path>")
     return args.out
-
-
-def _integer(key, value) -> int:
-    """A config value as an int. Only an int or a float without a fractional
-    part is one; anything else (a fraction, a boolean, a string) is a usage
-    error naming key, never truncated or parsed."""
-    if not is_integral(value):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _real(key, value) -> float:
     """A config value as a float: an int or a float (is_real), never a
     boolean or a string."""
     if not is_real(value):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
+        raise ValueError(f"{key} must be a number, got {value!r}")
     return float(value)
-
-
-def _integers(key, values) -> tuple:
-    """A config list of integers as a tuple; a usage error naming key for
-    anything but a list, or for an entry that is not an integer."""
-    if not isinstance(values, list):
-        raise ConfigError(f"{key} must be a list of integers, got {values!r}")
-    return tuple(_integer(key, value) for value in values)
 
 
 def _seed(args, cfg: dict, default=0) -> int:
     if args.seed is not None:
         return args.seed
-    return _integer("seed", cfg.get("seed", default))
+    return integer("seed", cfg.get("seed", default))
 
 
 def _cmd_sample(args) -> int:
     cfg = _load_config(args)
     fam, spec = params_from_dict(cfg["params"])
-    n = _integer("n", cfg.get("n", 1))
+    n = integer("n", cfg.get("n", 1))
     rng = SeededRng(_seed(args, cfg))
     samples = sample_dpp(DppDensity(fam, spec), n, rng)
     samples.write_csv(_require_out(args))
@@ -144,17 +127,19 @@ def _sweep_exit(command, rows, violations, quantity, badness) -> int:
     return 1
 
 
-def _present(cfg: dict, conversions: dict) -> dict:
-    """The config keys that are present, each converted by convert(key,
-    value); absent keys keep the defaults of the config dataclass."""
-    return {key: convert(key, cfg[key]) for key, convert in conversions.items()
-            if key in cfg}
-
-
-def _cmd_sweep(args, config, run, keys, quantity, badness) -> int:
+def _class_config(args, config_class):
+    """config_class built from the config object, its keys as keyword
+    arguments and --seed written in when given; keys left out keep the
+    class defaults. The class checks every value, and a key it has no field
+    for is a TypeError naming that key."""
     cfg = _load_config(args) if args.config else {}
-    sweep = config(**_present(cfg, dict.fromkeys(keys, _integer)),
-                   seed=_seed(args, cfg))
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+    return config_class(**cfg)
+
+
+def _cmd_sweep(args, config, run, quantity, badness) -> int:
+    sweep = _class_config(args, config)
     rows, violations = run(sweep)
     out = _require_out(args)
     write_rows_csv(out, SWEEP_HEADER, rows)
@@ -163,31 +148,42 @@ def _cmd_sweep(args, config, run, keys, quantity, badness) -> int:
 
 
 def _cmd_bounds_sweep(args) -> int:
-    return _cmd_sweep(args, BoundsSweepConfig, run_bounds_sweep,
-                      ("instances", "p_max", "rank_max"), "slack", lambda x: x)
+    return _cmd_sweep(args, BoundsSweepConfig, run_bounds_sweep, "slack",
+                      lambda x: x)
 
 
 def _cmd_isometry_sweep(args) -> int:
-    return _cmd_sweep(args, IsometrySweepConfig, run_isometry_sweep,
-                      ("instances", "p_max", "k_max"), "gap", lambda x: -x)
+    return _cmd_sweep(args, IsometrySweepConfig, run_isometry_sweep, "gap",
+                      lambda x: -x)
 
 
 def _model_from_dict(data: dict) -> SubspaceModel:
-    p = _integer("model p", data["p"])
-    dim = _integer("model dim", data["dim"])
+    p = integer("model p", data["p"])
+    dim = integer("model dim", data["dim"])
     flat = complex_pairs("model basis", data["basis"])
     if flat.size != p * dim:
-        raise ConfigError(f"model basis has {flat.size} entries, expected {p * dim}")
+        raise ValueError(f"model basis has {flat.size} entries, expected {p * dim}")
     return SubspaceModel(flat.reshape(dim, p).T,
-                         id=_integer("model id", data["id"]))
+                         id=integer("model id", data["id"]))
 
 
 def _read_samples_csv(path) -> SampleSet:
+    """The draws in the config_bitmask column of a CSV such as sample
+    writes; a usage error naming samples_csv, and the draw if one is not an
+    integer."""
     with open(path) as fh:
         reader = csv.DictReader(fh)
-        masks = [int(row["config_bitmask"]) for row in reader]
+        if reader.fieldnames and "config_bitmask" not in reader.fieldnames:
+            raise ValueError("samples_csv has no config_bitmask column")
+        masks = []
+        for i, row in enumerate(reader):
+            try:
+                masks.append(int(row["config_bitmask"]))
+            except (TypeError, ValueError):
+                raise ValueError(f"samples_csv draw {i} config_bitmask must be an "
+                                 f"integer, got {row['config_bitmask']!r}") from None
     if not masks:
-        raise ConfigError("samples_csv holds no draws")
+        raise ValueError("samples_csv holds no draws")
     return SampleSet(masks)
 
 
@@ -195,8 +191,8 @@ def _same_ground_set(key, p, models) -> None:
     """A usage error unless p, the ground-set size of the config key, is the
     first model's: models, truth and anchor must share one ground set."""
     if models and p != models[0].p:
-        raise ConfigError(f"{key} has p={p} but models[0] has p={models[0].p}; "
-                          "models, truth and anchor must share one ground set")
+        raise ValueError(f"{key} has p={p} but models[0] has p={models[0].p}; "
+                         "models, truth and anchor must share one ground set")
 
 
 CAPS_KEYS = ("j_max", "per_net", "family_max")
@@ -204,26 +200,29 @@ CAPS_KEYS = ("j_max", "per_net", "family_max")
 
 def _caps(value) -> CandidateCaps:
     """estimate's caps object; a usage error naming caps, or the entry that
-    is missing or not an integer."""
+    is missing. CandidateCaps checks the values."""
     if not isinstance(value, dict):
-        raise ConfigError(f"caps must be an object with the keys "
-                          f"{', '.join(CAPS_KEYS)}, got {value!r}")
+        raise ValueError(f"caps must be an object with the keys "
+                         f"{', '.join(CAPS_KEYS)}, got {value!r}")
     for key in CAPS_KEYS:
         if key not in value:
-            raise ConfigError(f"caps {key} is missing")
-    return CandidateCaps(*(_integer(f"caps {key}", value[key]) for key in CAPS_KEYS))
+            raise ValueError(f"caps {key} is missing")
+    return CandidateCaps(*(value[key] for key in CAPS_KEYS))
 
 
 def _cmd_estimate(args) -> int:
     cfg = _load_config(args)
     if cfg.get("test_statistic", "signed-root") != "signed-root":
-        raise ConfigError("unknown test_statistic (only 'signed-root' is available)")
+        raise ValueError("unknown test_statistic (only 'signed-root' is available)")
+    if not (isinstance(cfg["models"], list)
+            and all(isinstance(m, dict) for m in cfg["models"])):
+        raise ValueError(f"models must be a list of objects, got {cfg['models']!r}")
     models = [_model_from_dict(m) for m in cfg["models"]]
     for i, model in enumerate(models[1:], 1):
         _same_ground_set(f"models[{i}]", model.p, models)
-    prior = {_integer("model id", m["id"]): _real("model prior", m["prior"])
+    prior = {integer("model id", m["id"]): _real("model prior", m["prior"])
              for m in cfg["models"]}
-    n = _integer("n", cfg["n"])
+    n = integer("n", cfg["n"])
     caps = _caps(cfg["caps"])
     seed = _seed(args, cfg)
     rng = SeededRng(seed)
@@ -238,15 +237,15 @@ def _cmd_estimate(args) -> int:
         _same_ground_set("truth", fam.p, models)
         samples = sample_dpp(DppDensity(fam, spec), n, rng.split(0))
     else:
-        raise ConfigError("estimate config needs 'samples_csv' or 'truth'")
+        raise ValueError("estimate config needs 'samples_csv' or 'truth'")
     family = build_candidates(models, prior, n, caps, rng.split(1),
-                              pool_size=_integer("pool_size",
-                                                 cfg.get("pool_size", 256)),
+                              pool_size=integer("pool_size",
+                                                cfg.get("pool_size", 256)),
                               anchor=anchor)
     # after build_candidates, so that a bad n or prior is reported as such
     if len(samples) != n:
-        raise ConfigError(f"samples_csv holds {len(samples)} draws but the config's "
-                          f"n is {n}, the size the nets, grid and prior are built for")
+        raise ValueError(f"samples_csv holds {len(samples)} draws but the config's "
+                         f"n is {n}, the size the nets, grid and prior are built for")
     result = select(family, samples)
     chosen = family.entries[result.chosen_index]
     out = _require_out(args)
@@ -278,14 +277,8 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-RISK_CURVE_KEYS = {"p": _integer, "k": _integer, "n_grid": _integers,
-                   "replications": _integer, "caps": _integers,
-                   "pool_size": _integer, "anchor_jitter": _integer}
-
-
 def _cmd_risk_curve(args) -> int:
-    cfg = _load_config(args) if args.config else {}
-    curve = RiskCurveConfig(**_present(cfg, RISK_CURVE_KEYS), seed=_seed(args, cfg))
+    curve = _class_config(args, RiskCurveConfig)
     result = run_risk_curve(curve)
     out = _require_out(args)
     header, rows = risk_rows_for_csv(result)
@@ -343,8 +336,10 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return COMMANDS[args.command](args)
-    except (ConfigError, KeyError, ValueError, TypeError, OverflowError,
-            OSError) as exc:
+    except KeyError as exc:
+        print(f"error: config key {exc} is missing", file=sys.stderr)
+        return 2
+    except (ValueError, TypeError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -626,24 +626,22 @@ def params_to_dict(family: OrthonormalFamily, spectrum: Spectrum) -> dict:
     }
 
 
-def is_integral(value) -> bool:
-    """Whether a value stands for an integer: an int (a numpy integer too),
-    or a float with no fractional part (not NaN or inf). A boolean or a
-    numeric string is not."""
-    if isinstance(value, float):
-        return value.is_integer()
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def integer(key, value) -> int:
+    """The int a config value stands for: an int (a numpy integer too), or a
+    float with no fractional part (not NaN or inf). A ValueError naming key
+    for anything else, so that True is not run as 1, 1.5 as 1 nor "3" as 3."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
 def integer_fields(obj, *names) -> None:
-    """Set each named field of the dataclass obj (frozen or not) to the int
-    it stands for; a ValueError naming the field unless it is_integral, so
-    that True is not run as 1 nor 1.5 as 1."""
+    """Set each named field of the dataclass obj (frozen or not) to the
+    integer it stands for, read by integer(name, value)."""
     for name in names:
-        value = getattr(obj, name)
-        if not is_integral(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        object.__setattr__(obj, name, int(value))
+        object.__setattr__(obj, name, integer(name, getattr(obj, name)))
 
 
 def is_real(value) -> bool:
@@ -667,10 +665,7 @@ def complex_pairs(key, pairs) -> np.ndarray:
 
 
 def params_from_dict(data: dict):
-    p = data["p"]
-    if not is_integral(p):
-        raise ValueError(f"p must be an integer, got {p!r}")
-    p = int(p)
+    p = integer("p", data["p"])
     lam = data["lambda"]
     if not isinstance(lam, list):
         raise ValueError(f"lambda must be a list of numbers, got {lam!r}")

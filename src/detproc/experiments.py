@@ -22,8 +22,8 @@ from .core import (
     Spectrum,
     density_table,
     haar_orthonormal,
+    integer,
     integer_fields,
-    is_integral,
     random_spectrum,
 )
 from .estimator import (
@@ -291,10 +291,10 @@ class RiskCurveConfig:
                        "anchor_jitter", "seed")
         for key in ("n_grid", "caps"):
             values = getattr(self, key)
-            if not all(is_integral(v) for v in values):
-                raise ValueError(f"{key} entries must be integers, got {values!r}")
-        self.caps = tuple(int(c) for c in self.caps)
-        grid = tuple(int(n) for n in self.n_grid)
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"{key} must be a list of integers, got {values!r}")
+            setattr(self, key, tuple(integer(key, v) for v in values))
+        grid = self.n_grid
         if len(grid) < 2:
             raise ValueError("n_grid needs at least 2 sample sizes to fit a slope")
         if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -312,7 +312,6 @@ class RiskCurveConfig:
         if self.caps[0] < self.k:
             raise ValueError(f"caps j_max={self.caps[0]} is below k={self.k}: "
                              "no candidate could have the truth's rank")
-        self.n_grid = grid
 
 
 @dataclass

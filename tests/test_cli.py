@@ -9,6 +9,7 @@ import pytest
 from detproc import cli, experiments
 from detproc.cli import main
 from detproc.core import haar_orthonormal, params_to_dict, Spectrum
+from detproc.estimator import CandidateCaps
 from detproc.experiments import (
     BoundsSweepConfig,
     IsometrySweepConfig,
@@ -135,6 +136,33 @@ def test_memory_error_exits_2(tmp_path, capsys, monkeypatch):
     err = assert_usage_error(capsys, ["sample", "--config", cfg,
                                       "--out", str(tmp_path / "o.csv")])
     assert "out of memory" in err and "7.3 TiB" in err
+
+
+def missing_key_config(tmp_path, command, key):
+    if command == "estimate":
+        cfg = json.loads(Path(estimate_config(tmp_path)).read_text())
+    elif command == "hellinger":
+        cfg = {"params_a": diag_params(), "params_b": diag_params()}
+    else:
+        cfg = {"params": diag_params(), "n": 3}
+    cfg.pop(key, None)
+    cfg.get("params", {}).pop(key, None)
+    return cfg
+
+
+@pytest.mark.parametrize("command, key", [
+    # each once printed the bare key, e.g. "error: 'caps'"
+    ("estimate", "caps"),
+    ("density", "phi"),
+    ("sample", "params"),
+    ("hellinger", "params_b"),
+])
+def test_missing_config_key_is_named(tmp_path, capsys, command, key):
+    cfg = write_config(tmp_path, "c.json", missing_key_config(tmp_path, command, key))
+    out = tmp_path / "o.out"
+    err = assert_usage_error(capsys, [command, "--config", cfg, "--out", str(out)])
+    assert err == f"error: config key '{key}' is missing\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +328,38 @@ def test_malformed_params_list_exits_2(tmp_path, capsys, key, value, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, config_class, values", [
+    ("risk-curve", RiskCurveConfig, {"n_grid": 100}),
+    ("risk-curve", RiskCurveConfig, {**TINY_RISK_CURVE, "caps": [1, 2.5, 4]}),
+    ("bounds-sweep", BoundsSweepConfig, {"rank_max": 1.5}),
+    ("bounds-sweep", BoundsSweepConfig, {"p_max": 30}),
+    ("isometry-sweep", IsometrySweepConfig, {"k_max": True}),
+])
+def test_cli_error_is_the_config_class_error(tmp_path, capsys, command,
+                                             config_class, values):
+    # the CLI passes the JSON values through; the class alone checks them
+    with pytest.raises(ValueError) as raised:
+        config_class(**values)
+    cfg = write_config(tmp_path, "c.json", values)
+    err = assert_usage_error(capsys, [command, "--config", cfg,
+                                      "--out", str(tmp_path / "o.csv")])
+    assert err == f"error: {raised.value}\n"
+
+
+@pytest.mark.parametrize("command, config", [
+    ("bounds-sweep", {"instances": 2}),
+    ("isometry-sweep", {"instances": 2}),
+    ("risk-curve", TINY_RISK_CURVE),
+])
+def test_unknown_config_key_exits_2(tmp_path, capsys, command, config):
+    # a misspelt key was once dropped and the run went on with the default
+    cfg = write_config(tmp_path, "c.json", {**config, "replication": 1})
+    out = tmp_path / "o.csv"
+    err = assert_usage_error(capsys, [command, "--config", cfg, "--out", str(out)])
+    assert "'replication'" in err
+    assert not out.exists()
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = write_config(tmp_path, "c.json", {"instances": 5, "seed": 1})
     out_a = tmp_path / "a.csv"
@@ -390,13 +450,17 @@ def test_estimate_non_number_model_entry_exits_2(tmp_path, capsys, key, value,
 
 
 def test_estimate_fractional_cap_exits_2(tmp_path, capsys):
+    # the caps values go to CandidateCaps unchanged, which alone checks them
+    with pytest.raises(ValueError) as raised:
+        CandidateCaps(1, 3.5, 20)
     cfg = json.loads(Path(estimate_config(tmp_path)).read_text())
     cfg["caps"]["per_net"] = 3.5
     path = write_config(tmp_path, "bad.json", cfg)
     out = tmp_path / "o.json"
     err = assert_usage_error(capsys, ["estimate", "--config", path,
                                       "--out", str(out)])
-    assert "caps per_net must be an integer, got 3.5" in err
+    assert err == f"error: {raised.value}\n"
+    assert "per_net must be an integer, got 3.5" in err
     assert not out.exists()
 
 
@@ -414,6 +478,42 @@ def test_estimate_malformed_caps_exits_2(tmp_path, capsys, caps, message):
     err = assert_usage_error(capsys, ["estimate", "--config", path,
                                       "--out", str(out)])
     assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("models", [5, {"a": 1}, [5]],
+                         ids=["number", "object", "list-of-numbers"])
+def test_estimate_models_not_a_list_of_objects_exits_2(tmp_path, capsys, models):
+    # once "'int' object is not iterable", "string indices must be integers,
+    # not 'str'" and "'int' object is not subscriptable"
+    cfg = json.loads(Path(estimate_config(tmp_path)).read_text())
+    cfg["models"] = models
+    path = write_config(tmp_path, "bad.json", cfg)
+    out = tmp_path / "o.json"
+    err = assert_usage_error(capsys, ["estimate", "--config", path,
+                                      "--out", str(out)])
+    assert f"models must be a list of objects, got {models!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    # once "error: 'config_bitmask'"
+    ("draw_index,mask\n0,1\n", "samples_csv has no config_bitmask column"),
+    # once "invalid literal for int() with base 10: 'x'"
+    ("draw_index,config_bitmask\n0,1\n1,x\n",
+     "samples_csv draw 1 config_bitmask must be an integer, got 'x'"),
+], ids=["no-column", "not-an-integer"])
+def test_estimate_malformed_samples_csv_exits_2(tmp_path, capsys, text, message):
+    draws = tmp_path / "draws.csv"
+    draws.write_text(text)
+    cfg = json.loads(Path(estimate_config(tmp_path)).read_text())
+    del cfg["truth"]
+    cfg["samples_csv"] = str(draws)
+    path = write_config(tmp_path, "bad.json", cfg)
+    out = tmp_path / "o.json"
+    err = assert_usage_error(capsys, ["estimate", "--config", path,
+                                      "--out", str(out)])
+    assert err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -7,9 +7,10 @@ loads lazily) and locale (which argparse's gettext loads when the first
 parser is built) are loaded with the package, so that their imports land in
 set-up rather than inside the first command. Both checks run in a fresh child
 interpreter, since this test process has long since imported scipy. The last
-two checks load the benchmark's modules and install its tracer, so that a name
-the benchmark needs cannot disappear from the package unnoticed, and a traced
-command cannot drift from the counts its config implies.
+three checks load the benchmark's modules and install its tracer, so that a
+name or config field the benchmark needs cannot disappear from the package
+unnoticed, and a traced command cannot drift from the counts its config
+implies.
 """
 import json
 import os
@@ -165,3 +166,24 @@ def test_benchmark_counts_match_what_each_config_implies(tmp_path):
     """, str(tmp_path))
     assert result == {name: [0, {}] for name in (
         "risk_curve", "bounds_sweep", "sample_seq", "table_large")}
+
+
+def test_benchmark_configs_build_their_config_classes():
+    # the CLI hands a config object to its class unchanged, so a renamed or
+    # deleted field would make the benchmark's own config an exit-2 run
+    pairs, _ = run_child(f"""
+        import json, sys
+        sys.path.insert(0, {str(BENCH)!r})
+        from detproc.experiments import BoundsSweepConfig, RiskCurveConfig
+        from workloads import WORKLOADS
+
+        pairs = []
+        for name, config_class in (("bounds_sweep", BoundsSweepConfig),
+                                   ("risk_curve", RiskCurveConfig)):
+            cfg = WORKLOADS[name].config(0)
+            pairs.append([vars(config_class(**cfg)), cfg])
+        print(json.dumps(pairs))
+    """)
+    assert len(pairs) == 2
+    for built, given in pairs:
+        assert built == given
