@@ -9,7 +9,8 @@ never a traceback; a missing config key is named).
 
 The library classes alone check config values: the configs of the sweeps
 and risk-curve go unchanged (--seed written in) to their experiments class,
-which refuses an unknown key by name, and estimate's caps to CandidateCaps.
+which refuses an unknown key by name; estimate's caps go to CandidateCaps
+and the rest of its estimation inputs to build_candidates, which check them.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from .core import (
     complex_pairs,
     density_table,
     integer,
-    is_real,
     params_from_dict,
     params_to_dict,
     write_table_csv,
@@ -69,14 +69,6 @@ def _require_out(args) -> str:
     return args.out
 
 
-def _real(key, value) -> float:
-    """A config value as a float: an int or a float (is_real), never a
-    boolean or a string."""
-    if not is_real(value):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
 def _seed(args, cfg: dict, default=0) -> int:
     if args.seed is not None:
         return args.seed
@@ -85,7 +77,7 @@ def _seed(args, cfg: dict, default=0) -> int:
 
 def _cmd_sample(args) -> int:
     cfg = _load_config(args)
-    fam, spec = params_from_dict(cfg["params"])
+    fam, spec = params_from_dict("params", cfg["params"])
     n = integer("n", cfg.get("n", 1))
     rng = SeededRng(_seed(args, cfg))
     samples = sample_dpp(DppDensity(fam, spec), n, rng)
@@ -95,7 +87,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_density(args) -> int:
     cfg = _load_config(args)
-    fam, spec = params_from_dict(cfg["params"])
+    fam, spec = params_from_dict("params", cfg["params"])
     table = density_table(DppDensity(fam, spec))
     write_table_csv(table, _require_out(args))
     return 0
@@ -103,8 +95,8 @@ def _cmd_density(args) -> int:
 
 def _cmd_hellinger(args) -> int:
     cfg = _load_config(args)
-    fam_a, spec_a = params_from_dict(cfg["params_a"])
-    fam_b, spec_b = params_from_dict(cfg["params_b"])
+    fam_a, spec_a = params_from_dict("params_a", cfg["params_a"])
+    fam_b, spec_b = params_from_dict("params_b", cfg["params_b"])
     h2, affinity = hellinger(
         density_table(DppDensity(fam_a, spec_a)),
         density_table(DppDensity(fam_b, spec_b)),
@@ -187,29 +179,6 @@ def _read_samples_csv(path) -> SampleSet:
     return SampleSet(masks)
 
 
-def _same_ground_set(key, p, models) -> None:
-    """A usage error unless p, the ground-set size of the config key, is the
-    first model's: models, truth and anchor must share one ground set."""
-    if models and p != models[0].p:
-        raise ValueError(f"{key} has p={p} but models[0] has p={models[0].p}; "
-                         "models, truth and anchor must share one ground set")
-
-
-CAPS_KEYS = ("j_max", "per_net", "family_max")
-
-
-def _caps(value) -> CandidateCaps:
-    """estimate's caps object; a usage error naming caps, or the entry that
-    is missing. CandidateCaps checks the values."""
-    if not isinstance(value, dict):
-        raise ValueError(f"caps must be an object with the keys "
-                         f"{', '.join(CAPS_KEYS)}, got {value!r}")
-    for key in CAPS_KEYS:
-        if key not in value:
-            raise ValueError(f"caps {key} is missing")
-    return CandidateCaps(*(value[key] for key in CAPS_KEYS))
-
-
 def _cmd_estimate(args) -> int:
     cfg = _load_config(args)
     if cfg.get("test_statistic", "signed-root") != "signed-root":
@@ -218,30 +187,31 @@ def _cmd_estimate(args) -> int:
             and all(isinstance(m, dict) for m in cfg["models"])):
         raise ValueError(f"models must be a list of objects, got {cfg['models']!r}")
     models = [_model_from_dict(m) for m in cfg["models"]]
-    for i, model in enumerate(models[1:], 1):
-        _same_ground_set(f"models[{i}]", model.p, models)
-    prior = {integer("model id", m["id"]): _real("model prior", m["prior"])
-             for m in cfg["models"]}
+    prior = {model.id: m["prior"] for model, m in zip(models, cfg["models"])}
     n = integer("n", cfg["n"])
-    caps = _caps(cfg["caps"])
+    # CandidateCaps names a missing, misspelled or bad entry
+    if not isinstance(cfg["caps"], dict):
+        raise ValueError(f"caps must be an object with the keys j_max, per_net, "
+                         f"family_max, got {cfg['caps']!r}")
+    caps = CandidateCaps(**cfg["caps"])
     seed = _seed(args, cfg)
     rng = SeededRng(seed)
     anchor = None
     if "anchor" in cfg:
-        anchor, _ = params_from_dict(cfg["anchor"])
-        _same_ground_set("anchor", anchor.p, models)
+        anchor, _ = params_from_dict("anchor", cfg["anchor"])
     if "samples_csv" in cfg:
         samples = _read_samples_csv(cfg["samples_csv"])
     elif "truth" in cfg:
-        fam, spec = params_from_dict(cfg["truth"])
-        _same_ground_set("truth", fam.p, models)
+        fam, spec = params_from_dict("truth", cfg["truth"])
+        if models and fam.p != models[0].p:
+            raise ValueError(f"truth has p={fam.p} but models[0] has "
+                             f"p={models[0].p}")
         samples = sample_dpp(DppDensity(fam, spec), n, rng.split(0))
     else:
         raise ValueError("estimate config needs 'samples_csv' or 'truth'")
+    # build_candidates checks the models, prior, n, pool_size and anchor
     family = build_candidates(models, prior, n, caps, rng.split(1),
-                              pool_size=integer("pool_size",
-                                                cfg.get("pool_size", 256)),
-                              anchor=anchor)
+                              pool_size=cfg.get("pool_size", 256), anchor=anchor)
     # after build_candidates, so that a bad n or prior is reported as such
     if len(samples) != n:
         raise ValueError(f"samples_csv holds {len(samples)} draws but the config's "

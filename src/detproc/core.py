@@ -645,10 +645,11 @@ def integer_fields(obj, *names) -> None:
 
 
 def is_real(value) -> bool:
-    """Whether a JSON value stands for a real number: an int or a float. A
-    boolean or a numeric string is not, where numpy and complex() would
-    read true as 1 and "0.5" as 0.5."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether a value stands for a real number: an int or a float (a numpy
+    integer or float too). A boolean or a numeric string is not, where numpy
+    and complex() would read true as 1 and "0.5" as 0.5."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
 
 
 def complex_pairs(key, pairs) -> np.ndarray:
@@ -664,7 +665,11 @@ def complex_pairs(key, pairs) -> np.ndarray:
     return np.array([complex(re, im) for re, im in pairs])
 
 
-def params_from_dict(data: dict):
+def params_from_dict(key, data: dict):
+    """The family and spectrum of the params_to_dict object named key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{key} must be an object with the keys p, lambda, "
+                         f"phi, got {data!r}")
     p = integer("p", data["p"])
     lam = data["lambda"]
     if not isinstance(lam, list):

@@ -22,7 +22,9 @@ from .core import (
     OrthonormalFamily,
     Spectrum,
     density_table,
+    integer,
     integer_fields,
+    is_real,
 )
 from .hellinger import _h2
 from .rng import SeededRng
@@ -273,17 +275,35 @@ def build_candidates(models, prior, n: int, caps: CandidateCaps, rng: SeededRng,
     Candidates on the same set of net points differ only in gamma, so the
     polar factor is computed once per set and the candidates share one
     OrthonormalFamily (and with it the squared minors of their tables).
+
+    Every input is checked here, a ValueError naming the value it refuses.
     """
     models = list(models)
     if not models:
         raise ValueError("need at least one model")
-    # comparisons written so that NaN fails them
-    if not n >= 1:
+    # models and anchor must share one ground set
+    p = models[0].p
+    named = [(f"models[{i}]", model) for i, model in enumerate(models[1:], 1)]
+    if anchor is not None:
+        named.append(("anchor", anchor))
+    for key, family in named:
+        if family.p != p:
+            raise ValueError(f"{key} has p={family.p} but models[0] has p={p}")
+    n = integer("n", n)
+    pool_size = integer("pool_size", pool_size)
+    anchor_jitter = integer("anchor_jitter", anchor_jitter)
+    if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not anchor_jitter >= 0:
+    if anchor_jitter < 0:
         raise ValueError(f"anchor_jitter must be >= 0, got {anchor_jitter}")
+    for model in models:
+        if model.id not in prior:
+            raise ValueError(f"prior has no entry for model {model.id}")
     for mid, weight in prior.items():
-        if not (math.isfinite(weight) and weight >= 0.0):
+        if not is_real(weight):
+            raise ValueError(f"model prior must be a number, got {weight!r} "
+                             f"for model {mid}")
+        if not (math.isfinite(weight) and weight >= 0.0):  # NaN fails too
             raise ValueError(f"prior of model {mid} must be finite and >= 0, "
                              f"got {weight}")
     if not math.fsum(prior.values()) <= 1.0 + 1e-12:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -77,6 +77,19 @@ def write_metadata(path, config, extra=None):
 # ---------------------------------------------------------------------------
 # inequality sweep
 
+def _check_sweep(cfg, rank_key) -> None:
+    """A sweep config's fields as integers; each instance builds tables, or
+    subsets(p, k), on up to p_max points, and draws a rank up to rank_key."""
+    integer_fields(cfg, "instances", "p_max", rank_key, "seed")
+    if cfg.instances < 1:
+        raise ValueError(f"instances must be >= 1, got {cfg.instances}")
+    if not 2 <= cfg.p_max <= DEFAULT_ENUM_CAP:
+        raise ValueError(f"p_max must be in [2, {DEFAULT_ENUM_CAP}], "
+                         f"got {cfg.p_max}")
+    if getattr(cfg, rank_key) < 1:
+        raise ValueError(f"{rank_key} must be >= 1, got {getattr(cfg, rank_key)}")
+
+
 @dataclass
 class BoundsSweepConfig:
     instances: int = 1000
@@ -85,15 +98,7 @@ class BoundsSweepConfig:
     seed: int = 0
 
     def __post_init__(self):
-        integer_fields(self, "instances", "p_max", "rank_max", "seed")
-        if not self.instances >= 1:
-            raise ValueError(f"instances must be >= 1, got {self.instances}")
-        # every instance builds tables on up to p_max points
-        if not 2 <= self.p_max <= DEFAULT_ENUM_CAP:
-            raise ValueError(f"p_max must be in [2, {DEFAULT_ENUM_CAP}], "
-                             f"got {self.p_max}")
-        if not self.rank_max >= 1:
-            raise ValueError(f"rank_max must be >= 1, got {self.rank_max}")
+        _check_sweep(self, "rank_max")
 
 
 def run_bounds_sweep(cfg: BoundsSweepConfig):
@@ -160,16 +165,7 @@ class IsometrySweepConfig:
     seed: int = 0
 
     def __post_init__(self):
-        integer_fields(self, "instances", "p_max", "k_max", "seed")
-        if not self.instances >= 1:
-            raise ValueError(f"instances must be >= 1, got {self.instances}")
-        if not self.p_max >= 2:
-            raise ValueError(f"p_max must be >= 2, got {self.p_max}")
-        # an instance's subsets(p, k) holds C(p, k) rows
-        if not self.p_max <= DEFAULT_ENUM_CAP:
-            raise ValueError(f"p_max must be <= {DEFAULT_ENUM_CAP}, got {self.p_max}")
-        if not self.k_max >= 1:
-            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
+        _check_sweep(self, "k_max")
 
 
 def run_isometry_sweep(cfg: IsometrySweepConfig):
@@ -293,7 +289,12 @@ class RiskCurveConfig:
             values = getattr(self, key)
             if not isinstance(values, (list, tuple)):
                 raise ValueError(f"{key} must be a list of integers, got {values!r}")
-            setattr(self, key, tuple(integer(key, v) for v in values))
+        self.n_grid = tuple(integer("n_grid", v) for v in self.n_grid)
+        try:  # CandidateCaps checks the count, the integers and their signs
+            self.caps = astuple(CandidateCaps(*self.caps))
+        except TypeError:
+            raise ValueError(f"caps must be (j_max, per_net, family_max), "
+                             f"got {self.caps!r}") from None
         grid = self.n_grid
         if len(grid) < 2:
             raise ValueError("n_grid needs at least 2 sample sizes to fit a slope")
@@ -305,8 +306,6 @@ class RiskCurveConfig:
             raise ValueError("replications must be >= 1")
         if not 1 <= self.k < self.p <= DEFAULT_ENUM_CAP:
             raise ValueError(f"need 1 <= k < p <= {DEFAULT_ENUM_CAP}")
-        if len(self.caps) != 3:
-            raise ValueError("caps must be (j_max, per_net, family_max)")
         # a candidate of rank j < k has no mass on the truth's k-point
         # configurations, so a run with j_max < k only ever measures h^2 = 1
         if self.caps[0] < self.k:

@@ -11,6 +11,8 @@ import numpy as np
 # the package so its import is not charged to the first SeededRng.
 import numpy.random
 
+from .core import integer
+
 
 class SeededRng:
     """Counter-style seeded stream built on numpy's SeedSequence.
@@ -22,7 +24,7 @@ class SeededRng:
     """
 
     def __init__(self, seed: int, key: tuple = ()):
-        self.seed = int(seed)
+        self.seed = integer("seed", seed)
         self.key = tuple(int(k) for k in key)
         self._gen = np.random.default_rng(
             np.random.SeedSequence(self.seed, spawn_key=self.key)

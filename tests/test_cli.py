@@ -237,8 +237,8 @@ def test_sweep_without_instances_exits_2(tmp_path, capsys, command, instances):
     ("bounds-sweep", "p_max", 1, "p_max must be in [2, 20], got 1"),
     ("bounds-sweep", "p_max", 30, "p_max must be in [2, 20], got 30"),
     ("bounds-sweep", "rank_max", 0, "rank_max must be >= 1, got 0"),
-    ("isometry-sweep", "p_max", 1, "p_max must be >= 2, got 1"),
-    ("isometry-sweep", "p_max", 10**6, "p_max must be <= 20, got 1000000"),
+    ("isometry-sweep", "p_max", 1, "p_max must be in [2, 20], got 1"),
+    ("isometry-sweep", "p_max", 10**6, "p_max must be in [2, 20], got 1000000"),
     ("isometry-sweep", "k_max", 0, "k_max must be >= 1, got 0"),
 ])
 def test_sweep_impossible_size_exits_2(tmp_path, capsys, command, key, value,
@@ -275,7 +275,8 @@ def test_fractional_integer_key_exits_2(tmp_path, capsys, command, config, key,
     cfg = write_config(tmp_path, "c.json", {**config, key: value})
     out = tmp_path / "o.csv"
     err = assert_usage_error(capsys, [command, "--config", cfg, "--out", str(out)])
-    assert f"{key} must be an integer" in err
+    # CandidateCaps names a caps entry by its field, here the second
+    assert f"{'per_net' if key == 'caps' else key} must be an integer" in err
     assert not out.exists()
 
 
@@ -328,12 +329,30 @@ def test_malformed_params_list_exits_2(tmp_path, capsys, key, value, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, config, message", [
+    # once "'int' object is not subscriptable"
+    ("sample", {"params": 5, "n": 3},
+     "params must be an object with the keys p, lambda, phi, got 5"),
+    # once "list indices must be integers or slices, not str"
+    ("hellinger", {"params_a": [1], "params_b": diag_params()},
+     "params_a must be an object with the keys p, lambda, phi, got [1]"),
+], ids=["sample-number", "hellinger-list"])
+def test_params_not_an_object_exits_2(tmp_path, capsys, command, config, message):
+    cfg = write_config(tmp_path, "c.json", config)
+    out = tmp_path / "o.csv"
+    err = assert_usage_error(capsys, [command, "--config", cfg, "--out", str(out)])
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, config_class, values", [
     ("risk-curve", RiskCurveConfig, {"n_grid": 100}),
     ("risk-curve", RiskCurveConfig, {**TINY_RISK_CURVE, "caps": [1, 2.5, 4]}),
     ("bounds-sweep", BoundsSweepConfig, {"rank_max": 1.5}),
     ("bounds-sweep", BoundsSweepConfig, {"p_max": 30}),
     ("isometry-sweep", IsometrySweepConfig, {"k_max": True}),
+    # once refused only inside the first replication
+    ("risk-curve", RiskCurveConfig, {**TINY_RISK_CURVE, "caps": [2, 0, 40]}),
 ])
 def test_cli_error_is_the_config_class_error(tmp_path, capsys, command,
                                              config_class, values):
@@ -466,10 +485,14 @@ def test_estimate_fractional_cap_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("caps, message", [
     # once "error: 'per_net'" and "list indices must be integers or slices"
-    ({"j_max": 1, "family_max": 20}, "caps per_net is missing"),
+    ({"j_max": 1, "family_max": 20},
+     "missing 1 required positional argument: 'per_net'"),
     ([1, 4, 20], "caps must be an object with the keys j_max, per_net, "
                  "family_max, got [1, 4, 20]"),
-], ids=["missing-per-net", "list"])
+    # once ignored, and the run exited 0
+    ({"j_max": 1, "per_net": 4, "family_max": 15, "famly_max": 3},
+     "unexpected keyword argument 'famly_max'"),
+], ids=["missing-per-net", "list", "misspelled"])
 def test_estimate_malformed_caps_exits_2(tmp_path, capsys, caps, message):
     cfg = json.loads(Path(estimate_config(tmp_path)).read_text())
     cfg["caps"] = caps

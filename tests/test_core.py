@@ -571,7 +571,7 @@ def test_params_dict_roundtrip():
     rng = SeededRng(22)
     fam = haar_orthonormal(4, 2, rng.split(0))
     spec = random_spectrum(2, rng.split(1))
-    fam2, spec2 = params_from_dict(params_to_dict(fam, spec))
+    fam2, spec2 = params_from_dict("params", params_to_dict(fam, spec))
     assert np.allclose(fam.columns, fam2.columns)
     assert np.allclose(spec.values, spec2.values)
 

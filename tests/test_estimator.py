@@ -455,6 +455,34 @@ def test_build_candidates_rejects_bad_inputs(n, prior, jitter, message):
                          anchor_jitter=jitter)
 
 
+@pytest.mark.parametrize("change, message", [
+    # once numpy's hstack error
+    ({"models": [full_space_model(5), full_space_model(4, 1)]},
+     "models[1] has p=4 but models[0] has p=5"),
+    # once a matmul core-dimension error
+    ({"anchor": OrthonormalFamily(np.eye(4, 1))},
+     "anchor has p=4 but models[0] has p=5"),
+    # once run as 1.0, and TypeError: must be real number, not str
+    ({"prior": {0: True}}, "model prior must be a number, got True for model 0"),
+    ({"prior": {0: "0.5"}}, "model prior must be a number, got '0.5' for "
+                            "model 0"),
+    # once a bare KeyError 0
+    ({"prior": {1: 0.5}}, "prior has no entry for model 0"),
+    # each once "'float' object cannot be interpreted as an integer"
+    ({"n": 4.5}, "n must be an integer, got 4.5"),
+    ({"pool_size": 8.5}, "pool_size must be an integer, got 8.5"),
+    ({"anchor_jitter": 1.5}, "anchor_jitter must be an integer, got 1.5"),
+], ids=["models-ground-set", "anchor-ground-set", "prior-true", "prior-string",
+        "prior-missing", "n", "pool-size", "anchor-jitter"])
+def test_build_candidates_names_each_bad_input(change, message):
+    inputs = {"models": [full_space_model(5)], "prior": {0: 1.0}, "n": 4,
+              "pool_size": 8, "anchor": OrthonormalFamily(np.eye(5, 1)),
+              "anchor_jitter": 1, **change}
+    with pytest.raises(ValueError) as raised:
+        build_candidates(caps=CandidateCaps(1, 2, 4), rng=SeededRng(0), **inputs)
+    assert str(raised.value) == message
+
+
 def test_build_candidates_rejects_repeated_model_id():
     # nets and priors are keyed by model id: a second model under the same
     # id would replace the first one's

@@ -149,7 +149,7 @@ def test_risk_curve_config_validation():
     (RiskCurveConfig, {"seed": True}, "seed must be an integer"),
     (RiskCurveConfig, {"pool_size": True}, "pool_size must be an integer"),
     (RiskCurveConfig, {"anchor_jitter": True}, "anchor_jitter must be an integer"),
-    (RiskCurveConfig, {"caps": (2, 4.5, 40)}, "caps must be an integer, got 4.5"),
+    (RiskCurveConfig, {"caps": (2, 4.5, 40)}, "per_net must be an integer, got 4.5"),
     (BoundsSweepConfig, {"instances": True}, "instances must be an integer"),
     (BoundsSweepConfig, {"rank_max": 1.5}, "rank_max must be an integer"),
     (BoundsSweepConfig, {"seed": 1.5}, "seed must be an integer"),

@@ -46,6 +46,13 @@ def test_rng_split_streams_differ():
     assert not np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("seed", [2.5, True])
+def test_rng_refuses_a_seed_that_is_not_an_integer(seed):
+    # 2.5 once ran as seed 2 (the stream of SeededRng(2)), True as seed 1
+    with pytest.raises(ValueError, match=f"seed must be an integer, got {seed}"):
+        SeededRng(seed)
+
+
 def test_rng_split_is_stable():
     a = SeededRng(7).split(3).split(1).generator.random(4)
     b = SeededRng(7).split(3).split(1).generator.random(4)
