@@ -12,7 +12,6 @@ sum, the L-ensemble likelihood and the pivoted-QR determinant abs_det.
 """
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -25,6 +24,9 @@ DEFAULT_ENUM_CAP = 20
 GRAM_TOL = 1e-9
 KERNEL_TOL = 1e-9
 TABLE_TOL = 1e-9
+# Rows per formatting pass of the CSV writers: each pass turns one slice of
+# the column into Python numbers, so memory does not grow with 2^p.
+_CSV_CHUNK_ROWS = 4096
 
 
 class EnumerationCapError(ValueError):
@@ -666,29 +668,54 @@ def complex_pairs(key, pairs) -> np.ndarray:
 
 
 def params_from_dict(key, data: dict):
-    """The family and spectrum of the params_to_dict object named key."""
+    """The family and spectrum of the params_to_dict object named key. Every
+    error names the entry it is about by its path, e.g. params_b.p, and a
+    missing entry is a KeyError of that path."""
     if not isinstance(data, dict):
         raise ValueError(f"{key} must be an object with the keys p, lambda, "
                          f"phi, got {data!r}")
-    p = integer("p", data["p"])
-    lam = data["lambda"]
+
+    def entry(name):
+        if name not in data:
+            raise KeyError(f"{key}.{name}")
+        return data[name]
+
+    p = integer(f"{key}.p", entry("p"))
+    lam = entry("lambda")
     if not isinstance(lam, list):
-        raise ValueError(f"lambda must be a list of numbers, got {lam!r}")
+        raise ValueError(f"{key}.lambda must be a list of numbers, got {lam!r}")
     if not all(is_real(v) for v in lam):
-        raise ValueError(f"lambda entries must be numbers, got {lam!r}")
+        raise ValueError(f"{key}.lambda entries must be numbers, got {lam!r}")
     lam = np.asarray(lam, dtype=float)
     r = lam.size
-    flat = complex_pairs("phi", data["phi"])
+    flat = complex_pairs(f"{key}.phi", entry("phi"))
     if flat.size != p * r:
-        raise ValueError(f"phi has {flat.size} entries, expected p*r = {p * r}")
-    cols = flat.reshape(r, p).T
-    return OrthonormalFamily(cols), Spectrum(lam)
+        raise ValueError(f"{key}.phi has {flat.size} entries, "
+                         f"expected p*r = {p * r}")
+    try:
+        return OrthonormalFamily(flat.reshape(r, p).T), Spectrum(lam)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
+def _write_indexed_csv(path, header: str, values: np.ndarray, row: str):
+    """Write the line header, then the line row % (i, values[i]) for each i.
+
+    Lines end in \r\n, as the csv module's default dialect writes them.
+    Each chunk of _CSV_CHUNK_ROWS rows is one % operation on one string.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\r\n")
+        for start in range(0, values.size, _CSV_CHUNK_ROWS):
+            chunk = values[start:start + _CSV_CHUNK_ROWS].tolist()
+            flat = [None] * (2 * len(chunk))
+            flat[0::2] = range(start, start + len(chunk))
+            flat[1::2] = chunk
+            fh.write((row * len(chunk)) % tuple(flat))
 
 
 def write_table_csv(table: DensityTable, path):
-    """CSV export: config_bitmask,probability with the bitmask in decimal."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["config_bitmask", "probability"])
-        for mask, prob in enumerate(table.probs):
-            writer.writerow([mask, f"{prob:.17g}"])
+    """CSV export: config_bitmask,probability with the bitmask in decimal
+    and the probability as %.17g (exact round trip)."""
+    _write_indexed_csv(path, "config_bitmask,probability", table.probs,
+                       "%d,%.17g\r\n")

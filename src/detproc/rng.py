@@ -25,7 +25,7 @@ class SeededRng:
 
     def __init__(self, seed: int, key: tuple = ()):
         self.seed = integer("seed", seed)
-        self.key = tuple(int(k) for k in key)
+        self.key = tuple(integer("key", k) for k in key)
         self._gen = np.random.default_rng(
             np.random.SeedSequence(self.seed, spawn_key=self.key)
         )
@@ -36,7 +36,7 @@ class SeededRng:
 
     def split(self, index: int) -> "SeededRng":
         """Independent child stream; children with distinct indices never collide."""
-        return SeededRng(self.seed, self.key + (int(index),))
+        return SeededRng(self.seed, self.key + (integer("index", index),))
 
     def __repr__(self):
         return f"SeededRng(seed={self.seed}, key={self.key})"

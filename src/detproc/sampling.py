@@ -16,11 +16,9 @@ the samplers through the empirical table and the estimator.
 """
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
-from .core import DensityTable, DppDensity
+from .core import DensityTable, DppDensity, _write_indexed_csv
 from .rng import SeededRng
 
 RANK_TOL = 1e-10
@@ -59,10 +57,8 @@ class SampleSet:
 
     def write_csv(self, path):
         """CSV export: draw_index,config_bitmask."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["draw_index", "config_bitmask"])
-            writer.writerows(enumerate(self._masks.tolist()))
+        _write_indexed_csv(path, "draw_index,config_bitmask", self._masks,
+                           "%d,%d\r\n")
 
 
 def _projection_masks(columns: np.ndarray, active: np.ndarray,

@@ -161,7 +161,9 @@ def test_missing_config_key_is_named(tmp_path, capsys, command, key):
     cfg = write_config(tmp_path, "c.json", missing_key_config(tmp_path, command, key))
     out = tmp_path / "o.out"
     err = assert_usage_error(capsys, [command, "--config", cfg, "--out", str(out)])
-    assert err == f"error: config key '{key}' is missing\n"
+    # an entry of a parameter set is named by its path
+    name = f"params.{key}" if command == "density" else key
+    assert err == f"error: config key '{name}' is missing\n"
     assert not out.exists()
 
 
@@ -341,6 +343,27 @@ def test_params_not_an_object_exits_2(tmp_path, capsys, command, config, message
     cfg = write_config(tmp_path, "c.json", config)
     out = tmp_path / "o.csv"
     err = assert_usage_error(capsys, [command, "--config", cfg, "--out", str(out)])
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    # each once printed the same text for params_a and params_b
+    ({"params_b": {**diag_params(), "p": 2.5}},
+     "params_b.p must be an integer, got 2.5"),
+    ({"params_b": {**diag_params(), "lambda": [0.5, 1.5]}},
+     "params_b: spectrum entries must be finite and lie in [0, 1]"),
+    ({"params_b": {**diag_params(),
+                   "phi": [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}},
+     "params_b: columns are not orthonormal (Gram deviation 1.000e+00)"),
+    ({"params_b": {"p": 2, "lambda": [0.5, 0.5]}},
+     "config key 'params_b.phi' is missing"),
+], ids=["fractional-p", "spectrum", "not-orthonormal", "missing-phi"])
+def test_params_entry_error_names_its_set(tmp_path, capsys, config, message):
+    cfg = write_config(tmp_path, "c.json", {"params_a": diag_params(), **config})
+    out = tmp_path / "o.csv"
+    err = assert_usage_error(capsys, ["hellinger", "--config", cfg,
+                                      "--out", str(out)])
     assert err == f"error: {message}\n"
     assert not out.exists()
 

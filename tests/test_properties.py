@@ -1,14 +1,16 @@
 """Property tests for the batched sampler, bitmask-native SampleSet, the
 selection tournament, the shared minors of the table engine, the sphere
-net certificate, the lazy candidate enumeration, the one Hellinger kernel
-and the CLI exit contract.
+net certificate, the lazy candidate enumeration, the one Hellinger kernel,
+the CLI exit contract and the bytes of the CSV writers.
 
 Families are Haar draws on small ground sets (p <= 6) from a seeded stream,
 with spectra chosen by hypothesis.
 """
+import csv
 import json
 import math
 from itertools import combinations, islice, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,9 +30,11 @@ from detproc.core import (
     haar_orthonormal,
     index_set_weights,
     mixture_weight,
+    params_from_dict,
     params_to_dict,
     random_spectrum,
     subsets,
+    write_table_csv,
 )
 from detproc.core import (
     _chain_rule_pays,
@@ -121,6 +125,75 @@ def test_sample_set_round_trip(tmp_path_factory, masks):
     lines = path.read_text().splitlines()
     assert lines[0] == "draw_index,config_bitmask"
     assert lines[1:] == [f"{i},{m}" for i, m in enumerate(masks)]
+
+
+# The csv.writer code of both writers before they formatted whole chunks
+# with one % operation: the reference for their bytes.
+
+def reference_table_csv(probs, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["config_bitmask", "probability"])
+        for mask, prob in enumerate(probs):
+            writer.writerow([mask, f"{prob:.17g}"])
+
+
+def reference_samples_csv(masks, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["draw_index", "config_bitmask"])
+        writer.writerows(enumerate(masks.tolist()))
+
+
+CHUNK = core._CSV_CHUNK_ROWS
+csv_lengths = st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+# zeros of both signs, the tiny negatives DensityTable admits, subnormals
+# and the largest probability
+SPECIAL_PROBS = [0.0, -0.0, -1e-12, -5e-13, -5e-324, 5e-324, 2.2e-308,
+                 1e-300, 1.0]
+
+
+@given(csv_lengths, seeds,
+       st.lists(st.sampled_from(SPECIAL_PROBS)
+                | st.floats(-1e-12, 1.0, allow_subnormal=True), max_size=20))
+def test_table_csv_bytes_match_csv_writer(tmp_path_factory, size, seed, extra):
+    gen = np.random.default_rng(seed)
+    probs = gen.random(size)
+    n = min(len(extra), size)
+    probs[gen.integers(0, max(size, 1), size=n)] = extra[:n]
+    # write_table_csv reads only table.probs, so any length can be checked
+    table = SimpleNamespace(probs=probs)
+    work = tmp_path_factory.mktemp("csv")
+    write_table_csv(table, work / "new.csv")
+    reference_table_csv(probs, work / "ref.csv")
+    assert (work / "new.csv").read_bytes() == (work / "ref.csv").read_bytes()
+
+
+@given(csv_lengths, seeds)
+def test_sample_csv_bytes_match_csv_writer(tmp_path_factory, size, seed):
+    gen = np.random.default_rng(seed)
+    masks = gen.integers(0, 2**63 - 1, size=size, endpoint=True)
+    masks[: size // 2] >>= gen.integers(0, 63, size=size // 2)
+    samples = SampleSet(masks)
+    work = tmp_path_factory.mktemp("csv")
+    samples.write_csv(work / "new.csv")
+    reference_samples_csv(samples.masks(), work / "ref.csv")
+    assert (work / "new.csv").read_bytes() == (work / "ref.csv").read_bytes()
+
+
+def test_density_command_bytes_match_csv_writer(tmp_path):
+    # p = 13: two full chunks of the table writer
+    rng = SeededRng(13)
+    params = params_to_dict(haar_orthonormal(13, 4, rng.split(0)),
+                            random_spectrum(4, rng.split(1)))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"params": params}))
+    out = tmp_path / "table.csv"
+    assert cli_main(["density", "--config", str(config), "--out", str(out)]) == 0
+    table = density_table(DppDensity(*params_from_dict("params", params)))
+    reference_table_csv(table.probs, tmp_path / "ref.csv")
+    assert table.probs.size == 2 * CHUNK
+    assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

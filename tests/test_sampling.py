@@ -53,6 +53,22 @@ def test_rng_refuses_a_seed_that_is_not_an_integer(seed):
         SeededRng(seed)
 
 
+@pytest.mark.parametrize("index", [2.5, True])
+def test_rng_refuses_a_split_index_that_is_not_an_integer(index):
+    # split(2.5) once gave the stream of split(2), split(True) the key (1,)
+    with pytest.raises(ValueError, match=f"index must be an integer, got {index}"):
+        SeededRng(0).split(index)
+    with pytest.raises(ValueError, match=f"key must be an integer, got {index}"):
+        SeededRng(0, (index,))
+
+
+def test_rng_split_reads_a_numpy_integer_index():
+    a = SeededRng(0).split(np.int64(2))
+    assert a.key == (2,) and type(a.key[0]) is int
+    assert np.array_equal(a.generator.random(4),
+                          SeededRng(0).split(2).generator.random(4))
+
+
 def test_rng_split_is_stable():
     a = SeededRng(7).split(3).split(1).generator.random(4)
     b = SeededRng(7).split(3).split(1).generator.random(4)
