@@ -5,12 +5,16 @@ estimate, risk-curve. Every run is driven by a JSON config plus the global
 flags --seed/--config/--out, and is byte-identical when repeated
 with the same inputs. Exit codes: 0 all assertions passed, 1 property
 violation, 2 usage, configuration or I/O error (an "error:" line on stderr,
-never a traceback; a missing config key is named).
+never a traceback; a missing or unknown config key is named).
 
-The library classes alone check config values: the configs of the sweeps
-and risk-curve go unchanged (--seed written in) to their experiments class,
-which refuses an unknown key by name; estimate's caps go to CandidateCaps
-and the rest of its estimation inputs to build_candidates, which check them.
+One config path serves all seven commands: main loads the config object
+({} without --config), writes --seed in when given, and calls the command
+with the config's keys as keyword arguments. The keys a command accepts are
+its signature's parameters (the sweeps and risk-curve pass theirs on to
+their experiments class), so a missing or unknown key is a TypeError naming
+it before any work starts. The library alone checks config values:
+estimate's caps go to CandidateCaps and the rest of its estimation inputs
+to build_candidates.
 """
 from __future__ import annotations
 
@@ -50,11 +54,9 @@ from .rng import SeededRng
 from .sampling import SampleSet, sample_dpp
 
 
-def _load_config(args) -> dict:
-    if not args.config:
-        raise ValueError("this subcommand requires --config <path>")
+def _load_config(path) -> dict:
     try:
-        with open(args.config) as fh:
+        with open(path) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read config: {exc}") from exc
@@ -63,45 +65,29 @@ def _load_config(args) -> dict:
     return data
 
 
-def _require_out(args) -> str:
-    if not args.out:
-        raise ValueError("this subcommand requires --out <path>")
-    return args.out
-
-
-def _seed(args, cfg: dict, default=0) -> int:
-    if args.seed is not None:
-        return args.seed
-    return integer("seed", cfg.get("seed", default))
-
-
-def _cmd_sample(args) -> int:
-    cfg = _load_config(args)
-    fam, spec = params_from_dict("params", cfg["params"])
-    n = integer("n", cfg.get("n", 1))
-    rng = SeededRng(_seed(args, cfg))
-    samples = sample_dpp(DppDensity(fam, spec), n, rng)
-    samples.write_csv(_require_out(args))
+def _cmd_sample(out, *, params, n=1, seed=0) -> int:
+    fam, spec = params_from_dict("params", params)
+    samples = sample_dpp(DppDensity(fam, spec), integer("n", n), SeededRng(seed))
+    samples.write_csv(out)
     return 0
 
 
-def _cmd_density(args) -> int:
-    cfg = _load_config(args)
-    fam, spec = params_from_dict("params", cfg["params"])
-    table = density_table(DppDensity(fam, spec))
-    write_table_csv(table, _require_out(args))
+def _cmd_density(out, *, params, seed=0) -> int:
+    # seed is accepted and unused: the table is exact and draws nothing
+    fam, spec = params_from_dict("params", params)
+    write_table_csv(density_table(DppDensity(fam, spec)), out)
     return 0
 
 
-def _cmd_hellinger(args) -> int:
-    cfg = _load_config(args)
-    fam_a, spec_a = params_from_dict("params_a", cfg["params_a"])
-    fam_b, spec_b = params_from_dict("params_b", cfg["params_b"])
+def _cmd_hellinger(out, *, params_a, params_b, seed=0) -> int:
+    # seed is accepted and unused, as in density
+    fam_a, spec_a = params_from_dict("params_a", params_a)
+    fam_b, spec_b = params_from_dict("params_b", params_b)
     h2, affinity = hellinger(
         density_table(DppDensity(fam_a, spec_a)),
         density_table(DppDensity(fam_b, spec_b)),
     )
-    write_rows_csv(_require_out(args), ["h2", "affinity"], [(h2, affinity)])
+    write_rows_csv(out, ["h2", "affinity"], [(h2, affinity)])
     return 0
 
 
@@ -119,34 +105,21 @@ def _sweep_exit(command, rows, violations, quantity, badness) -> int:
     return 1
 
 
-def _class_config(args, config_class):
-    """config_class built from the config object, its keys as keyword
-    arguments and --seed written in when given; keys left out keep the
-    class defaults. The class checks every value, and a key it has no field
-    for is a TypeError naming that key."""
-    cfg = _load_config(args) if args.config else {}
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    return config_class(**cfg)
-
-
-def _cmd_sweep(args, config, run, quantity, badness) -> int:
-    sweep = _class_config(args, config)
+def _cmd_sweep(out, command, sweep, run, quantity, badness) -> int:
     rows, violations = run(sweep)
-    out = _require_out(args)
     write_rows_csv(out, SWEEP_HEADER, rows)
     write_metadata(out + ".meta.json", vars(sweep), {"violations": violations})
-    return _sweep_exit(args.command, rows, violations, quantity, badness)
+    return _sweep_exit(command, rows, violations, quantity, badness)
 
 
-def _cmd_bounds_sweep(args) -> int:
-    return _cmd_sweep(args, BoundsSweepConfig, run_bounds_sweep, "slack",
-                      lambda x: x)
+def _cmd_bounds_sweep(out, **cfg) -> int:
+    return _cmd_sweep(out, "bounds-sweep", BoundsSweepConfig(**cfg),
+                      run_bounds_sweep, "slack", lambda x: x)
 
 
-def _cmd_isometry_sweep(args) -> int:
-    return _cmd_sweep(args, IsometrySweepConfig, run_isometry_sweep, "gap",
-                      lambda x: -x)
+def _cmd_isometry_sweep(out, **cfg) -> int:
+    return _cmd_sweep(out, "isometry-sweep", IsometrySweepConfig(**cfg),
+                      run_isometry_sweep, "gap", lambda x: -x)
 
 
 def _model_from_dict(data: dict) -> SubspaceModel:
@@ -179,46 +152,43 @@ def _read_samples_csv(path) -> SampleSet:
     return SampleSet(masks)
 
 
-def _cmd_estimate(args) -> int:
-    cfg = _load_config(args)
-    if cfg.get("test_statistic", "signed-root") != "signed-root":
+def _cmd_estimate(out, *, models, n, caps, seed=0, pool_size=256,
+                  anchor=None, samples_csv=None, truth=None,
+                  test_statistic="signed-root") -> int:
+    if test_statistic != "signed-root":
         raise ValueError("unknown test_statistic (only 'signed-root' is available)")
-    if not (isinstance(cfg["models"], list)
-            and all(isinstance(m, dict) for m in cfg["models"])):
-        raise ValueError(f"models must be a list of objects, got {cfg['models']!r}")
-    models = [_model_from_dict(m) for m in cfg["models"]]
-    prior = {model.id: m["prior"] for model, m in zip(models, cfg["models"])}
-    n = integer("n", cfg["n"])
+    if not (isinstance(models, list) and all(isinstance(m, dict) for m in models)):
+        raise ValueError(f"models must be a list of objects, got {models!r}")
+    subspaces = [_model_from_dict(m) for m in models]
+    prior = {model.id: m["prior"] for model, m in zip(subspaces, models)}
+    n = integer("n", n)
     # CandidateCaps names a missing, misspelled or bad entry
-    if not isinstance(cfg["caps"], dict):
+    if not isinstance(caps, dict):
         raise ValueError(f"caps must be an object with the keys j_max, per_net, "
-                         f"family_max, got {cfg['caps']!r}")
-    caps = CandidateCaps(**cfg["caps"])
-    seed = _seed(args, cfg)
+                         f"family_max, got {caps!r}")
+    caps = CandidateCaps(**caps)
     rng = SeededRng(seed)
-    anchor = None
-    if "anchor" in cfg:
-        anchor, _ = params_from_dict("anchor", cfg["anchor"])
-    if "samples_csv" in cfg:
-        samples = _read_samples_csv(cfg["samples_csv"])
-    elif "truth" in cfg:
-        fam, spec = params_from_dict("truth", cfg["truth"])
-        if models and fam.p != models[0].p:
+    if anchor is not None:
+        anchor, _ = params_from_dict("anchor", anchor)
+    if samples_csv is not None:
+        samples = _read_samples_csv(samples_csv)
+    elif truth is not None:
+        fam, spec = params_from_dict("truth", truth)
+        if subspaces and fam.p != subspaces[0].p:
             raise ValueError(f"truth has p={fam.p} but models[0] has "
-                             f"p={models[0].p}")
+                             f"p={subspaces[0].p}")
         samples = sample_dpp(DppDensity(fam, spec), n, rng.split(0))
     else:
         raise ValueError("estimate config needs 'samples_csv' or 'truth'")
     # build_candidates checks the models, prior, n, pool_size and anchor
-    family = build_candidates(models, prior, n, caps, rng.split(1),
-                              pool_size=cfg.get("pool_size", 256), anchor=anchor)
+    family = build_candidates(subspaces, prior, n, caps, rng.split(1),
+                              pool_size=pool_size, anchor=anchor)
     # after build_candidates, so that a bad n or prior is reported as such
     if len(samples) != n:
         raise ValueError(f"samples_csv holds {len(samples)} draws but the config's "
                          f"n is {n}, the size the nets, grid and prior are built for")
     result = select(family, samples)
     chosen = family.entries[result.chosen_index]
-    out = _require_out(args)
     payload = {
         "chosen": params_to_dict(chosen.family, chosen.spectrum),
         "chosen_position": result.chosen_index,
@@ -233,7 +203,7 @@ def _cmd_estimate(args) -> int:
         "truncated": family.truncated,
         "net_sizes": {str(k): v for k, v in family.net_sizes.items()},
         "n_samples": len(samples),
-        "seed": seed,
+        "seed": rng.seed,
     }
     with open(out, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
@@ -247,10 +217,9 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _cmd_risk_curve(args) -> int:
-    curve = _class_config(args, RiskCurveConfig)
+def _cmd_risk_curve(out, **cfg) -> int:
+    curve = RiskCurveConfig(**cfg)
     result = run_risk_curve(curve)
-    out = _require_out(args)
     header, rows = risk_rows_for_csv(result)
     write_rows_csv(out, header, rows)
     write_metadata(out + ".meta.json", vars(curve),
@@ -305,7 +274,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return COMMANDS[args.command](args)
+        cfg = _load_config(args.config) if args.config else {}
+        if args.seed is not None:
+            cfg["seed"] = args.seed
+        if not args.out:
+            raise ValueError("this subcommand requires --out <path>")
+        return COMMANDS[args.command](args.out, **cfg)
     except KeyError as exc:
         print(f"error: config key {exc} is missing", file=sys.stderr)
         return 2

@@ -681,6 +681,8 @@ def params_from_dict(key, data: dict):
         return data[name]
 
     p = integer(f"{key}.p", entry("p"))
+    if p < 1:
+        raise ValueError(f"{key}.p must be >= 1, got {p}")
     lam = entry("lambda")
     if not isinstance(lam, list):
         raise ValueError(f"{key}.lambda must be a list of numbers, got {lam!r}")

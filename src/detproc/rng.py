@@ -14,6 +14,15 @@ import numpy.random
 from .core import integer
 
 
+def _natural(key, value) -> int:
+    """value read by core.integer, refused by key name if negative: numpy's
+    SeedSequence takes no negative entry."""
+    value = integer(key, value)
+    if value < 0:
+        raise ValueError(f"{key} must be >= 0, got {value}")
+    return value
+
+
 class SeededRng:
     """Counter-style seeded stream built on numpy's SeedSequence.
 
@@ -24,8 +33,8 @@ class SeededRng:
     """
 
     def __init__(self, seed: int, key: tuple = ()):
-        self.seed = integer("seed", seed)
-        self.key = tuple(integer("key", k) for k in key)
+        self.seed = _natural("seed", seed)
+        self.key = tuple(_natural("key", k) for k in key)
         self._gen = np.random.default_rng(
             np.random.SeedSequence(self.seed, spawn_key=self.key)
         )
@@ -36,7 +45,7 @@ class SeededRng:
 
     def split(self, index: int) -> "SeededRng":
         """Independent child stream; children with distinct indices never collide."""
-        return SeededRng(self.seed, self.key + (integer("index", index),))
+        return SeededRng(self.seed, self.key + (_natural("index", index),))
 
     def __repr__(self):
         return f"SeededRng(seed={self.seed}, key={self.key})"

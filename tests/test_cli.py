@@ -34,6 +34,26 @@ def diag_params():
     }
 
 
+def estimate_dict(seed=7):
+    truth = params_to_dict(haar_orthonormal(4, 1, SeededRng(seed)),
+                           Spectrum.ones(1))
+    basis = [[float(x), 0.0] for x in np.eye(4).reshape(-1)]
+    return {
+        "models": [{"id": 0, "p": 4, "dim": 4, "basis": basis, "prior": 1.0}],
+        "n": 40,
+        "caps": {"j_max": 1, "per_net": 4, "family_max": 20},
+        "pool_size": 32,
+        "seed": seed,
+        "truth": truth,
+        "anchor": truth,
+    }
+
+
+def params_config(command, params):
+    """A sample or density config holding the parameter set params."""
+    return {"params": params, "n": 3} if command == "sample" else {"params": params}
+
+
 def random_params(seed, p=4, r=2):
     rng = SeededRng(seed)
     fam = haar_orthonormal(p, r, rng.split(0))
@@ -64,10 +84,14 @@ def test_missing_out_exits_2(tmp_path):
     assert main(["sample", "--config", cfg]) == 2
 
 
-def test_estimate_unknown_statistic_exits_2(tmp_path):
-    cfg = write_config(tmp_path, "c.json", {"test_statistic": "wald"})
-    assert main(["estimate", "--config", cfg,
-                 "--out", str(tmp_path / "o.json")]) == 2
+def test_estimate_unknown_statistic_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, "c.json",
+                        {**estimate_dict(), "test_statistic": "wald"})
+    out = tmp_path / "o.json"
+    err = assert_usage_error(capsys, ["estimate", "--config", path,
+                                      "--out", str(out)])
+    assert "unknown test_statistic" in err
+    assert not out.exists()
 
 
 def assert_usage_error(capsys, argv):
@@ -83,7 +107,7 @@ def assert_usage_error(capsys, argv):
 def test_non_finite_lambda_exits_2(tmp_path, capsys, command, bad):
     params = diag_params()
     params["lambda"] = [bad, 0.5]
-    cfg = write_config(tmp_path, "c.json", {"params": params, "n": 3})
+    cfg = write_config(tmp_path, "c.json", params_config(command, params))
     out = tmp_path / "o.csv"
     assert_usage_error(capsys, [command, "--config", cfg, "--out", str(out)])
     assert not out.exists()
@@ -138,16 +162,9 @@ def test_memory_error_exits_2(tmp_path, capsys, monkeypatch):
     assert "out of memory" in err and "7.3 TiB" in err
 
 
-def missing_key_config(tmp_path, command, key):
-    if command == "estimate":
-        cfg = json.loads(Path(estimate_config(tmp_path)).read_text())
-    elif command == "hellinger":
-        cfg = {"params_a": diag_params(), "params_b": diag_params()}
-    else:
-        cfg = {"params": diag_params(), "n": 3}
-    cfg.pop(key, None)
-    cfg.get("params", {}).pop(key, None)
-    return cfg
+def full_config(command):
+    """A fresh copy of the RUNNING_CONFIGS entry of command."""
+    return json.loads(json.dumps(dict(RUNNING_CONFIGS)[command]))
 
 
 @pytest.mark.parametrize("command, key", [
@@ -158,12 +175,18 @@ def missing_key_config(tmp_path, command, key):
     ("hellinger", "params_b"),
 ])
 def test_missing_config_key_is_named(tmp_path, capsys, command, key):
-    cfg = write_config(tmp_path, "c.json", missing_key_config(tmp_path, command, key))
+    cfg = full_config(command)
+    cfg.pop(key, None)
+    cfg.get("params", {}).pop(key, None)
+    path = write_config(tmp_path, "c.json", cfg)
     out = tmp_path / "o.out"
-    err = assert_usage_error(capsys, [command, "--config", cfg, "--out", str(out)])
-    # an entry of a parameter set is named by its path
-    name = f"params.{key}" if command == "density" else key
-    assert err == f"error: config key '{name}' is missing\n"
+    err = assert_usage_error(capsys, [command, "--config", path, "--out", str(out)])
+    if command == "density":
+        # an entry of a parameter set is named by its path
+        assert err == "error: config key 'params.phi' is missing\n"
+    else:
+        # a key of the command is one of its parameters
+        assert f"missing 1 required keyword-only argument: '{key}'" in err
     assert not out.exists()
 
 
@@ -255,6 +278,17 @@ def test_sweep_impossible_size_exits_2(tmp_path, capsys, command, key, value,
 
 TINY_RISK_CURVE = {"p": 4, "k": 1, "n_grid": [30, 60], "replications": 1,
                    "caps": [1, 2, 4], "pool_size": 8}
+# a config of each command that runs: every key it requires, and some of
+# the keys it may be given
+RUNNING_CONFIGS = [
+    ("bounds-sweep", {"instances": 2}),
+    ("isometry-sweep", {"instances": 2}),
+    ("risk-curve", TINY_RISK_CURVE),
+    ("sample", {"params": diag_params(), "n": 3}),
+    ("density", {"params": diag_params()}),
+    ("hellinger", {"params_a": diag_params(), "params_b": diag_params()}),
+    ("estimate", estimate_dict()),
+]
 
 
 @pytest.mark.parametrize("command, config, key, value", [
@@ -287,7 +321,7 @@ def test_fractional_integer_key_exits_2(tmp_path, capsys, command, config, key,
 def test_fractional_or_non_finite_p_exits_2(tmp_path, capsys, command, p):
     # "p": 2.7 or "2" with four phi entries once wrote a p = 2 table
     params = {**diag_params(), "p": p}
-    cfg = write_config(tmp_path, "c.json", {"params": params, "n": 3})
+    cfg = write_config(tmp_path, "c.json", params_config(command, params))
     out = tmp_path / "o.csv"
     err = assert_usage_error(capsys, [command, "--config", cfg, "--out", str(out)])
     assert "p must be an integer" in err
@@ -303,7 +337,7 @@ def test_non_number_params_entry_exits_2(tmp_path, capsys, command, key, value):
     # a boolean or a numeric string is refused, not read as a number
     params = diag_params()
     params[key][0] = value
-    cfg = write_config(tmp_path, "c.json", {"params": params, "n": 3})
+    cfg = write_config(tmp_path, "c.json", params_config(command, params))
     out = tmp_path / "o.csv"
     err = assert_usage_error(capsys, [command, "--config", cfg, "--out", str(out)])
     assert f"{key} entries must be" in err
@@ -388,17 +422,71 @@ def test_cli_error_is_the_config_class_error(tmp_path, capsys, command,
     assert err == f"error: {raised.value}\n"
 
 
-@pytest.mark.parametrize("command, config", [
-    ("bounds-sweep", {"instances": 2}),
-    ("isometry-sweep", {"instances": 2}),
-    ("risk-curve", TINY_RISK_CURVE),
-])
+def assert_key_refused(tmp_path, capsys, command, config, key):
+    cfg = write_config(tmp_path, "c.json", {**config, key: 1})
+    out = tmp_path / "o.out"
+    err = assert_usage_error(capsys, [command, "--config", cfg, "--out", str(out)])
+    assert f"'{key}'" in err
+    assert not list(tmp_path.glob("o.out*"))
+
+
+@pytest.mark.parametrize("command, config", RUNNING_CONFIGS)
 def test_unknown_config_key_exits_2(tmp_path, capsys, command, config):
-    # a misspelt key was once dropped and the run went on with the default
-    cfg = write_config(tmp_path, "c.json", {**config, "replication": 1})
+    # a misspelt key was once dropped and the run went on with the default;
+    # sample, density, hellinger and estimate dropped it until their keys
+    # became their parameters
+    assert_key_refused(tmp_path, capsys, command, config, "replication")
+
+
+@pytest.mark.parametrize("command, config", RUNNING_CONFIGS)
+def test_out_is_not_a_config_key(tmp_path, capsys, command, config):
+    # the output path is the --out flag alone
+    assert_key_refused(tmp_path, capsys, command, config, "out")
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_every_command_accepts_a_seed(tmp_path, command):
+    cfg = full_config(command)
+    outputs = []
+    for name, config, flags in [("config", {**cfg, "seed": 3}, []),
+                                ("flag", cfg, ["--seed", "3"])]:
+        path = write_config(tmp_path, f"{name}.json", config)
+        out = tmp_path / f"{name}.out"
+        assert main([command, "--config", path, "--out", str(out)] + flags) in (0, 1)
+        outputs.append(out.read_bytes())
+    # --seed is written into the config, so both runs are one run
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command, config", [
+    ("bounds-sweep", {"instances": 2, "seed": -4}),
+    ("sample", {"params": diag_params(), "seed": -1}),
+])
+def test_negative_seed_exits_2_naming_it(tmp_path, capsys, command, config):
+    # once numpy's "expected non-negative integer", which names no key
+    cfg = write_config(tmp_path, "c.json", config)
     out = tmp_path / "o.csv"
     err = assert_usage_error(capsys, [command, "--config", cfg, "--out", str(out)])
-    assert "'replication'" in err
+    assert err == f"error: seed must be >= 0, got {config['seed']}\n"
+    assert not out.exists()
+
+
+def test_negative_seed_flag_exits_2_naming_it(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {"params": diag_params()})
+    err = assert_usage_error(capsys, ["sample", "--config", cfg, "--seed", "-1",
+                                      "--out", str(tmp_path / "o.csv")])
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("command", ["sample", "density"])
+@pytest.mark.parametrize("p, phi", [(0, []), (-3, []), (-1, [[1.0, 0.0]])])
+def test_ground_set_below_one_point_exits_2(tmp_path, capsys, command, p, phi):
+    # p = 0 once sampled an empty ground set; p = -3 failed in a reshape
+    cfg = write_config(tmp_path, "c.json",
+                       params_config(command, {"p": p, "lambda": [], "phi": phi}))
+    out = tmp_path / "o.csv"
+    err = assert_usage_error(capsys, [command, "--config", cfg, "--out", str(out)])
+    assert err == f"error: params.p must be >= 1, got {p}\n"
     assert not out.exists()
 
 
@@ -416,18 +504,7 @@ def test_seed_flag_overrides_config(tmp_path):
 # estimate
 
 def estimate_config(tmp_path, seed=7):
-    truth = params_to_dict(haar_orthonormal(4, 1, SeededRng(seed)),
-                           Spectrum.ones(1))
-    basis = [[float(x), 0.0] for x in np.eye(4).reshape(-1)]
-    return write_config(tmp_path, "est.json", {
-        "models": [{"id": 0, "p": 4, "dim": 4, "basis": basis, "prior": 1.0}],
-        "n": 40,
-        "caps": {"j_max": 1, "per_net": 4, "family_max": 20},
-        "pool_size": 32,
-        "seed": seed,
-        "truth": truth,
-        "anchor": truth,
-    })
+    return write_config(tmp_path, "est.json", estimate_dict(seed))
 
 
 def test_estimate_outputs_payload(tmp_path):

@@ -242,3 +242,15 @@ def test_write_metadata_includes_version(tmp_path):
     assert data["config"] == {"seed": 1}
     assert data["violations"] == 0
     assert "library_version" in data
+
+
+@pytest.mark.parametrize("run, config", [
+    (run_bounds_sweep, BoundsSweepConfig(instances=2, seed=-4)),
+    (run_isometry_sweep, IsometrySweepConfig(instances=2, seed=-3)),
+    (run_risk_curve, RiskCurveConfig(p=4, k=1, n_grid=[30, 60], replications=1,
+                                     caps=[1, 2, 4], pool_size=8, seed=-2)),
+])
+def test_negative_seed_is_named_when_the_run_starts(run, config):
+    # once numpy's "expected non-negative integer", naming no key
+    with pytest.raises(ValueError, match=rf"^seed must be >= 0, got {config.seed}$"):
+        run(config)

@@ -62,6 +62,16 @@ def test_rng_refuses_a_split_index_that_is_not_an_integer(index):
         SeededRng(0, (index,))
 
 
+def test_rng_refuses_a_negative_seed_or_key_by_name():
+    # each once numpy's "expected non-negative integer", naming no key
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        SeededRng(-1)
+    with pytest.raises(ValueError, match=r"^key must be >= 0, got -2$"):
+        SeededRng(0, (3, -2))
+    with pytest.raises(ValueError, match=r"^index must be >= 0, got -1$"):
+        SeededRng(0).split(-1)
+
+
 def test_rng_split_reads_a_numpy_integer_index():
     a = SeededRng(0).split(np.int64(2))
     assert a.key == (2,) and type(a.key[0]) is int
