@@ -14,7 +14,7 @@ import numpy.random
 from .core import integer
 
 
-def _natural(key, value) -> int:
+def natural(key, value) -> int:
     """value read by core.integer, refused by key name if negative: numpy's
     SeedSequence takes no negative entry."""
     value = integer(key, value)
@@ -33,8 +33,8 @@ class SeededRng:
     """
 
     def __init__(self, seed: int, key: tuple = ()):
-        self.seed = _natural("seed", seed)
-        self.key = tuple(_natural("key", k) for k in key)
+        self.seed = natural("seed", seed)
+        self.key = tuple(natural("key", k) for k in key)
         self._gen = np.random.default_rng(
             np.random.SeedSequence(self.seed, spawn_key=self.key)
         )
@@ -45,7 +45,7 @@ class SeededRng:
 
     def split(self, index: int) -> "SeededRng":
         """Independent child stream; children with distinct indices never collide."""
-        return SeededRng(self.seed, self.key + (_natural("index", index),))
+        return SeededRng(self.seed, self.key + (natural("index", index),))
 
     def __repr__(self):
         return f"SeededRng(seed={self.seed}, key={self.key})"

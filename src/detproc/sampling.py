@@ -3,8 +3,12 @@
 One production route: sample_dpp draws whole blocks of samples at once with
 the sequential projection sampler of Hough, Krishnapur, Peres and Virag
 (2006) (Algorithm 1 in Kulesza and Taskar 2012), run with numpy array
-operations over every draw of the block. A 0/1 spectrum makes it the
-fixed-cardinality projection law on the index set of its ones.
+operations over every draw of the block. The chain rule runs in the
+Gram-Schmidt form of Tremblay, Barthelme and Amblard (2018): each draw keeps
+a residual mass per point and the directions it has picked, and each step
+takes one product of the new directions against the family columns, which
+all draws share; no draw holds a basis of its own. A 0/1 spectrum makes it
+the fixed-cardinality projection law on the index set of its ones.
 sample_table, the inverse-CDF sampler over the enumerated density table, is
 the oracle the production route is checked against; agreement of the two is
 the package's core trust mechanism for randomness. It has one production
@@ -22,21 +26,21 @@ from .core import DensityTable, DppDensity, _write_indexed_csv
 from .rng import SeededRng
 
 RANK_TOL = 1e-10
-# Allowed gap between the working basis' total row mass and the number of
-# points still to draw; orthonormality is only checked to core.GRAM_TOL
-# per Gram entry, so the mass may drift by about r times that.
+# Allowed gap between the total residual mass and the number of points
+# still to draw; orthonormality is only checked to core.GRAM_TOL per Gram
+# entry, so the mass may drift by about r times that.
 COUNT_TOL = 1e-6
-# Draws per batched kernel call. It bounds the (block, p, r) working basis
-# and its rank-one update, the kernel's two largest arrays; at p=12, r=6
-# blocks of 512 to 2048 draw equally fast, and 512 keeps each array near
-# 0.6 MB.
+# Draws per batched kernel call. It bounds the (block, steps, p) store of
+# inner products of the picked directions with every family row, the
+# kernel's largest array; at p=12, r=6 blocks of 512 to 4096 draw about
+# equally fast, and 512 keeps the store near 0.6 MB.
 _BLOCK = 512
 # Points an int64 bitmask can hold: bit 63 is the sign bit.
 MAX_POINTS = 63
 
 
 class SamplerConsistencyError(RuntimeError):
-    """Numerical rank of the working basis disagrees with the remaining count."""
+    """A draw's residual mass disagrees with the count it has left to draw."""
 
 
 class SampleSet:
@@ -66,12 +70,15 @@ def _projection_masks(columns: np.ndarray, active: np.ndarray,
     """Bitmasks of one sequential projection draw per row of active.
 
     active is a (g, r) boolean matrix of index sets and u holds one uniform
-    per draw and step (g, r). Every draw keeps a basis B of its active span
-    (the family with inactive columns zeroed). At each step it picks x with
-    probability (row norm of B at x)^2 / remaining count, by inverse CDF,
-    then deflates B <- B - (B v) v*, v = B[x,:]* / |B[x,:]|. The deflated
-    B has the row norms of an orthonormal basis of the subspace vanishing
-    at x, so no re-orthonormalization is needed.
+    per draw and step (g, r). A draw's kernel is the projection on the span
+    of its masked rows a_y (the family rows with inactive columns zeroed).
+    Each draw keeps, in Gram-Schmidt form, the residual mass w[y] of every
+    point: |a_y|^2 less the squared inner products of a_y with the
+    orthonormal directions e_s picked so far. At each step it picks x with
+    probability w[x] / remaining count, by inverse CDF, takes the new
+    direction e = (a_x - sum_s <e_s, a_x> e_s) / sqrt(w[x]), and lowers w
+    by |<e, a_y>|^2, one product against the shared columns. No draw
+    holds a basis of its own.
     """
     if columns.shape[0] > MAX_POINTS:
         raise ValueError(f"p={columns.shape[0]} exceeds {MAX_POINTS}, the most "
@@ -79,14 +86,20 @@ def _projection_masks(columns: np.ndarray, active: np.ndarray,
     count = active.sum(axis=1)
     order = np.argsort(-count, kind="stable")
     count = count[order]
-    basis = np.multiply(columns, active[order][:, None, :], order="C")
+    active = active[order]
     u = u[order]
-    masks = np.zeros(len(order), dtype=np.int64)
-    for step in range(count.max(initial=0)):
+    steps = count.max(initial=0)
+    g = len(order)
+    mass = active @ (columns.real**2 + columns.imag**2).T
+    directions = np.empty((g, steps, columns.shape[1]), dtype=complex)
+    # coeffs[i, s, y] = <e_s, a_y> of draw i
+    coeffs = np.empty((g, steps, columns.shape[0]), dtype=complex)
+    draw = np.arange(g)
+    masks = np.zeros(g, dtype=np.int64)
+    for step in range(steps):
         live = int(np.count_nonzero(count > step))
-        b = basis[:live]
-        flat = b.view(np.float64)  # (re, im) pairs: row norms^2 in one einsum
-        cdf = np.cumsum(np.einsum("gpk,gpk->gp", flat, flat), axis=1)
+        w = mass[:live]
+        cdf = np.cumsum(w, axis=1)
         total = cdf[:, -1]
         if np.any(total <= RANK_TOL):
             raise SamplerConsistencyError("working basis collapsed to zero mass")
@@ -99,14 +112,27 @@ def _projection_masks(columns: np.ndarray, active: np.ndarray,
         # target u * total < total can stop on it
         x = np.count_nonzero(cdf <= (u[:live, step] * total)[:, None], axis=1)
         masks[:live] |= 1 << x
-        row = b[np.arange(live), x, :]
-        norm = np.linalg.norm(row, axis=1)
-        if np.any(norm <= RANK_TOL):
+        # w[x] is the squared norm of x's residual row; RANK_TOL bounds the norm
+        picked = w[draw[:live], x]
+        if np.any(picked <= RANK_TOL**2):
             raise SamplerConsistencyError("picked a point where the span vanishes")
         going = int(np.count_nonzero(count > step + 1))
-        v = row[:going].conj() / norm[:going, None]
-        b = b[:going]
-        b -= np.einsum("gpr,gr->gp", b, v)[:, :, None] * v.conj()[:, None, :]
+        if not going:
+            break
+        x, at = x[:going], draw[:going]
+        e = columns[x] * active[:going]
+        if step:
+            e -= np.einsum("gs,gsr->gr", coeffs[at, :step, x],
+                           directions[:going, :step])
+        e /= np.sqrt(picked[:going])[:, None]
+        c = e.conj() @ columns.T
+        directions[:going, step] = e
+        coeffs[:going, step] = c
+        w = mass[:going]
+        w -= c.real**2 + c.imag**2
+        # x's residual is rounding only; zeroed, it is never picked again
+        w[at, x] = 0.0
+        np.maximum(w, 0.0, out=w)
     out = np.empty_like(masks)
     out[order] = masks
     return out

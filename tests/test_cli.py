@@ -203,6 +203,26 @@ def test_sample_writes_csv(tmp_path):
     assert len(lines) == 6
 
 
+def test_sample_at_forty_points_keeps_rank_and_marginals(tmp_path):
+    # p = 40 is past any table; with lambda = 1 every draw has r points and
+    # point i is drawn with probability K_ii = |row i|^2. Bound set before
+    # the run: 5 standard errors per point, so a false alarm on any of the
+    # 40 points has probability below 40 * 5.7e-7 = 2.3e-5.
+    p, r, n = 40, 4, 20_000
+    fam = haar_orthonormal(p, r, SeededRng(40))
+    cfg = write_config(tmp_path, "c.json", {
+        "params": params_to_dict(fam, Spectrum.ones(r)), "n": n, "seed": 41})
+    out = tmp_path / "draws.csv"
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
+    masks = np.loadtxt(out, delimiter=",", skiprows=1, dtype=np.int64)[:, 1]
+    assert masks.shape == (n,)
+    points = (masks[:, None] >> np.arange(p)) & 1
+    assert np.all(points.sum(axis=1) == r)
+    k_diag = np.sum(np.abs(fam.columns) ** 2, axis=1)
+    bound = 5 * np.sqrt(k_diag * (1 - k_diag) / n)
+    assert np.all(np.abs(points.mean(axis=0) - k_diag) <= bound)
+
+
 def test_density_matches_hand_values(tmp_path):
     cfg = write_config(tmp_path, "c.json", {"params": diag_params()})
     out = tmp_path / "table.csv"
@@ -476,6 +496,26 @@ def test_negative_seed_flag_exits_2_naming_it(tmp_path, capsys):
     err = assert_usage_error(capsys, ["sample", "--config", cfg, "--seed", "-1",
                                       "--out", str(tmp_path / "o.csv")])
     assert err == "error: seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("command, config", [
+    ("density", {"params": diag_params()}),
+    ("hellinger", {"params_a": diag_params(), "params_b": diag_params()}),
+], ids=["density", "hellinger"])
+@pytest.mark.parametrize("seed, message", [
+    ("x", "seed must be an integer, got 'x'"),
+    (2.5, "seed must be an integer, got 2.5"),
+    (-5, "seed must be >= 0, got -5"),
+], ids=["string", "fraction", "negative"])
+def test_table_commands_refuse_a_bad_seed(tmp_path, capsys, command, config,
+                                          seed, message):
+    # density and hellinger draw nothing; each once ran with any seed and
+    # exited 0 where sample exits 2
+    cfg = write_config(tmp_path, "c.json", {**config, "seed": seed})
+    out = tmp_path / "o.csv"
+    err = assert_usage_error(capsys, [command, "--config", cfg, "--out", str(out)])
+    assert err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["sample", "density"])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from detproc.core import (
@@ -285,6 +287,17 @@ def test_kernel_rejects_pick_where_span_vanishes():
         _projection_masks(cols, np.ones((1, 1), dtype=bool), np.zeros((1, 1)))
 
 
+def test_kernel_rejects_vanishing_pick_before_the_last_step():
+    # rank 2: the first pick stops on a cell of mass 1e-22 with one step
+    # still to go, where dividing by its root would build a direction from
+    # rounding
+    tiny = 1e-11
+    cols = np.array([[tiny, 0.0], [math.sqrt(1.0 - tiny**2), 0.0], [0.0, 1.0]],
+                    dtype=complex)
+    with pytest.raises(SamplerConsistencyError, match="vanishes"):
+        _projection_masks(cols, np.ones((1, 2), dtype=bool), np.zeros((1, 2)))
+
+
 def test_kernel_inverse_cdf_with_fixed_uniforms():
     # p=3, rank 1, column (0, a, b): point 2 is drawn iff u < |a|^2, and
     # the zero-weight point 1 never, not even for u = 0
@@ -301,6 +314,53 @@ def test_kernel_keeps_draw_order():
     active = np.array([[False, False], [True, True], [False, True], [True, False]])
     u = np.full((4, 2), 0.5)
     assert _projection_masks(cols, active, u).tolist() == [0, 3, 2, 1]
+
+
+def _deflation_draw(columns, active, u):
+    """Reference: one sequential projection draw that deflates an explicit
+    basis of the active span, B <- B - (B v) v*, v = B[x,:]* / |B[x,:]|."""
+    basis = columns * active
+    mask = 0
+    for step in range(int(active.sum())):
+        cdf = np.cumsum(np.sum(np.abs(basis) ** 2, axis=1))
+        x = int(np.count_nonzero(cdf <= u[step] * cdf[-1]))
+        mask |= 1 << x
+        v = basis[x].conj() / np.linalg.norm(basis[x])
+        basis = basis - np.outer(basis @ v, v.conj())
+    return mask
+
+
+@given(p=st.integers(1, 10), real=st.booleans(), seed=st.integers(0, 2**32),
+       data=st.data())
+def test_kernel_matches_the_deflation_reference(p, real, seed, data):
+    r = data.draw(st.integers(1, p), label="r")
+    columns = haar_orthonormal(p, r, SeededRng(seed), real=real).columns
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    values = data.draw(st.one_of(st.just([1.0] * r),
+                                 st.lists(unit, min_size=r, max_size=r)),
+                       label="spectrum")
+    g = data.draw(st.integers(1, 8), label="draws")
+    coins = np.array(data.draw(st.lists(unit, min_size=g * r, max_size=g * r),
+                               label="coins")).reshape(g, r)
+    # a step uniform below ~1e-30 could stop on the reference's rounding
+    # residue at a point it already drew, which the kernel sets to zero
+    positive = st.floats(1e-12, 1.0, exclude_max=True)
+    u = np.array(data.draw(st.lists(positive, min_size=g * r, max_size=g * r),
+                           label="uniforms")).reshape(g, r)
+    active = coins < np.square(values)
+    expected = [_deflation_draw(columns, active[i], u[i]) for i in range(g)]
+    assert _projection_masks(columns, active, u).tolist() == expected
+
+
+def test_sample_seq_draws_are_pinned():
+    # the first draws of the benchmark's sample_seq input at seed 0 (p = 12,
+    # rank 6, spectrum 0.95 down to 0.45): a change to how the kernel
+    # consumes the stream must change this list on purpose
+    fam = haar_orthonormal(12, 6, SeededRng(0))
+    d = DppDensity(fam, Spectrum(np.linspace(0.95, 0.45, 6)))
+    assert sample_dpp(d, 16, SeededRng(0)).masks().tolist() == [
+        3264, 73, 272, 288, 84, 2086, 2052, 3072,
+        2048, 2624, 2060, 2136, 65, 2080, 3392, 2256]
 
 
 # ---------------------------------------------------------------------------
