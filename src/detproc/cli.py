@@ -20,12 +20,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 # argparse's gettext imports locale when the first parser is built, inside
 # every command; load it with the module so that it counts as set-up.
 import locale
 import math
 import sys
+
+import numpy as np
 
 from .core import (
     DppDensity,
@@ -34,6 +37,9 @@ from .core import (
     integer,
     params_from_dict,
     params_to_dict,
+    path_entry,
+    write_csv,
+    write_json,
     write_table_csv,
 )
 from .estimator import CandidateCaps, SubspaceModel, build_candidates, select
@@ -125,14 +131,23 @@ def _cmd_isometry_sweep(out, **cfg) -> int:
                       run_isometry_sweep, "gap", lambda x: -x)
 
 
-def _model_from_dict(data: dict) -> SubspaceModel:
-    p = integer("model p", data["p"])
-    dim = integer("model dim", data["dim"])
-    flat = complex_pairs("model basis", data["basis"])
+def _model_from_dict(key, data: dict):
+    """The SubspaceModel and prior of the models entry named key, e.g.
+    models[1]. Every error names the entry it is about by its path, e.g.
+    models[1].p, and a missing entry is a KeyError of that path; the prior
+    is checked by build_candidates."""
+    entry = functools.partial(path_entry, key, data)
+    p = integer(f"{key}.p", entry("p"))
+    dim = integer(f"{key}.dim", entry("dim"))
+    flat = complex_pairs(f"{key}.basis", entry("basis"))
     if flat.size != p * dim:
-        raise ValueError(f"model basis has {flat.size} entries, expected {p * dim}")
-    return SubspaceModel(flat.reshape(dim, p).T,
-                         id=integer("model id", data["id"]))
+        raise ValueError(f"{key}.basis has {flat.size} entries, expected {p * dim}")
+    model_id = integer(f"{key}.id", entry("id"))
+    try:
+        model = SubspaceModel(flat.reshape(dim, p).T, id=model_id)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+    return model, entry("prior")
 
 
 def _read_samples_csv(path) -> SampleSet:
@@ -156,14 +171,12 @@ def _read_samples_csv(path) -> SampleSet:
 
 
 def _cmd_estimate(out, *, models, n, caps, seed=0, pool_size=256,
-                  anchor=None, samples_csv=None, truth=None,
-                  test_statistic="signed-root") -> int:
-    if test_statistic != "signed-root":
-        raise ValueError("unknown test_statistic (only 'signed-root' is available)")
+                  anchor=None, samples_csv=None, truth=None) -> int:
     if not (isinstance(models, list) and all(isinstance(m, dict) for m in models)):
         raise ValueError(f"models must be a list of objects, got {models!r}")
-    subspaces = [_model_from_dict(m) for m in models]
-    prior = {model.id: m["prior"] for model, m in zip(subspaces, models)}
+    pairs = [_model_from_dict(f"models[{i}]", m) for i, m in enumerate(models)]
+    subspaces = [model for model, _ in pairs]
+    prior = {model.id: weight for model, weight in pairs}
     n = integer("n", n)
     # CandidateCaps names a missing, misspelled or bad entry
     if not isinstance(caps, dict):
@@ -208,15 +221,12 @@ def _cmd_estimate(out, *, models, n, caps, seed=0, pool_size=256,
         "n_samples": len(samples),
         "seed": rng.seed,
     }
-    with open(out, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    write_rows_csv(
-        out + ".tests.csv",
-        ["row", "col", "sign"],
-        [(a, b, int(result.test_matrix[a, b]))
-         for a in range(len(family)) for b in range(len(family))],
-    )
+    write_json(out, payload)
+    # line a * m + b holds (a, b, test_matrix[a, b])
+    m = len(family)
+    write_csv(out + ".tests.csv", ["row", "col", "sign"],
+              [np.repeat(np.arange(m), m), np.tile(np.arange(m), m),
+               result.test_matrix.reshape(-1)])
     return 0
 
 

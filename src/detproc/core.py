@@ -13,6 +13,7 @@ sum, the L-ensemble likelihood and the pivoted-QR determinant abs_det.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -24,8 +25,8 @@ DEFAULT_ENUM_CAP = 20
 GRAM_TOL = 1e-9
 KERNEL_TOL = 1e-9
 TABLE_TOL = 1e-9
-# Rows per formatting pass of the CSV writers: each pass turns one slice of
-# the column into Python numbers, so memory does not grow with 2^p.
+# Rows per formatting pass of write_csv: each pass turns one slice of every
+# column into Python values, so memory does not grow with 2^p.
 _CSV_CHUNK_ROWS = 4096
 
 
@@ -667,6 +668,14 @@ def complex_pairs(key, pairs) -> np.ndarray:
     return np.array([complex(re, im) for re, im in pairs])
 
 
+def path_entry(key, data: dict, name):
+    """data[name] of the config object named key; a KeyError of the path
+    key.name, e.g. params_b.phi, when it is missing."""
+    if name not in data:
+        raise KeyError(f"{key}.{name}")
+    return data[name]
+
+
 def params_from_dict(key, data: dict):
     """The family and spectrum of the params_to_dict object named key. Every
     error names the entry it is about by its path, e.g. params_b.p, and a
@@ -675,11 +684,7 @@ def params_from_dict(key, data: dict):
         raise ValueError(f"{key} must be an object with the keys p, lambda, "
                          f"phi, got {data!r}")
 
-    def entry(name):
-        if name not in data:
-            raise KeyError(f"{key}.{name}")
-        return data[name]
-
+    entry = functools.partial(path_entry, key, data)
     p = integer(f"{key}.p", entry("p"))
     if p < 1:
         raise ValueError(f"{key}.p must be >= 1, got {p}")
@@ -700,24 +705,45 @@ def params_from_dict(key, data: dict):
         raise ValueError(f"{key}: {exc}") from None
 
 
-def _write_indexed_csv(path, header: str, values: np.ndarray, row: str):
-    """Write the line header, then the line row % (i, values[i]) for each i.
+# The one CSV number format, by numpy dtype kind: a bitmask, index or count
+# in decimal, a float in 17 significant digits (it reads back as the same
+# double), a label as it is.
+_CSV_FORMATS = {"i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
 
-    Lines end in \r\n, as the csv module's default dialect writes them.
-    Each chunk of _CSV_CHUNK_ROWS rows is one % operation on one string.
+
+def write_csv(path, header, columns):
+    """Write the line of header names, then for each i the line holding
+    entry i of every column.
+
+    Each column is read as a numpy array, whose dtype picks its format from
+    _CSV_FORMATS. Lines end in \r\n and nothing is quoted, the bytes the
+    csv module's default dialect writes for such values; zero rows write the
+    header line alone. Each chunk of _CSV_CHUNK_ROWS rows is one % operation
+    on one string.
     """
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join(_CSV_FORMATS[c.dtype.kind] for c in columns) + "\r\n"
+    size = len(columns[0]) if columns else 0
+    width = len(columns)
     with open(path, "w", newline="") as fh:
-        fh.write(header + "\r\n")
-        for start in range(0, values.size, _CSV_CHUNK_ROWS):
-            chunk = values[start:start + _CSV_CHUNK_ROWS].tolist()
-            flat = [None] * (2 * len(chunk))
-            flat[0::2] = range(start, start + len(chunk))
-            flat[1::2] = chunk
-            fh.write((row * len(chunk)) % tuple(flat))
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, size, _CSV_CHUNK_ROWS):
+            stop = min(start + _CSV_CHUNK_ROWS, size)
+            flat = [None] * (width * (stop - start))
+            for j, column in enumerate(columns):
+                flat[j::width] = column[start:stop].tolist()
+            fh.write((row * (stop - start)) % tuple(flat))
+
+
+def write_json(path, payload):
+    """Write payload as JSON with indent 1, sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def write_table_csv(table: DensityTable, path):
     """CSV export: config_bitmask,probability with the bitmask in decimal
     and the probability as %.17g (exact round trip)."""
-    _write_indexed_csv(path, "config_bitmask,probability", table.probs,
-                       "%d,%.17g\r\n")
+    write_csv(path, ["config_bitmask", "probability"],
+              [np.arange(table.probs.size), table.probs])

@@ -7,8 +7,6 @@ tools.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import astuple, dataclass
 
@@ -25,6 +23,8 @@ from .core import (
     integer,
     integer_fields,
     random_spectrum,
+    write_csv,
+    write_json,
 )
 from .estimator import (
     CandidateCaps,
@@ -53,25 +53,17 @@ from .sampling import (
 SWEEP_HEADER = ["instance_id", "inequality_id", "lhs", "rhs", "slack"]
 
 
-def _fmt(x) -> str:
-    return f"{x:.17g}" if isinstance(x, float) else str(x)
-
-
 def write_rows_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+    """CSV export of a list of row tuples, through core.write_csv: each
+    position of the rows is one column, formatted by its dtype."""
+    write_csv(path, header, zip(*rows))
 
 
 def write_metadata(path, config, extra=None):
     payload = {"config": config, "library_version": __version__}
     if extra:
         payload.update(extra)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DensityTable, DppDensity, _write_indexed_csv
+from .core import DensityTable, DppDensity, write_csv
 from .rng import SeededRng
 
 RANK_TOL = 1e-10
@@ -61,8 +61,8 @@ class SampleSet:
 
     def write_csv(self, path):
         """CSV export: draw_index,config_bitmask."""
-        _write_indexed_csv(path, "draw_index,config_bitmask", self._masks,
-                           "%d,%d\r\n")
+        write_csv(path, ["draw_index", "config_bitmask"],
+                  [np.arange(self._masks.size), self._masks])
 
 
 def _projection_masks(columns: np.ndarray, active: np.ndarray,

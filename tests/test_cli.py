@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from detproc import cli, experiments
+from detproc import cli, estimator, experiments
 from detproc.cli import main
 from detproc.core import haar_orthonormal, params_to_dict, Spectrum
 from detproc.estimator import CandidateCaps
@@ -85,13 +85,16 @@ def test_missing_out_exits_2(tmp_path):
 
 
 def test_estimate_unknown_statistic_exits_2(tmp_path, capsys):
-    path = write_config(tmp_path, "c.json",
-                        {**estimate_dict(), "test_statistic": "wald"})
+    # test_statistic had one accepted value, "signed-root", and is no key now:
+    # naming it exits 2 as any unknown key does, whatever its value
     out = tmp_path / "o.json"
-    err = assert_usage_error(capsys, ["estimate", "--config", path,
-                                      "--out", str(out)])
-    assert "unknown test_statistic" in err
-    assert not out.exists()
+    for value in ["signed-root", "wald"]:
+        path = write_config(tmp_path, "c.json",
+                            {**estimate_dict(), "test_statistic": value})
+        err = assert_usage_error(capsys, ["estimate", "--config", path,
+                                          "--out", str(out)])
+        assert "unexpected keyword argument 'test_statistic'" in err
+        assert not out.exists()
 
 
 def assert_usage_error(capsys, argv):
@@ -561,6 +564,30 @@ def test_estimate_outputs_payload(tmp_path):
     assert tests_csv.splitlines()[0] == "row,col,sign"
 
 
+def test_estimate_tests_csv_is_the_sign_matrix(tmp_path, monkeypatch):
+    # every line (a, b, sign) of .tests.csv is test_matrix[a, b], row-major
+    results = []
+
+    def recording_select(family, samples):
+        results.append(estimator.select(family, samples))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "select", recording_select)
+    cfg = estimate_config(tmp_path)
+    out = tmp_path / "est.json.out"
+    assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+    sign = results[0].test_matrix
+    m = sign.shape[0]
+    assert m == len(json.loads(out.read_text())["priors"]) > 1
+    data = (tmp_path / "est.json.out.tests.csv").read_bytes()
+    lines = data.decode().split("\r\n")
+    assert lines[0] == "row,col,sign" and lines[-1] == ""
+    assert lines[1:-1] == [f"{a},{b},{sign[a, b]}"
+                           for a in range(m) for b in range(m)]
+    assert all(sign[a, a] == 0 for a in range(m))
+    assert set(np.unique(sign)) == {-1, 0, 1}
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("n", 0, "n must be >= 1"),
     ("prior", -1.0, "prior of model 0"),
@@ -588,10 +615,10 @@ def test_estimate_bad_n_or_prior_exits_2(tmp_path, capsys, key, value, message):
 @pytest.mark.parametrize("key, value, message", [
     ("prior", "0.5", "model prior must be a number"),  # once read as 0.5
     ("prior", True, "model prior must be a number"),  # once read as 1.0
-    ("basis", [True, False], "model basis entries must be"),  # once 1 + 0j
+    ("basis", [True, False], "models[0].basis entries must be"),  # once 1 + 0j
     # once "too many values to unpack (expected 2)"
-    ("basis", [1.0, 0.0, 9.0], "model basis entries must be [re, im] pairs of "
-                               "numbers, got [1.0, 0.0, 9.0]"),
+    ("basis", [1.0, 0.0, 9.0], "models[0].basis entries must be [re, im] pairs "
+                               "of numbers, got [1.0, 0.0, 9.0]"),
 ])
 def test_estimate_non_number_model_entry_exits_2(tmp_path, capsys, key, value,
                                                  message):
@@ -747,6 +774,37 @@ def test_estimate_mixed_ground_sets_exit_2(tmp_path, capsys, models, truth_p,
     err = assert_usage_error(capsys, ["estimate", "--config", path,
                                       "--out", str(out)])
     assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    # once "config key 'dim' is missing" and "config key 'prior' is missing"
+    ({"dim": None}, "config key 'models[1].dim' is missing"),
+    ({"prior": None}, "config key 'models[1].prior' is missing"),
+    # once "model p must be an integer, got 2.5"
+    ({"p": 2.5}, "models[1].p must be an integer, got 2.5"),
+    ({"id": "b"}, "models[1].id must be an integer, got 'b'"),
+    # once "model basis has 16 entries, expected 8"
+    ({"dim": 2}, "models[1].basis has 16 entries, expected 8"),
+    # once "model basis is not orthonormal"
+    ({"basis": [[1.0, 0.0]] * 16}, "models[1]: model basis is not orthonormal"),
+], ids=["missing-dim", "missing-prior", "p", "id", "basis-size", "basis-gram"])
+def test_estimate_model_errors_name_their_model(tmp_path, capsys, change,
+                                                message):
+    # with two models, the error must say which one is bad
+    cfg = json.loads(Path(estimate_config(tmp_path)).read_text())
+    second = model_dict(4, 1, 0.5)
+    for key, value in change.items():
+        if value is None:
+            del second[key]
+        else:
+            second[key] = value
+    cfg["models"] = [dict(cfg["models"][0], prior=0.5), second]
+    path = write_config(tmp_path, "two.json", cfg)
+    out = tmp_path / "o.json"
+    err = assert_usage_error(capsys, ["estimate", "--config", path,
+                                      "--out", str(out)])
+    assert err == f"error: {message}\n"
     assert not out.exists()
 
 

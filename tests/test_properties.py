@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_core import _loop_table
 
@@ -64,6 +64,7 @@ from detproc.hellinger import (
     wedge_coords,
     wedge_hellinger,
 )
+from detproc.experiments import SWEEP_HEADER, write_rows_csv
 from detproc.rng import SeededRng
 from detproc.sampling import SampleSet, sample_dpp, sample_table
 
@@ -145,6 +146,19 @@ def reference_samples_csv(masks, path):
         writer.writerows(enumerate(masks.tolist()))
 
 
+def reference_rows_csv(header, rows, path):
+    # the rows writer of the sweeps, risk-curve, hellinger and estimate
+    # before every CSV went through core.write_csv
+    def fmt(x):
+        return f"{x:.17g}" if isinstance(x, float) else str(x)
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(x) for x in row])
+
+
 CHUNK = core._CSV_CHUNK_ROWS
 csv_lengths = st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
 # zeros of both signs, the tiny negatives DensityTable admits, subnormals
@@ -178,6 +192,47 @@ def test_sample_csv_bytes_match_csv_writer(tmp_path_factory, size, seed):
     work = tmp_path_factory.mktemp("csv")
     samples.write_csv(work / "new.csv")
     reference_samples_csv(samples.masks(), work / "ref.csv")
+    assert (work / "new.csv").read_bytes() == (work / "ref.csv").read_bytes()
+
+
+# (header, kind of each column) of the sweep, risk-curve and hellinger rows
+ROW_SHAPES = [
+    (SWEEP_HEADER, "int label float float float"),
+    (["n", "empirical_mean_h2", "oracle_bound", "normalized"], "int float float float"),
+    (["h2", "affinity"], "float float"),
+]
+LABELS = ["proj_exact", "proj_gram", "proj_l2", "mixture", "dpp_main",
+          "dpp_weights", "dpp_components", "isometry"]
+SPECIAL_FLOATS = SPECIAL_PROBS + [math.nan, math.inf, -math.inf, 1e300, -1e300]
+
+
+@settings(max_examples=30)  # 3 shapes by 6 lengths, each up to 12k rows
+@given(st.sampled_from(ROW_SHAPES), csv_lengths, seeds,
+       st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(), max_size=20),
+       st.lists(st.integers(-2**62, 2**62), max_size=20))
+def test_rows_csv_bytes_match_csv_writer(tmp_path_factory, shape, size, seed,
+                                         extra_floats, extra_ints):
+    header, kinds = shape
+    gen = np.random.default_rng(seed)
+    columns = []
+    for kind in kinds.split():
+        if kind == "label":
+            columns.append(gen.choice(LABELS, size=size).tolist())
+            continue
+        if kind == "int":
+            values, extra = gen.integers(0, 2**62, size=size), extra_ints
+        else:
+            values, extra = gen.standard_normal(size) * 10.0 ** gen.integers(
+                -300, 300, size=size), extra_floats
+        n = min(len(extra), size)
+        values[gen.integers(0, max(size, 1), size=n)] = extra[:n]
+        # numpy scalars as well as Python numbers, as the experiments give
+        columns.append([v if i % 3 else values[i] for i, v in
+                        enumerate(values.tolist())])
+    rows = list(zip(*columns))
+    work = tmp_path_factory.mktemp("csv")
+    write_rows_csv(work / "new.csv", header, rows)
+    reference_rows_csv(header, rows, work / "ref.csv")
     assert (work / "new.csv").read_bytes() == (work / "ref.csv").read_bytes()
 
 
