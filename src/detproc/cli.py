@@ -13,14 +13,17 @@ with the config's keys as keyword arguments. The keys a command accepts are
 its signature's parameters (the sweeps and risk-curve pass theirs on to
 their experiments class), so a missing or unknown key is a TypeError naming
 it before any work starts. The library alone checks config values:
-estimate's caps go to CandidateCaps and the rest of its estimation inputs
-to build_candidates.
+parameter sets go to core.params_from_dict, estimate's models to
+estimator.model_from_dict, its caps to CandidateCaps and the rest of its
+estimation inputs to build_candidates. The CLI itself checks only the JSON
+shape of estimate's models (a list of objects) and caps (an object), that
+estimate's truth lies on the models' ground set, and the unused seed of
+density and hellinger.
 """
 from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 # argparse's gettext imports locale when the first parser is built, inside
 # every command; load it with the module so that it counts as set-up.
@@ -32,17 +35,15 @@ import numpy as np
 
 from .core import (
     DppDensity,
-    complex_pairs,
     density_table,
     integer,
     params_from_dict,
     params_to_dict,
-    path_entry,
     write_csv,
     write_json,
     write_table_csv,
 )
-from .estimator import CandidateCaps, SubspaceModel, build_candidates, select
+from .estimator import CandidateCaps, build_candidates, model_from_dict, select
 from .experiments import (
     SWEEP_HEADER,
     BoundsSweepConfig,
@@ -73,7 +74,7 @@ def _load_config(path) -> dict:
 
 def _cmd_sample(out, *, params, n=1, seed=0) -> int:
     fam, spec = params_from_dict("params", params)
-    samples = sample_dpp(DppDensity(fam, spec), integer("n", n), SeededRng(seed))
+    samples = sample_dpp(DppDensity(fam, spec), n, SeededRng(seed))
     samples.write_csv(out)
     return 0
 
@@ -131,25 +132,6 @@ def _cmd_isometry_sweep(out, **cfg) -> int:
                       run_isometry_sweep, "gap", lambda x: -x)
 
 
-def _model_from_dict(key, data: dict):
-    """The SubspaceModel and prior of the models entry named key, e.g.
-    models[1]. Every error names the entry it is about by its path, e.g.
-    models[1].p, and a missing entry is a KeyError of that path; the prior
-    is checked by build_candidates."""
-    entry = functools.partial(path_entry, key, data)
-    p = integer(f"{key}.p", entry("p"))
-    dim = integer(f"{key}.dim", entry("dim"))
-    flat = complex_pairs(f"{key}.basis", entry("basis"))
-    if flat.size != p * dim:
-        raise ValueError(f"{key}.basis has {flat.size} entries, expected {p * dim}")
-    model_id = integer(f"{key}.id", entry("id"))
-    try:
-        model = SubspaceModel(flat.reshape(dim, p).T, id=model_id)
-    except ValueError as exc:
-        raise ValueError(f"{key}: {exc}") from None
-    return model, entry("prior")
-
-
 def _read_samples_csv(path) -> SampleSet:
     """The draws in the config_bitmask column of a CSV such as sample
     writes; a usage error naming samples_csv, and the draw if one is not an
@@ -174,7 +156,7 @@ def _cmd_estimate(out, *, models, n, caps, seed=0, pool_size=256,
                   anchor=None, samples_csv=None, truth=None) -> int:
     if not (isinstance(models, list) and all(isinstance(m, dict) for m in models)):
         raise ValueError(f"models must be a list of objects, got {models!r}")
-    pairs = [_model_from_dict(f"models[{i}]", m) for i, m in enumerate(models)]
+    pairs = [model_from_dict(f"models[{i}]", m) for i, m in enumerate(models)]
     subspaces = [model for model, _ in pairs]
     prior = {model.id: weight for model, weight in pairs}
     n = integer("n", n)

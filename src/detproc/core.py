@@ -156,6 +156,19 @@ def subsets(p: int, k: int):
 # ---------------------------------------------------------------------------
 # parameters
 
+def check_orthonormal(columns: np.ndarray) -> None:
+    """The one orthonormality check of a p x d matrix, for families and
+    models alike: a ValueError unless its entries are finite and every entry
+    of its Gram matrix lies within GRAM_TOL of the identity's; the message
+    gives the largest deviation."""
+    if not np.isfinite(columns).all():
+        raise ValueError("column entries must be finite")
+    gram = columns.conj().T @ columns
+    dev = np.max(np.abs(gram - np.eye(columns.shape[1])), initial=0.0)
+    if not dev <= GRAM_TOL:  # a NaN deviation fails too
+        raise ValueError(f"columns are not orthonormal (Gram deviation {dev:.3e})")
+
+
 @dataclass(frozen=True)
 class OrthonormalFamily:
     """p x r complex matrix whose columns are orthonormal in C^p.
@@ -175,14 +188,9 @@ class OrthonormalFamily:
         cols = np.atleast_2d(np.array(self.columns, dtype=complex))
         object.__setattr__(self, "columns", cols)
         p, r = cols.shape
-        if not np.isfinite(cols).all():
-            raise ValueError("family entries must be finite")
         if r > p:
             raise ValueError(f"rank r={r} exceeds p={p}")
-        gram = cols.conj().T @ cols
-        dev = np.max(np.abs(gram - np.eye(r))) if r else 0.0
-        if dev > GRAM_TOL:
-            raise ValueError(f"columns are not orthonormal (Gram deviation {dev:.3e})")
+        check_orthonormal(cols)
         cols.setflags(write=False)
 
     @property
@@ -676,6 +684,18 @@ def path_entry(key, data: dict, name):
     return data[name]
 
 
+def column_matrix(key, data: dict, name, p: int, d: int) -> np.ndarray:
+    """The p x d complex matrix held column-major, as [re, im] pairs
+    (complex_pairs), in the entry name of the config object named key; a
+    ValueError naming the entry, e.g. models[1].basis, unless it holds p * d
+    pairs."""
+    path = f"{key}.{name}"
+    flat = complex_pairs(path, path_entry(key, data, name))
+    if flat.size != p * d:
+        raise ValueError(f"{path} has {flat.size} entries, expected {p * d}")
+    return flat.reshape(d, p).T
+
+
 def params_from_dict(key, data: dict):
     """The family and spectrum of the params_to_dict object named key. Every
     error names the entry it is about by its path, e.g. params_b.p, and a
@@ -694,13 +714,9 @@ def params_from_dict(key, data: dict):
     if not all(is_real(v) for v in lam):
         raise ValueError(f"{key}.lambda entries must be numbers, got {lam!r}")
     lam = np.asarray(lam, dtype=float)
-    r = lam.size
-    flat = complex_pairs(f"{key}.phi", entry("phi"))
-    if flat.size != p * r:
-        raise ValueError(f"{key}.phi has {flat.size} entries, "
-                         f"expected p*r = {p * r}")
+    phi = column_matrix(key, data, "phi", p, lam.size)
     try:
-        return OrthonormalFamily(flat.reshape(r, p).T), Spectrum(lam)
+        return OrthonormalFamily(phi), Spectrum(lam)
     except ValueError as exc:
         raise ValueError(f"{key}: {exc}") from None
 

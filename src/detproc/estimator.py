@@ -9,6 +9,7 @@ beats it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, islice, product
@@ -21,10 +22,13 @@ from .core import (
     DppDensity,
     OrthonormalFamily,
     Spectrum,
+    check_orthonormal,
+    column_matrix,
     density_table,
     integer,
     integer_fields,
     is_real,
+    path_entry,
 )
 from .hellinger import _h2
 from .rng import SeededRng
@@ -52,11 +56,7 @@ class SubspaceModel:
         basis = np.array(self.basis)  # a copy: the caller's array stays writable
         if basis.ndim != 2 or basis.shape[1] < 1:
             raise ValueError(f"basis must be p x d with d >= 1, got {basis.shape}")
-        if not np.isfinite(basis).all():
-            raise ValueError("model basis entries must be finite")
-        gram = basis.conj().T @ basis
-        if not np.max(np.abs(gram - np.eye(basis.shape[1]))) <= GRAM_TOL:
-            raise ValueError("model basis is not orthonormal")
+        check_orthonormal(basis)
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
 
@@ -79,6 +79,28 @@ class SubspaceModel:
 
     def project(self, phi: np.ndarray) -> np.ndarray:
         return self.basis @ (self.basis.conj().T @ phi)
+
+
+def model_from_dict(key, data: dict):
+    """The SubspaceModel and prior of the config object named key, e.g.
+    models[1]: {"id": int, "p": int, "dim": int, "basis": [[re, im], ...]
+    column-major over (p, dim), "prior": number}. Every error names the
+    entry it is about by its path, e.g. models[1].p, and a missing entry is
+    a KeyError of that path; the prior is checked by build_candidates."""
+    entry = functools.partial(path_entry, key, data)
+    p = integer(f"{key}.p", entry("p"))
+    if p < 1:
+        raise ValueError(f"{key}.p must be >= 1, got {p}")
+    dim = integer(f"{key}.dim", entry("dim"))
+    if dim < 1:
+        raise ValueError(f"{key}.dim must be >= 1, got {dim}")
+    basis = column_matrix(key, data, "basis", p, dim)
+    model_id = integer(f"{key}.id", entry("id"))
+    try:
+        model = SubspaceModel(basis, id=model_id)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+    return model, entry("prior")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DensityTable, DppDensity, write_csv
+from .core import DensityTable, DppDensity, integer, write_csv
 from .rng import SeededRng
 
 RANK_TOL = 1e-10
@@ -140,6 +140,7 @@ def _projection_masks(columns: np.ndarray, active: np.ndarray,
 
 def sample_table(table: DensityTable, count: int, rng: SeededRng) -> SampleSet:
     """count exact inverse-CDF draws from a density table."""
+    count = integer("count", count)
     if count < 1:
         raise ValueError("count must be >= 1")
     cdf = np.cumsum(table.probs)
@@ -153,6 +154,7 @@ def sample_table(table: DensityTable, count: int, rng: SeededRng) -> SampleSet:
 def sample_dpp(density: DppDensity, n: int, rng: SeededRng) -> SampleSet:
     """n independent draws by the two-step scheme: Bernoulli indices, then
     a sequential projection draw on the realized index set, in blocks."""
+    n = integer("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     gen = rng.generator

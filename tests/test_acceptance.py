@@ -276,28 +276,30 @@ def test_criterion_11_cli_determinism(tmp_path):
     params = params_to_dict(haar_orthonormal(5, 2, SeededRng(111)),
                             Spectrum(np.array([0.9, 0.6])))
     basis = [[float(x), 0.0] for x in np.eye(5).reshape(-1)]
+    # (command, config, outputs, exit code)
     runs = [
-        ("sample", {"params": params, "n": 50, "seed": 1}, ["draws.csv"]),
-        ("density", {"params": params}, ["table.csv"]),
-        ("hellinger", {"params_a": params, "params_b": params}, ["h.csv"]),
+        ("sample", {"params": params, "n": 50, "seed": 1}, ["draws.csv"], 0),
+        ("density", {"params": params}, ["table.csv"], 0),
+        ("hellinger", {"params_a": params, "params_b": params}, ["h.csv"], 0),
         ("bounds-sweep", {"instances": 15, "seed": 2},
-         ["sweep.csv", "sweep.csv.meta.json"]),
+         ["sweep.csv", "sweep.csv.meta.json"], 0),
         ("isometry-sweep", {"instances": 15, "seed": 3},
-         ["iso.csv", "iso.csv.meta.json"]),
+         ["iso.csv", "iso.csv.meta.json"], 0),
         ("estimate", {
             "models": [{"id": 0, "p": 5, "dim": 5, "basis": basis,
                         "prior": 1.0}],
             "n": 40,
             "caps": {"j_max": 1, "per_net": 4, "family_max": 15},
             "pool_size": 32, "seed": 4, "truth": params,
-        }, ["est.json", "est.json.tests.csv"]),
+        }, ["est.json", "est.json.tests.csv"], 0),
         ("risk-curve", {"p": 6, "k": 2, "n_grid": [30, 60],
                         "replications": 3, "caps": [2, 4, 12],
                         "pool_size": 32, "seed": 5},
-         ["risk.csv", "risk.csv.meta.json"]),
+         # three replications fit a slope of -1.65, outside [-1.5, -0.5]
+         ["risk.csv", "risk.csv.meta.json"], 1),
     ]
     ok = True
-    for command, config, outputs in runs:
+    for command, config, outputs, expected in runs:
         cfg_path = tmp_path / f"{command}.json"
         cfg_path.write_text(json.dumps(config))
         snapshots = []
@@ -307,7 +309,7 @@ def test_criterion_11_cli_determinism(tmp_path):
             out = workdir / outputs[0]
             code = cli_main([command, "--config", str(cfg_path),
                              "--out", str(out)])
-            if code == 2:
+            if code != expected:
                 ok = False
             snapshots.append([
                 (workdir / name).read_bytes() for name in outputs

@@ -592,7 +592,7 @@ def test_estimate_tests_csv_is_the_sign_matrix(tmp_path, monkeypatch):
     ("n", 0, "n must be >= 1"),
     ("prior", -1.0, "prior of model 0"),
     ("prior", math.nan, "prior of model 0"),
-])
+], ids=["n-zero", "prior-negative", "prior-nan"])
 def test_estimate_bad_n_or_prior_exits_2(tmp_path, capsys, key, value, message):
     # draws from a file, so that n reaches build_candidates and not the sampler
     draws = tmp_path / "draws.csv"
@@ -619,7 +619,7 @@ def test_estimate_bad_n_or_prior_exits_2(tmp_path, capsys, key, value, message):
     # once "too many values to unpack (expected 2)"
     ("basis", [1.0, 0.0, 9.0], "models[0].basis entries must be [re, im] pairs "
                                "of numbers, got [1.0, 0.0, 9.0]"),
-])
+], ids=["prior-string", "prior-bool", "basis-bools", "basis-three-numbers"])
 def test_estimate_non_number_model_entry_exits_2(tmp_path, capsys, key, value,
                                                  message):
     cfg = json.loads(Path(estimate_config(tmp_path)).read_text())
@@ -760,7 +760,7 @@ def model_dict(p, model_id, prior):
     ([(5, 1.0)], 4, None, "truth has p=4 but models[0] has p=5"),
     ([(5, 0.5), (4, 0.5)], 5, None, "models[1] has p=4 but models[0] has p=5"),
     ([(5, 1.0)], 5, 4, "anchor has p=4 but models[0] has p=5"),
-])
+], ids=["truth", "second-model", "anchor"])
 def test_estimate_mixed_ground_sets_exit_2(tmp_path, capsys, models, truth_p,
                                            anchor_p, message):
     cfg = json.loads(Path(estimate_config(tmp_path)).read_text())
@@ -786,9 +786,19 @@ def test_estimate_mixed_ground_sets_exit_2(tmp_path, capsys, models, truth_p,
     ({"id": "b"}, "models[1].id must be an integer, got 'b'"),
     # once "model basis has 16 entries, expected 8"
     ({"dim": 2}, "models[1].basis has 16 entries, expected 8"),
-    # once "model basis is not orthonormal"
-    ({"basis": [[1.0, 0.0]] * 16}, "models[1]: model basis is not orthonormal"),
-], ids=["missing-dim", "missing-prior", "p", "id", "basis-size", "basis-gram"])
+    # once "model basis is not orthonormal", with no amount
+    ({"basis": [[1.0, 0.0]] * 16},
+     "models[1]: columns are not orthonormal (Gram deviation 4.000e+00)"),
+    # once "model basis is not orthonormal", read as a 0 x 1 basis
+    ({"p": 0, "dim": 1, "basis": []}, "models[1].p must be >= 1, got 0"),
+    # once "can only specify one unknown dimension"
+    ({"p": -1, "dim": -1, "basis": [[1.0, 0.0]]},
+     "models[1].p must be >= 1, got -1"),
+    # once "models[1].basis has 0 entries, expected -2"
+    ({"p": 2, "dim": -1, "basis": []}, "models[1].dim must be >= 1, got -1"),
+    ({"dim": 0}, "models[1].dim must be >= 1, got 0"),
+], ids=["missing-dim", "missing-prior", "p", "id", "basis-size", "basis-gram",
+        "p-zero", "p-negative", "dim-negative", "dim-zero"])
 def test_estimate_model_errors_name_their_model(tmp_path, capsys, change,
                                                 message):
     # with two models, the error must say which one is bad
@@ -873,7 +883,7 @@ def test_estimate_non_finite_model_basis_exits_2(tmp_path, capsys):
     out = tmp_path / "est.json"
     err = assert_usage_error(capsys, ["estimate", "--config", cfg,
                                       "--out", str(out)])
-    assert "model basis" in err
+    assert err == "error: models[0]: column entries must be finite\n"
     assert not out.exists()
 
 

@@ -53,6 +53,19 @@ def test_model_rejects_non_finite_basis(bad):
         SubspaceModel(basis)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]),
+     "columns are not orthonormal (Gram deviation 1.000e+00)"),
+    (np.array([[np.nan], [0.0]]), "column entries must be finite"),
+], ids=["gram", "nan"])
+def test_model_and_family_share_one_orthonormality_check(bad, message):
+    # SubspaceModel once had a copy of the check that gave no deviation
+    for build in (SubspaceModel, OrthonormalFamily):
+        with pytest.raises(ValueError) as raised:
+            build(bad)
+        assert str(raised.value) == message
+
+
 def test_model_and_family_leave_the_callers_array_writable():
     # each freezes a private copy; both once froze the caller's array
     b = np.eye(3)

@@ -169,6 +169,24 @@ def test_sample_table_rejects_bad_count():
         sample_table(table, 0, SeededRng(0))
 
 
+@pytest.mark.parametrize("count", [True, 2.5, math.nan],
+                         ids=["bool", "fraction", "nan"])
+def test_draw_counts_are_read_as_integers(count):
+    # each once failed inside numpy with "expected a sequence of integers or
+    # a single integer", naming no argument
+    density = DppDensity(haar_orthonormal(3, 2, SeededRng(7)), Spectrum.ones(2))
+    table = density_table(density)
+    with pytest.raises(ValueError, match=rf"^n must be an integer, got {count!r}$"):
+        sample_dpp(density, count, SeededRng(0))
+    with pytest.raises(ValueError,
+                       match=rf"^count must be an integer, got {count!r}$"):
+        sample_table(table, count, SeededRng(0))
+    # a float with no fractional part stands for its integer
+    for sampler, source in [(sample_dpp, density), (sample_table, table)]:
+        assert (sampler(source, 3.0, SeededRng(1)).masks().tolist()
+                == sampler(source, 3, SeededRng(1)).masks().tolist())
+
+
 # ---------------------------------------------------------------------------
 # full two-step sampler
 
