@@ -20,6 +20,7 @@ from .core import (
     density_table,
     dpp_density_eval,
     haar_orthonormal,
+    haar_orthonormal_many,
     inclusion_probabilities,
     kernel_from_params,
     l_ensemble_oracle,

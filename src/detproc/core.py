@@ -599,25 +599,45 @@ def l_ensemble_oracle(density: DppDensity, alpha: Config) -> float:
 # random parameter generators (Haar via QR with positive-real diagonal)
 
 def haar_orthonormal(p: int, r: int, rng, real: bool = False) -> OrthonormalFamily:
-    """Haar-distributed orthonormal p x r family.
+    """Haar-distributed orthonormal p x r family, drawn from the stream rng.
 
     Generated by QR-factorizing an iid (complex) Gaussian matrix and fixing
     the phase so the R diagonal is positive real, which makes the factor
-    unique. real=True restricts to real entries for debugging.
+    unique. real=True restricts to real entries for debugging; the family
+    still has complex dtype, with every imaginary part 0. The one route is
+    haar_orthonormal_many, here with a stack of one.
+    """
+    return haar_orthonormal_many(p, r, [rng], real)[0]
+
+
+def haar_orthonormal_many(p: int, r: int, rngs, real: bool = False) -> list:
+    """One Haar-distributed orthonormal p x r family per stream of rngs.
+
+    Each family's Gaussian matrix is drawn from its own stream, real part
+    then imaginary part, so a family does not depend on the other streams
+    of the stack, and each stream is left where drawing its family alone
+    leaves it. The matrices are
+    then factorized by one stacked QR with one phase fix (Mezzadri 2007,
+    "How to generate random matrices from the classical compact groups"),
+    which saves numpy's per-call overhead; each family is still checked by
+    OrthonormalFamily.
     """
     if r > p:
         raise ValueError(f"rank r={r} exceeds p={p}: a p x r family has at most "
                          "p orthonormal columns")
-    gen = rng.generator
-    if r == 0:
-        return OrthonormalFamily(np.zeros((p, 0), dtype=complex))
-    g = gen.standard_normal((p, r))
-    if not real:
-        g = g + 1j * gen.standard_normal((p, r))
+    if r < 0:
+        raise ValueError(f"rank r={r} must be >= 0")
+    rngs = list(rngs)
+    if r == 0 or not rngs:
+        return [OrthonormalFamily(np.zeros((p, 0), dtype=complex)) for _ in rngs]
+    # one draw of (parts, p, r) per stream: the real part, then the imaginary
+    draws = np.stack([rng.generator.standard_normal((1 if real else 2, p, r))
+                      for rng in rngs])
+    g = draws[:, 0] if real else draws[:, 0] + 1j * draws[:, 1]
     q, rr = np.linalg.qr(g)
-    d = np.diag(rr)
+    d = np.diagonal(rr, axis1=1, axis2=2)
     phase = d / np.abs(d)
-    return OrthonormalFamily(q * phase.conj())
+    return [OrthonormalFamily(columns) for columns in q * phase.conj()[:, None, :]]
 
 
 def random_spectrum(r: int, rng, max_value: float = 1.0) -> Spectrum:

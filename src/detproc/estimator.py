@@ -84,9 +84,11 @@ class SubspaceModel:
 def model_from_dict(key, data: dict):
     """The SubspaceModel and prior of the config object named key, e.g.
     models[1]: {"id": int, "p": int, "dim": int, "basis": [[re, im], ...]
-    column-major over (p, dim), "prior": number}. Every error names the
-    entry it is about by its path, e.g. models[1].p, and a missing entry is
-    a KeyError of that path; the prior is checked by build_candidates."""
+    column-major over (p, dim), "prior": number}. A basis whose imaginary
+    parts are all exactly 0 gives a real model, any other a complex one.
+    Every error names the entry it is about by its path, e.g. models[1].p,
+    and a missing entry is a KeyError of that path; the prior is checked by
+    build_candidates."""
     entry = functools.partial(path_entry, key, data)
     p = integer(f"{key}.p", entry("p"))
     if p < 1:
@@ -95,6 +97,8 @@ def model_from_dict(key, data: dict):
     if dim < 1:
         raise ValueError(f"{key}.dim must be >= 1, got {dim}")
     basis = column_matrix(key, data, "basis", p, dim)
+    if not np.any(basis.imag):
+        basis = basis.real
     model_id = integer(f"{key}.id", entry("id"))
     try:
         model = SubspaceModel(basis, id=model_id)
@@ -198,13 +202,21 @@ def sphere_approx(phi: np.ndarray, model: SubspaceModel) -> np.ndarray:
 
     Returns the normalized projection when its norm is at least 1/2, else a
     fixed unit vector of the subspace; either way the error is at most four
-    times the distance from phi to the subspace itself.
+    times the distance from phi to the subspace itself. A density sees phi
+    only up to a phase, so on a real model the projection w is first turned
+    by the phase that brings it nearest to the real span (the one that makes
+    e^(2i theta) sum(w^2) real and positive), and its real part is kept.
     """
     phi = np.asarray(phi)
     nrm = np.linalg.norm(phi)
     if not abs(nrm - 1.0) <= 1e-9:  # a NaN norm fails too
         raise ValueError(f"phi must be a unit vector, got norm {nrm}")
     proj = model.project(phi)
+    if not model.is_complex and np.iscomplexobj(proj):
+        square = np.sum(proj * proj)
+        if square:
+            proj = proj * np.sqrt(square.conjugate() / abs(square))
+        proj = proj.real
     pn = np.linalg.norm(proj)
     if pn >= 0.5:
         return proj / pn

@@ -288,7 +288,8 @@ def test_sweep_without_instances_exits_2(tmp_path, capsys, command, instances):
     ("isometry-sweep", "p_max", 1, "p_max must be in [2, 20], got 1"),
     ("isometry-sweep", "p_max", 10**6, "p_max must be in [2, 20], got 1000000"),
     ("isometry-sweep", "k_max", 0, "k_max must be >= 1, got 0"),
-])
+], ids=["bounds-p_max-1", "bounds-p_max-30", "bounds-rank_max-0",
+        "isometry-p_max-1", "isometry-p_max-1000000", "isometry-k_max-0"])
 def test_sweep_impossible_size_exits_2(tmp_path, capsys, command, key, value,
                                        message):
     # rejected before the first instance, with the key named
@@ -562,6 +563,17 @@ def test_estimate_outputs_payload(tmp_path):
     assert payload["n_samples"] == 40
     tests_csv = (tmp_path / "est.json.out.tests.csv").read_text()
     assert tests_csv.splitlines()[0] == "row,col,sign"
+
+
+def test_estimate_real_basis_chooses_a_real_family(tmp_path):
+    # estimate_dict's basis has every imaginary part 0, so its model is real;
+    # read as complex, it once chose a phi with nonzero imaginary parts
+    cfg = estimate_config(tmp_path)
+    out = tmp_path / "est.json.out"
+    assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+    phi = json.loads(out.read_text())["chosen"]["phi"]
+    assert [im for _, im in phi] == [0.0] * len(phi)
+    assert any(re != 0.0 for re, _ in phi)
 
 
 def test_estimate_tests_csv_is_the_sign_matrix(tmp_path, monkeypatch):
@@ -1038,7 +1050,7 @@ def test_risk_curve_exit_1_names_failures(tmp_path, capsys, monkeypatch):
     ("isometry-sweep", "run_isometry_sweep",
      [(4, "isometry", 0.5, 0.5, 0.0), (5, "isometry", 0.5, 0.5, 3.1e-9)], 1,
      "isometry-sweep: 1 violations, worst gap 3.1e-09 (instance 5, isometry)"),
-])
+], ids=["bounds-negative-slack", "bounds-nan-slack", "isometry-gap"])
 def test_sweep_exit_1_names_worst_row(tmp_path, capsys, monkeypatch, command,
                                       runner, rows, violations, line):
     monkeypatch.setattr(cli, runner, lambda cfg: (rows, violations))

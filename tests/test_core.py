@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -23,6 +24,7 @@ from detproc.core import (
     density_table,
     dpp_density_eval,
     haar_orthonormal,
+    haar_orthonormal_many,
     inclusion_probabilities,
     kernel_from_params,
     l_ensemble_oracle,
@@ -565,6 +567,53 @@ def test_haar_orthonormal_refuses_rank_above_p():
     with pytest.raises(ValueError, match=r"r=5 exceeds p=3"):
         haar_orthonormal(3, 5, SeededRng(0))
     assert haar_orthonormal(3, 3, SeededRng(0)).r == 3
+
+
+def reference_haar(p, r, rng, real=False) -> np.ndarray:
+    """The per-family Haar route: one QR and one phase fix per call."""
+    gen = rng.generator
+    if r == 0:
+        return np.zeros((p, 0), dtype=complex)
+    g = gen.standard_normal((p, r))
+    if not real:
+        g = g + 1j * gen.standard_normal((p, r))
+    q, rr = np.linalg.qr(g)
+    d = np.diag(rr)
+    return np.asarray(q * (d / np.abs(d)).conj(), dtype=complex)
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_haar_orthonormal_many_matches_one_family_per_stream(real):
+    for p in range(9):
+        for r in range(p + 1):
+            streams = [SeededRng(30, (p, r, j)) for j in range(4)]
+            families = haar_orthonormal_many(p, r, streams, real)
+            assert len(families) == len(streams)
+            for j, (fam, stream) in enumerate(zip(families, streams)):
+                alone = SeededRng(30, (p, r, j))
+                single = haar_orthonormal(p, r, alone, real).columns
+                reference = reference_haar(p, r, SeededRng(30, (p, r, j)), real)
+                # bit for bit, signed zeros included
+                assert fam.columns.shape == single.shape == reference.shape == (p, r)
+                assert fam.columns.tobytes() == single.tobytes() == reference.tobytes()
+                # the stream is left where drawing its family alone leaves it
+                assert stream.generator.random() == alone.generator.random()
+
+
+def test_haar_orthonormal_many_of_no_streams_is_empty():
+    assert haar_orthonormal_many(4, 2, []) == []
+
+
+@pytest.mark.parametrize("r, message", [
+    (4, "rank r=4 exceeds p=3"),
+    # once numpy's "negative dimensions are not allowed"
+    (-1, "rank r=-1 must be >= 0"),
+], ids=["above-p", "negative"])
+def test_haar_orthonormal_many_refuses_rank_out_of_range(r, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        haar_orthonormal_many(3, r, [SeededRng(0), SeededRng(1)])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        haar_orthonormal(3, r, SeededRng(0))
 
 
 def test_params_dict_roundtrip():

@@ -21,6 +21,7 @@ from detproc.estimator import (
     _candidate_nets,
     _random_unit_coefficients,
     build_candidates,
+    model_from_dict,
     nearest_orthonormal,
     oracle_bound,
     select,
@@ -175,6 +176,41 @@ def test_anchored_nets_lie_in_the_model():
     assert np.allclose(net.points[0], sphere_approx(anchor.columns[:, 0], model))
 
 
+def test_anchored_nets_of_a_real_model_are_real():
+    # a complex anchor once seeded a real model's net with complex points,
+    # which sphere_net refuses
+    anchor = haar_orthonormal(5, 1, SeededRng(3))
+    model = SubspaceModel(np.eye(5)[:, :2], id=0)
+    net = _candidate_nets([model], 50, SeededRng(1), 64, anchor, 1)[0]
+    assert not np.iscomplexobj(net.points)
+    assert np.all(net.points[:, 2:] == 0.0)
+    assert np.array_equal(net.points[0], sphere_approx(anchor.columns[:, 0], model))
+
+
+def model_entry(basis, p, dim):
+    return {"id": 0, "p": p, "dim": dim, "prior": 1.0,
+            "basis": [[float(z.real), float(z.imag)] for z in basis.T.reshape(-1)]}
+
+
+def test_model_from_dict_reads_a_basis_without_imaginary_parts_as_real():
+    # span(e1, e2) of R^5 at eta = 0.1 with a 400-point pool: once read as
+    # the complex model, whose net has 129 points
+    model, prior = model_from_dict("models[0]", model_entry(np.eye(5)[:, :2], 5, 2))
+    assert not model.is_complex and model.dim_real == 2 and prior == 1.0
+    assert np.array_equal(model.basis, np.eye(5)[:, :2])
+    assert len(sphere_net(model, 0.1, 400, SeededRng(0))) == 22
+    complex_model = SubspaceModel(np.eye(5, dtype=complex)[:, :2])
+    assert len(sphere_net(complex_model, 0.1, 400, SeededRng(0))) == 129
+
+
+def test_model_from_dict_keeps_a_basis_with_an_imaginary_part_complex():
+    basis = np.eye(3, dtype=complex)[:, :2]
+    basis[1, 1] = 1j
+    model, _ = model_from_dict("models[0]", model_entry(basis, 3, 2))
+    assert model.is_complex
+    assert np.array_equal(model.basis, basis)
+
+
 def phase_distance(u, v):
     """min over theta of |u - e^(i theta) v|, one pair at a time."""
     return math.sqrt(max(2.0 - 2.0 * abs(np.vdot(v, u)), 0.0))
@@ -247,6 +283,36 @@ def test_sphere_approx_factor_four_random():
         out = sphere_approx(phi, model)
         dist = np.linalg.norm(phi - model.project(phi))
         assert np.linalg.norm(phi - out) <= 4.0 * dist + 1e-12
+
+
+def test_sphere_approx_turns_a_complex_phi_onto_a_real_model():
+    # a density sees phi only up to a phase: e^(0.7i) v goes back to v or -v
+    model = SubspaceModel(np.eye(4)[:, :2])
+    v = np.array([0.6, 0.8, 0.0, 0.0])
+    out = sphere_approx(np.exp(0.7j) * v, model)
+    assert not np.iscomplexobj(out)
+    assert abs(out @ v) == pytest.approx(1.0)
+
+
+def test_sphere_approx_factor_four_on_real_models():
+    # the distance from phi to a real model, over every phase of phi, is
+    # sqrt(1 - (|c|^2 + |sum c^2|) / 2) for c = basis.T phi
+    root = SeededRng(6)
+    for i in range(200):
+        rng = root.split(i)
+        gen = rng.generator
+        d = int(gen.integers(1, 4))
+        basis = haar_orthonormal(5, d, rng.split(0), real=True).columns.real.copy()
+        model = SubspaceModel(basis)
+        phi = gen.standard_normal(5) + 1j * gen.standard_normal(5)
+        phi = phi / np.linalg.norm(phi)
+        out = sphere_approx(phi, model)
+        assert not np.iscomplexobj(out)
+        assert np.linalg.norm(out) == pytest.approx(1.0)
+        c = basis.T @ phi
+        nearest = (np.vdot(c, c).real + abs(np.sum(c * c))) / 2.0
+        dist = math.sqrt(max(1.0 - nearest, 0.0))
+        assert phase_distance(out, phi) <= 4.0 * dist + 1e-12
 
 
 def test_sphere_approx_rejects_non_unit_input():

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from detproc import experiments
+from detproc.core import DppDensity, density_table, haar_orthonormal, random_spectrum
 from detproc.estimator import CandidateCaps
 from detproc.experiments import (
     SWEEP_HEADER,
@@ -20,7 +22,15 @@ from detproc.experiments import (
     write_metadata,
     write_rows_csv,
 )
-from detproc.hellinger import BoundReport
+from detproc.hellinger import (
+    BoundReport,
+    check_bound_dpp,
+    check_bound_mixture,
+    check_bound_projection,
+    gplus_delta,
+    wedge_coords,
+)
+from detproc.rng import SeededRng
 
 
 def test_bounds_sweep_small_corpus_clean():
@@ -75,6 +85,116 @@ def test_isometry_sweep_counts_nan_gap_as_violation(monkeypatch):
     rows, violations = run_isometry_sweep(IsometrySweepConfig(instances=1, seed=0))
     assert violations == 1
     assert math.isnan(rows[0][4])
+
+
+def reference_bounds_sweep(cfg):
+    """The per-instance bounds sweep: each Haar family drawn by its own
+    haar_orthonormal call where the instance needs it."""
+    root = SeededRng(cfg.seed)
+    rows = []
+    violations = 0
+    for i in range(cfg.instances):
+        rng = root.split(i)
+        gen = rng.generator
+        p = int(gen.integers(2, cfg.p_max + 1))
+        k = int(gen.integers(1, min(cfg.rank_max, p) + 1))
+        fam_a = haar_orthonormal(p, k, rng.split(0))
+        fam_b = haar_orthonormal(p, k, rng.split(1))
+        active = tuple(range(1, k + 1))
+        labels = ["proj_exact", "proj_gram", "proj_l2"]
+        for label, rep in zip(labels, check_bound_projection(fam_a, fam_b, active)):
+            rows.append((i, label, rep.lhs, rep.rhs, rep.slack))
+            violations += not rep.holds
+        weights_p = gen.dirichlet(np.ones(2))
+        weights_q = gen.dirichlet(np.ones(2))
+        tabs_p, tabs_q = [], []
+        for t in range(2):
+            r = int(gen.integers(1, 3))
+            tabs_p.append(density_table(DppDensity(
+                haar_orthonormal(4, r, rng.split(10 + t)),
+                random_spectrum(r, rng.split(20 + t)))))
+            r = int(gen.integers(1, 3))
+            tabs_q.append(density_table(DppDensity(
+                haar_orthonormal(4, r, rng.split(30 + t)),
+                random_spectrum(r, rng.split(40 + t)))))
+        rep = check_bound_mixture(weights_p, weights_q, tabs_p, tabs_q)
+        rows.append((i, "mixture", rep.lhs, rep.rhs, rep.slack))
+        violations += not rep.holds
+        p = int(gen.integers(2, cfg.p_max + 1))
+        r = int(gen.integers(1, min(cfg.rank_max, p) + 1))
+        fam_a = haar_orthonormal(p, r, rng.split(2))
+        fam_b = haar_orthonormal(p, r, rng.split(3))
+        lam = random_spectrum(r, rng.split(4))
+        gam = random_spectrum(r, rng.split(5))
+        labels = ["dpp_main", "dpp_weights", "dpp_components"]
+        for label, rep in zip(labels, check_bound_dpp(fam_a, lam, fam_b, gam)):
+            rows.append((i, label, rep.lhs, rep.rhs, rep.slack))
+            violations += not rep.holds
+    return rows, violations
+
+
+def reference_isometry_sweep(cfg):
+    """The per-instance isometry sweep, as reference_bounds_sweep."""
+    root = SeededRng(cfg.seed)
+    rows = []
+    violations = 0
+    for i in range(cfg.instances):
+        rng = root.split(i)
+        gen = rng.generator
+        p = int(gen.integers(2, cfg.p_max + 1))
+        k = int(gen.integers(1, min(cfg.k_max, p) + 1))
+        fam_a = haar_orthonormal(p, k, rng.split(0))
+        fam_b = haar_orthonormal(p, k, rng.split(1))
+        delta2, h2 = gplus_delta(wedge_coords(fam_a, k), wedge_coords(fam_b, k))
+        gap = abs(delta2 - 2.0 * h2)
+        rows.append((i, "isometry", delta2, 2.0 * h2, gap))
+        if not gap <= experiments.GAP_TOL:
+            violations += 1
+    return rows, violations
+
+
+SWEEPS = [
+    (run_bounds_sweep, reference_bounds_sweep,
+     lambda n: BoundsSweepConfig(instances=n, seed=4)),
+    (run_isometry_sweep, reference_isometry_sweep,
+     lambda n: IsometrySweepConfig(instances=n, seed=6)),
+]
+
+
+@pytest.mark.parametrize("run, reference, config", SWEEPS,
+                         ids=["bounds", "isometry"])
+@pytest.mark.parametrize("instances", [1, 63, 64, 65, 130])
+def test_blocked_sweep_matches_per_instance_loop(run, reference, config,
+                                                 instances):
+    cfg = config(instances)
+    assert run(cfg) == reference(cfg)
+
+
+@pytest.mark.parametrize("run, reference, config", SWEEPS,
+                         ids=["bounds", "isometry"])
+@pytest.mark.parametrize("block", [1, 7])
+def test_blocked_sweep_matches_per_instance_loop_at_any_block(
+        monkeypatch, run, reference, config, block):
+    monkeypatch.setattr(experiments, "_SWEEP_BLOCK", block)
+    for instances in (1, 7, 20):
+        cfg = config(instances)
+        assert run(cfg) == reference(cfg)
+
+
+@pytest.mark.parametrize("run, reference, config", SWEEPS,
+                         ids=["bounds", "isometry"])
+def test_blocked_sweep_counts_violations_as_per_instance_loop(
+        monkeypatch, run, reference, config):
+    # tolerances below the rounding noise make some rows fail, so the
+    # counts compared are not all 0
+    # (detproc.hellinger the name is the function, hence import_module)
+    monkeypatch.setattr(importlib.import_module("detproc.hellinger"),
+                        "SLACK_TOL", -1e-3)
+    monkeypatch.setattr(experiments, "GAP_TOL", 0.0)
+    cfg = config(70)
+    rows, violations = run(cfg)
+    assert 0 < violations < len(rows)
+    assert (rows, violations) == reference(cfg)
 
 
 def test_sampler_check_small():
