@@ -19,6 +19,7 @@ from .core import (
     correlation,
     density_table,
     dpp_density_eval,
+    gaussian,
     haar_orthonormal,
     haar_orthonormal_many,
     inclusion_probabilities,

@@ -598,46 +598,54 @@ def l_ensemble_oracle(density: DppDensity, alpha: Config) -> float:
 # ---------------------------------------------------------------------------
 # random parameter generators (Haar via QR with positive-real diagonal)
 
+def gaussian(shape, rng, real: bool = False) -> np.ndarray:
+    """An iid standard Gaussian array of the given shape, drawn from the
+    stream rng as one (2, *shape) draw, real part then imaginary part: the
+    same numbers as two draws of shape. real=True draws (1, *shape) and
+    returns a real array."""
+    draw = rng.generator.standard_normal((1 if real else 2, *shape))
+    return draw[0] if real else draw[0] + 1j * draw[1]
+
+
 def haar_orthonormal(p: int, r: int, rng, real: bool = False) -> OrthonormalFamily:
     """Haar-distributed orthonormal p x r family, drawn from the stream rng.
 
-    Generated by QR-factorizing an iid (complex) Gaussian matrix and fixing
-    the phase so the R diagonal is positive real, which makes the factor
-    unique. real=True restricts to real entries for debugging; the family
-    still has complex dtype, with every imaginary part 0. The one route is
-    haar_orthonormal_many, here with a stack of one.
+    The QR factor of a gaussian((p, r), rng, real) matrix, through
+    haar_orthonormal_many. real=True restricts to real entries for
+    debugging; the family still has complex dtype, with every imaginary
+    part 0.
     """
-    return haar_orthonormal_many(p, r, [rng], real)[0]
-
-
-def haar_orthonormal_many(p: int, r: int, rngs, real: bool = False) -> list:
-    """One Haar-distributed orthonormal p x r family per stream of rngs.
-
-    Each family's Gaussian matrix is drawn from its own stream, real part
-    then imaginary part, so a family does not depend on the other streams
-    of the stack, and each stream is left where drawing its family alone
-    leaves it. The matrices are
-    then factorized by one stacked QR with one phase fix (Mezzadri 2007,
-    "How to generate random matrices from the classical compact groups"),
-    which saves numpy's per-call overhead; each family is still checked by
-    OrthonormalFamily.
-    """
-    if r > p:
-        raise ValueError(f"rank r={r} exceeds p={p}: a p x r family has at most "
-                         "p orthonormal columns")
     if r < 0:
         raise ValueError(f"rank r={r} must be >= 0")
-    rngs = list(rngs)
-    if r == 0 or not rngs:
-        return [OrthonormalFamily(np.zeros((p, 0), dtype=complex)) for _ in rngs]
-    # one draw of (parts, p, r) per stream: the real part, then the imaginary
-    draws = np.stack([rng.generator.standard_normal((1 if real else 2, p, r))
-                      for rng in rngs])
-    g = draws[:, 0] if real else draws[:, 0] + 1j * draws[:, 1]
-    q, rr = np.linalg.qr(g)
-    d = np.diagonal(rr, axis1=1, axis2=2)
-    phase = d / np.abs(d)
-    return [OrthonormalFamily(columns) for columns in q * phase.conj()[:, None, :]]
+    return haar_orthonormal_many([gaussian((p, r), rng, real)])[0]
+
+
+def haar_orthonormal_many(gaussians) -> list:
+    """The Haar-distributed orthonormal family of each p x r Gaussian matrix
+    of gaussians (any mix of shapes, real or complex), in input order.
+
+    Each family is the Q factor of its matrix with the phase fixed so that
+    the R diagonal is positive real, which makes the factor unique (Mezzadri
+    2007, "How to generate random matrices from the classical compact
+    groups"). The matrices of one shape and dtype are factorized by one
+    stacked QR with one phase fix, which saves numpy's per-call overhead
+    and gives the same bits as one QR per matrix; each family is still
+    checked by OrthonormalFamily.
+    """
+    groups = {}
+    for i, g in enumerate(gaussians):
+        p, r = g.shape
+        if r > p:
+            raise ValueError(f"rank r={r} exceeds p={p}: a p x r family has at "
+                             "most p orthonormal columns")
+        groups.setdefault((g.shape, g.dtype), []).append(i)
+    families = [None] * len(gaussians)
+    for indices in groups.values():
+        q, rr = np.linalg.qr(np.stack([gaussians[i] for i in indices]))
+        d = np.diagonal(rr, axis1=1, axis2=2)
+        for i, columns in zip(indices, q * (d / np.abs(d)).conj()[:, None, :]):
+            families[i] = OrthonormalFamily(columns)
+    return families
 
 
 def random_spectrum(r: int, rng, max_value: float = 1.0) -> Spectrum:

@@ -25,6 +25,7 @@ from .core import (
     check_orthonormal,
     column_matrix,
     density_table,
+    gaussian,
     integer,
     integer_fields,
     is_real,
@@ -152,10 +153,7 @@ def _net_distance(points: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _random_unit_coefficients(count, dim, rng, complex_mode):
-    gen = rng.generator
-    c = gen.standard_normal((count, dim))
-    if complex_mode:
-        c = c + 1j * gen.standard_normal((count, dim))
+    c = gaussian((count, dim), rng, real=not complex_mode)
     norms = np.linalg.norm(c, axis=1, keepdims=True)
     return c / norms
 
@@ -424,14 +422,13 @@ def _candidate_nets(models, n, rng, pool_size, anchor, anchor_jitter) -> dict:
             anchored = [sphere_approx(anchor.columns[:, i], model)
                         for i in range(anchor.r)]
             seed_points = list(anchored)
-            gen = stream.split(10**6).generator
+            jitter = stream.split(10**6)
             cos_t = 1.0 - (1.5 * eta) ** 2 / 2.0
             sin_t = math.sqrt(max(1.0 - cos_t**2, 0.0))
             for phi in anchored:
                 for _ in range(anchor_jitter):
-                    u = (gen.standard_normal(model.dim)
-                         + (1j * gen.standard_normal(model.dim)
-                            if model.is_complex else 0.0)) @ model.basis.T
+                    u = gaussian((model.dim,), jitter,
+                                 real=not model.is_complex) @ model.basis.T
                     u = u - phi * (np.vdot(phi, u))
                     u_norm = np.linalg.norm(u)
                     if u_norm < 1e-12:

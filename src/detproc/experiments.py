@@ -19,10 +19,12 @@ from .core import (
     OrthonormalFamily,
     Spectrum,
     density_table,
+    gaussian,
     haar_orthonormal,
     haar_orthonormal_many,
     integer,
     integer_fields,
+    is_real,
     random_spectrum,
     write_csv,
     write_json,
@@ -83,46 +85,35 @@ def _check_sweep(cfg, rank_key) -> None:
 
 
 # Instances per block of a sweep. A block's Haar families are built with one
-# stacked QR per shape, which saves numpy's per-call overhead, but the block
-# holds its instances' streams until then: on the default bounds sweep, one
-# block of all 1000 instances raised the peak RSS from 39.5 to 59.7 MB, and
-# blocks of 64 to 40.6 MB.
+# haar_orthonormal_many call, which saves numpy's per-call overhead, but the
+# block holds its families, and the minors their checks store on them, until
+# its last instance is checked: on the default bounds sweep, one block of all
+# 1000 instances raised the peak RSS from 40.0 to 52.6 MB (in-process).
 _SWEEP_BLOCK = 64
 
 
 def _run_sweep(cfg, draw, check):
     """The block loop of both sweeps. For each block of _SWEEP_BLOCK
-    instances: draw(cfg, root.split(i)) draws instance i's Haar requests
-    (p, r, stream) and the rest of its inputs, for every instance in turn;
-    _haar_families builds the block's families; check(families, *rest)
-    gives instance i's rows (label, lhs, rhs, slack, holds), in instance
-    order. Returns (rows, violations), a violation being a row that does
-    not hold."""
+    instances: draw(cfg, root.split(i)) gives instance i's Gaussian
+    matrices and the rest of its inputs, for every instance in turn; one
+    haar_orthonormal_many call builds the block's families; check(families,
+    *rest) gives instance i's rows (label, lhs, rhs, slack, holds), in
+    instance order. Returns (rows, violations), a violation being a row
+    that does not hold."""
     root = SeededRng(cfg.seed)
     rows = []
     violations = 0
     for start in range(0, cfg.instances, _SWEEP_BLOCK):
         block = range(start, min(start + _SWEEP_BLOCK, cfg.instances))
         drawn = [draw(cfg, root.split(i)) for i in block]
-        families = iter(_haar_families(
-            [request for requests, _ in drawn for request in requests]))
-        for i, (requests, rest) in zip(block, drawn):
+        families = iter(haar_orthonormal_many(
+            [g for gaussians, _ in drawn for g in gaussians]))
+        for i, (gaussians, rest) in zip(block, drawn):
             for label, lhs, rhs, slack, holds in check(
-                    [next(families) for _ in requests], *rest):
+                    [next(families) for _ in gaussians], *rest):
                 rows.append((i, label, lhs, rhs, slack))
                 violations += not holds
     return rows, violations
-
-
-def _haar_families(requests) -> list:
-    """The family of each Haar request (p, r, stream), in request order,
-    built with one haar_orthonormal_many call per shape (p, r)."""
-    streams = {}
-    for p, r, stream in requests:
-        streams.setdefault((p, r), []).append(stream)
-    built = {shape: iter(haar_orthonormal_many(*shape, group))
-             for shape, group in streams.items()}
-    return [next(built[p, r]) for p, r, _ in requests]
 
 
 @dataclass
@@ -139,39 +130,38 @@ class BoundsSweepConfig:
 def run_bounds_sweep(cfg: BoundsSweepConfig):
     """Random instances of all three distance inequalities.
 
-    Instance i is drawn from the stream root.split(i): a projection pair, a
-    two-component mixture pair on p = 4 and a full mixture pair. The
-    instances go in blocks of _SWEEP_BLOCK (see _run_sweep), and each
-    check_bound_* function runs once per instance, in instance order.
-    Returns (rows, violations); a violation is any report that does not
-    hold (BoundReport.holds), a NaN slack included.
+    Instance i draws all of its inputs from the stream root.split(i), in
+    program order: a projection pair, a two-component mixture pair on p = 4
+    and a full mixture pair. The instances go in blocks of _SWEEP_BLOCK
+    (see _run_sweep), and each check_bound_* function runs once per
+    instance, in instance order. Returns (rows, violations); a violation is
+    any report that does not hold (BoundReport.holds), a NaN slack included.
     """
     return _run_sweep(cfg, _draw_bounds_instance, _check_bounds_instance)
 
 
 def _draw_bounds_instance(cfg: BoundsSweepConfig, rng: SeededRng):
-    """One instance's Haar requests (p, r, stream) and the rest of its
-    inputs (k, the two weight vectors, six spectra), drawn from rng."""
+    """One instance's eight Gaussian matrices and the rest of its inputs
+    (k, the two weight vectors, six spectra), drawn from rng in turn."""
     gen = rng.generator
     # projection pair
     p = int(gen.integers(2, cfg.p_max + 1))
     k = int(gen.integers(1, min(cfg.rank_max, p) + 1))
-    requests = [(p, k, rng.split(0)), (p, k, rng.split(1))]
+    gaussians = [gaussian((p, k), rng), gaussian((p, k), rng)]
     # two-component mixtures of full densities on p=4, in the order
     # p-side 0, q-side 0, p-side 1, q-side 1
     weights = (gen.dirichlet(np.ones(2)), gen.dirichlet(np.ones(2)))
     spectra = []
-    for t in range(2):
-        for side in (10, 30):
-            r = int(gen.integers(1, 3))
-            requests.append((4, r, rng.split(side + t)))
-            spectra.append(random_spectrum(r, rng.split(side + 10 + t)))
+    for _ in range(4):
+        r = int(gen.integers(1, 3))
+        gaussians.append(gaussian((4, r), rng))
+        spectra.append(random_spectrum(r, rng))
     # full mixture pair
     p = int(gen.integers(2, cfg.p_max + 1))
     r = int(gen.integers(1, min(cfg.rank_max, p) + 1))
-    requests += [(p, r, rng.split(2)), (p, r, rng.split(3))]
-    spectra += [random_spectrum(r, rng.split(4)), random_spectrum(r, rng.split(5))]
-    return requests, (k, weights, spectra)
+    gaussians += [gaussian((p, r), rng), gaussian((p, r), rng)]
+    spectra += [random_spectrum(r, rng), random_spectrum(r, rng)]
+    return gaussians, (k, weights, spectra)
 
 
 def _check_bounds_instance(families, k, weights, spectra):
@@ -212,7 +202,8 @@ def run_isometry_sweep(cfg: IsometrySweepConfig):
     """Distance of modulus coordinates against twice the squared Hellinger
     distance, on random pairs of projection parameters.
 
-    Instance i is drawn from the stream root.split(i). The instances go in
+    Instance i draws all of its inputs from the stream root.split(i), in
+    program order: p, k and the two Gaussian matrices. The instances go in
     blocks of _SWEEP_BLOCK (see _run_sweep), and gplus_delta runs once per
     instance, in instance order. Returns (rows, violations); a gap above
     GAP_TOL, or NaN, is a violation.
@@ -224,7 +215,7 @@ def _draw_isometry_instance(cfg: IsometrySweepConfig, rng: SeededRng):
     gen = rng.generator
     p = int(gen.integers(2, cfg.p_max + 1))
     k = int(gen.integers(1, min(cfg.k_max, p) + 1))
-    return [(p, k, rng.split(0)), (p, k, rng.split(1))], (k,)
+    return [gaussian((p, k), rng), gaussian((p, k), rng)], (k,)
 
 
 def _check_isometry_instance(families, k):
@@ -260,8 +251,9 @@ class SamplerCheckConfig:
         if not 1 <= self.rank <= self.p <= DEFAULT_ENUM_CAP:
             raise ValueError(f"need 1 <= rank <= p <= {DEFAULT_ENUM_CAP}, "
                              f"got rank={self.rank}, p={self.p}")
-        if not 0.0 < self.tv_limit <= 1.0:
-            raise ValueError(f"tv_limit must be in (0, 1], got {self.tv_limit}")
+        if not (is_real(self.tv_limit) and 0.0 < self.tv_limit <= 1.0):
+            raise ValueError(f"tv_limit must be a number in (0, 1], "
+                             f"got {self.tv_limit!r}")
 
 
 def _chi2_two_sample(counts_a, counts_b):

@@ -23,6 +23,7 @@ from detproc.core import (
     correlation,
     density_table,
     dpp_density_eval,
+    gaussian,
     haar_orthonormal,
     haar_orthonormal_many,
     inclusion_probabilities,
@@ -582,38 +583,53 @@ def reference_haar(p, r, rng, real=False) -> np.ndarray:
     return np.asarray(q * (d / np.abs(d)).conj(), dtype=complex)
 
 
-@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
-def test_haar_orthonormal_many_matches_one_family_per_stream(real):
-    for p in range(9):
-        for r in range(p + 1):
-            streams = [SeededRng(30, (p, r, j)) for j in range(4)]
-            families = haar_orthonormal_many(p, r, streams, real)
-            assert len(families) == len(streams)
-            for j, (fam, stream) in enumerate(zip(families, streams)):
-                alone = SeededRng(30, (p, r, j))
-                single = haar_orthonormal(p, r, alone, real).columns
-                reference = reference_haar(p, r, SeededRng(30, (p, r, j)), real)
-                # bit for bit, signed zeros included
-                assert fam.columns.shape == single.shape == reference.shape == (p, r)
-                assert fam.columns.tobytes() == single.tobytes() == reference.tobytes()
-                # the stream is left where drawing its family alone leaves it
-                assert stream.generator.random() == alone.generator.random()
+def test_haar_orthonormal_many_keeps_input_order_across_shapes():
+    # mixed shapes and dtypes, r = 0 included, each shape several times
+    shapes = [(4, 2, False), (3, 3, True), (5, 0, False), (4, 2, True),
+              (1, 1, False), (4, 2, False), (5, 0, True), (3, 3, True),
+              (6, 1, False), (4, 2, False)]
+    gaussians = [gaussian((p, r), SeededRng(31, (j,)), real)
+                 for j, (p, r, real) in enumerate(shapes)]
+    families = haar_orthonormal_many(gaussians)
+    assert len(families) == len(shapes)
+    for j, (fam, (p, r, real)) in enumerate(zip(families, shapes)):
+        single = haar_orthonormal(p, r, SeededRng(31, (j,)), real).columns
+        reference = reference_haar(p, r, SeededRng(31, (j,)), real)
+        # bit for bit, signed zeros included
+        assert fam.columns.shape == single.shape == reference.shape == (p, r)
+        assert fam.columns.tobytes() == single.tobytes() == reference.tobytes()
 
 
-def test_haar_orthonormal_many_of_no_streams_is_empty():
-    assert haar_orthonormal_many(4, 2, []) == []
+def test_gaussian_is_one_draw_of_both_parts():
+    # the same numbers, and the same stream state afterwards, as one draw
+    # of each part
+    for shape in [(64, 8), (5,), (3, 2)]:
+        for real in (False, True):
+            drawn, stream = SeededRng(32), SeededRng(32)
+            g = gaussian(shape, drawn, real)
+            parts = [stream.generator.standard_normal(shape)
+                     for _ in range(1 if real else 2)]
+            expected = parts[0] if real else parts[0] + 1j * parts[1]
+            assert g.dtype == expected.dtype
+            assert g.tobytes() == expected.tobytes()
+            assert drawn.generator.random() == stream.generator.random()
 
 
-@pytest.mark.parametrize("r, message", [
-    (4, "rank r=4 exceeds p=3"),
+def test_haar_orthonormal_many_of_no_matrices_is_empty():
+    assert haar_orthonormal_many([]) == []
+
+
+@pytest.mark.parametrize("build, message", [
+    # without the check, a 3 x 5 Gaussian factors silently to a 3 x 3 family
+    (lambda: haar_orthonormal_many([gaussian((3, 2), SeededRng(1)),
+                                    gaussian((3, 5), SeededRng(0))]),
+     "rank r=5 exceeds p=3"),
     # once numpy's "negative dimensions are not allowed"
-    (-1, "rank r=-1 must be >= 0"),
+    (lambda: haar_orthonormal(3, -1, SeededRng(0)), "rank r=-1 must be >= 0"),
 ], ids=["above-p", "negative"])
-def test_haar_orthonormal_many_refuses_rank_out_of_range(r, message):
+def test_haar_orthonormal_many_refuses_rank_out_of_range(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        haar_orthonormal_many(3, r, [SeededRng(0), SeededRng(1)])
-    with pytest.raises(ValueError, match=re.escape(message)):
-        haar_orthonormal(3, r, SeededRng(0))
+        build()
 
 
 def test_params_dict_roundtrip():

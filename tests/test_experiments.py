@@ -88,8 +88,9 @@ def test_isometry_sweep_counts_nan_gap_as_violation(monkeypatch):
 
 
 def reference_bounds_sweep(cfg):
-    """The per-instance bounds sweep: each Haar family drawn by its own
-    haar_orthonormal call where the instance needs it."""
+    """The per-instance bounds sweep: instance i draws every input from
+    root.split(i) where it needs it, each Haar family by its own
+    haar_orthonormal call."""
     root = SeededRng(cfg.seed)
     rows = []
     violations = 0
@@ -98,8 +99,8 @@ def reference_bounds_sweep(cfg):
         gen = rng.generator
         p = int(gen.integers(2, cfg.p_max + 1))
         k = int(gen.integers(1, min(cfg.rank_max, p) + 1))
-        fam_a = haar_orthonormal(p, k, rng.split(0))
-        fam_b = haar_orthonormal(p, k, rng.split(1))
+        fam_a = haar_orthonormal(p, k, rng)
+        fam_b = haar_orthonormal(p, k, rng)
         active = tuple(range(1, k + 1))
         labels = ["proj_exact", "proj_gram", "proj_l2"]
         for label, rep in zip(labels, check_bound_projection(fam_a, fam_b, active)):
@@ -111,21 +112,19 @@ def reference_bounds_sweep(cfg):
         for t in range(2):
             r = int(gen.integers(1, 3))
             tabs_p.append(density_table(DppDensity(
-                haar_orthonormal(4, r, rng.split(10 + t)),
-                random_spectrum(r, rng.split(20 + t)))))
+                haar_orthonormal(4, r, rng), random_spectrum(r, rng))))
             r = int(gen.integers(1, 3))
             tabs_q.append(density_table(DppDensity(
-                haar_orthonormal(4, r, rng.split(30 + t)),
-                random_spectrum(r, rng.split(40 + t)))))
+                haar_orthonormal(4, r, rng), random_spectrum(r, rng))))
         rep = check_bound_mixture(weights_p, weights_q, tabs_p, tabs_q)
         rows.append((i, "mixture", rep.lhs, rep.rhs, rep.slack))
         violations += not rep.holds
         p = int(gen.integers(2, cfg.p_max + 1))
         r = int(gen.integers(1, min(cfg.rank_max, p) + 1))
-        fam_a = haar_orthonormal(p, r, rng.split(2))
-        fam_b = haar_orthonormal(p, r, rng.split(3))
-        lam = random_spectrum(r, rng.split(4))
-        gam = random_spectrum(r, rng.split(5))
+        fam_a = haar_orthonormal(p, r, rng)
+        fam_b = haar_orthonormal(p, r, rng)
+        lam = random_spectrum(r, rng)
+        gam = random_spectrum(r, rng)
         labels = ["dpp_main", "dpp_weights", "dpp_components"]
         for label, rep in zip(labels, check_bound_dpp(fam_a, lam, fam_b, gam)):
             rows.append((i, label, rep.lhs, rep.rhs, rep.slack))
@@ -143,8 +142,8 @@ def reference_isometry_sweep(cfg):
         gen = rng.generator
         p = int(gen.integers(2, cfg.p_max + 1))
         k = int(gen.integers(1, min(cfg.k_max, p) + 1))
-        fam_a = haar_orthonormal(p, k, rng.split(0))
-        fam_b = haar_orthonormal(p, k, rng.split(1))
+        fam_a = haar_orthonormal(p, k, rng)
+        fam_b = haar_orthonormal(p, k, rng)
         delta2, h2 = gplus_delta(wedge_coords(fam_a, k), wedge_coords(fam_b, k))
         gap = abs(delta2 - 2.0 * h2)
         rows.append((i, "isometry", delta2, 2.0 * h2, gap))
@@ -277,6 +276,10 @@ def test_risk_curve_config_validation():
     (SamplerCheckConfig, {"draws": 2.5}, "draws must be an integer"),
     (CandidateCaps, {"j_max": True, "per_net": 2, "family_max": 3},
      "j_max must be an integer"),
+    # True once ran as a limit of 1, which turns the TV check off; a string
+    # raised a TypeError naming no key
+    (SamplerCheckConfig, {"tv_limit": True}, "tv_limit must be a number"),
+    (SamplerCheckConfig, {"tv_limit": "0.05"}, "tv_limit must be a number"),
 ])
 def test_library_configs_refuse_booleans_and_fractions(config, kwargs, message):
     with pytest.raises(ValueError, match=message):
