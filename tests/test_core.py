@@ -583,6 +583,25 @@ def reference_haar(p, r, rng, real=False) -> np.ndarray:
     return np.asarray(q * (d / np.abs(d)).conj(), dtype=complex)
 
 
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_haar_orthonormal_many_matches_one_family_per_stream(real):
+    for p in range(9):
+        for r in range(p + 1):
+            streams = [SeededRng(30, (p, r, j)) for j in range(4)]
+            families = haar_orthonormal_many(
+                [gaussian((p, r), stream, real) for stream in streams])
+            assert len(families) == len(streams)
+            for j, (fam, stream) in enumerate(zip(families, streams)):
+                alone = SeededRng(30, (p, r, j))
+                single = haar_orthonormal(p, r, alone, real).columns
+                reference = reference_haar(p, r, SeededRng(30, (p, r, j)), real)
+                # bit for bit, signed zeros included
+                assert fam.columns.shape == single.shape == reference.shape == (p, r)
+                assert fam.columns.tobytes() == single.tobytes() == reference.tobytes()
+                # the stream is left where drawing its family alone leaves it
+                assert stream.generator.random() == alone.generator.random()
+
+
 def test_haar_orthonormal_many_keeps_input_order_across_shapes():
     # mixed shapes and dtypes, r = 0 included, each shape several times
     shapes = [(4, 2, False), (3, 3, True), (5, 0, False), (4, 2, True),
