@@ -53,12 +53,11 @@ for rep in check_bound_dpp(fam_a, lam, fam_b, gam):
     print(f"  {rep.context}: lhs={rep.lhs:.6f} rhs={rep.rhs:.6f} "
           f"slack={rep.slack:+.6f}")
 
-# Minor coordinates: the vector of k x k minors lives on the unit sphere,
-# and the distance between modulus vectors is exactly 2 h^2.
+# Minor coordinates: the vector of k x k minor moduli lives on the unit
+# sphere, and the distance between modulus vectors is exactly 2 h^2.
 wa = wedge_coords(fam_a, k)
-wb = wedge_coords(fam_b, k)
-delta2, h2 = gplus_delta(wa, wb)
-print(f"\nminor coordinates: |coords|^2 sums to "
-      f"{float(np.sum(np.abs(wa.coords) ** 2)):.12f}")
+delta2, h2 = gplus_delta(fam_a, fam_b, k)
+print(f"\nminor coordinates: their squares sum to "
+      f"{float(np.sum(wa ** 2)):.12f}")
 print(f"Delta^2 = {delta2:.6f}, 2 h^2 = {2.0 * h2:.6f}, "
       f"gap = {abs(delta2 - 2.0 * h2):.2e} (isometry)")

@@ -32,7 +32,6 @@ from .core import (
 )
 from .hellinger import (
     BoundReport,
-    WedgeVector,
     bernoulli_weight_hellinger,
     check_bound_dpp,
     check_bound_mixture,

@@ -168,6 +168,8 @@ def _cmd_estimate(out, *, models, n, caps, seed=0, pool_size=256,
     rng = SeededRng(seed)
     if anchor is not None:
         anchor, _ = params_from_dict("anchor", anchor)
+    if samples_csv is not None and truth is not None:
+        raise ValueError("estimate config takes 'samples_csv' or 'truth', not both")
     if samples_csv is not None:
         samples = _read_samples_csv(samples_csv)
     elif truth is not None:

@@ -60,10 +60,11 @@ def abs_det(a: np.ndarray) -> float:
 def abs_det_many(stack: np.ndarray) -> np.ndarray:
     """|det| for a stack of square matrices (..., k, k), one batched LU.
 
-    The one production kernel for k x k minors: the tables and the
-    inequality checks both take their moduli from it, through
-    OrthonormalFamily.minors. A 0 x 0 block has determinant 1. Agreement
-    with the pivoted-QR oracle abs_det is asserted in the test suite.
+    The one production kernel for k x k minors: the tables, the
+    inequality checks and the isometry sweep's coordinates all take their
+    moduli from it, through OrthonormalFamily.minors. A 0 x 0 block has
+    determinant 1. Agreement with the pivoted-QR oracle abs_det is asserted
+    in the test suite.
     """
     return np.abs(np.linalg.det(stack))
 

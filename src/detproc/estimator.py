@@ -168,10 +168,11 @@ def sphere_net(model: SubspaceModel, eta: float, pool_size: int, rng: SeededRng,
     the net; a seed farther than core.GRAM_TOL from the subspace is
     rejected, and on a real model their imaginary parts must be exactly zero.
     """
-    if not 0.0 < eta <= 2.0:
-        raise ValueError(f"eta must be in (0, 2], got {eta}")
+    if not (is_real(eta) and 0.0 < eta <= 2.0):
+        raise ValueError(f"eta must be a real number in (0, 2], got {eta!r}")
+    pool_size = integer("pool_size", pool_size)
     if pool_size < 1:
-        raise ValueError("pool_size must be >= 1")
+        raise ValueError(f"pool_size must be >= 1, got {pool_size}")
     coeffs = _random_unit_coefficients(pool_size, model.dim, rng, model.is_complex)
     pool = coeffs @ model.basis.T
     if seed_points is not None and len(seed_points):
@@ -547,6 +548,9 @@ def oracle_bound(family: OrthonormalFamily, spectrum: Spectrum, models, prior,
     of prior 0 costs log(1/0) = +inf in both forms, so the other models
     decide the bound.
     """
+    n = integer("n", n)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if j < 0 or j > family.r:
         raise ValueError(f"truncation j={j} outside [0, {family.r}]")
     total = float(np.sum(spectrum.values[j:] ** 2))

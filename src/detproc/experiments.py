@@ -42,7 +42,6 @@ from .hellinger import (
     check_bound_projection,
     gplus_delta,
     hellinger,
-    wedge_coords,
 )
 from .rng import SeededRng
 from .sampling import (
@@ -220,7 +219,7 @@ def _draw_isometry_instance(cfg: IsometrySweepConfig, rng: SeededRng):
 
 def _check_isometry_instance(families, k):
     fam_a, fam_b = families
-    delta2, h2 = gplus_delta(wedge_coords(fam_a, k), wedge_coords(fam_b, k))
+    delta2, h2 = gplus_delta(fam_a, fam_b, k)
     gap = abs(delta2 - 2.0 * h2)
     return [("isometry", delta2, 2.0 * h2, gap, gap <= GAP_TOL)]
 

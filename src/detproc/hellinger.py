@@ -5,11 +5,13 @@ distances and affinities between density tables, the distance between two
 Bernoulli weight distributions, numerical verification of the
 three distance inequalities (projection, mixture, full-mixture forms), and
 the minor-vector coordinates whose modulus map is isometric to rank-k
-projection densities under sqrt(2) * Hellinger. The minor moduli are rows
-of OrthonormalFamily.minors(k), the one store per family the tables are
-built from. Tables and coordinates are arrays indexed by bitmask or in
-core.subsets order. Every h^2 in the package, here and in the estimator's
-selection, comes from one kernel, _h2, over arrays of square roots.
+projection densities under sqrt(2) * Hellinger. Every minor modulus here,
+those coordinates included, is a row of OrthonormalFamily.minors(k), the
+one store per family the tables are built from; the one determinant taken
+in this module is the Gram bound's in check_bound_projection. Tables and
+coordinates are arrays indexed by bitmask or in core.subsets order. Every
+h^2 in the package, here and in the estimator's selection, comes from one
+kernel, _h2, over arrays of square roots.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ from .core import (
     Spectrum,
     density_table,
     index_set_weights,
-    subsets,
 )
 
 SLACK_TOL = 1e-9
@@ -92,58 +93,27 @@ def bernoulli_weight_hellinger(lam: Spectrum, gam: Spectrum) -> float:
 # ---------------------------------------------------------------------------
 # minor-vector (blade) coordinates
 
-@dataclass(frozen=True)
-class WedgeVector:
-    """Coordinates det M_{alpha, {1..k}} over all cardinality-k configurations.
-
-    coords[i] belongs to the configuration with bitmask
-    core.subsets(p, k)[0][i], the lexicographic order of size-k subsets;
-    for an orthonormal family the squared moduli sum to 1 and reproduce the
-    projection density.
-    """
-
-    p: int
-    k: int
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=complex)
-        expected = math.comb(self.p, self.k)
-        if coords.shape != (expected,):
-            raise ValueError(f"expected {expected} coordinates, got {coords.shape}")
-        coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
-
-
-def wedge_coords(family: OrthonormalFamily, k: int) -> WedgeVector:
-    """Signed k x k minors of the first k columns, one per size-k configuration.
-
-    The only consumer of signed minors; every modulus elsewhere comes from
-    OrthonormalFamily.minors.
-    """
+def wedge_coords(family: OrthonormalFamily, k: int) -> np.ndarray:
+    """|det| of the (alpha, {1..k}) blocks over every size-k alpha, in
+    core.subsets order: the read-only row family.moduli((1, ..., k)) of the
+    family's minor store. For an orthonormal family the squares sum to 1
+    and are the rank-k projection density."""
     if not 0 <= k <= family.r:
         raise ValueError(f"k={k} outside [0, {family.r}]")
-    rows = subsets(family.p, k)[1]
-    return WedgeVector(family.p, k, np.linalg.det(family.columns[:, :k][rows]))
+    return family.moduli(tuple(range(1, k + 1)))
 
 
-def wedge_hellinger(wedge_a: WedgeVector, wedge_b: WedgeVector) -> float:
-    """Exact h^2 between the projection densities |coords_a|^2 and |coords_b|^2."""
-    if (wedge_a.p, wedge_a.k) != (wedge_b.p, wedge_b.k):
-        raise ValueError("wedge vectors have mismatched shape")
-    return _h2(np.abs(wedge_a.coords), np.abs(wedge_b.coords))
+def gplus_delta(fam_a: OrthonormalFamily, fam_b: OrthonormalFamily, k: int):
+    """Squared distance between the modulus vectors wedge_coords(fam_a, k)
+    and wedge_coords(fam_b, k), and the h^2 it is checked against.
 
-
-def gplus_delta(wedge_a: WedgeVector, wedge_b: WedgeVector):
-    """Squared distance between modulus vectors, and the h^2 it is checked
-    against.
-
-    Returns (delta2, h2) with h2 = wedge_hellinger(wedge_a, wedge_b); for
-    coordinates built from orthonormal families the isometry gap
+    Returns (delta2, h2); for orthonormal families the isometry gap
     |delta2 - 2 h2| vanishes up to enumeration round-off.
     """
-    delta2 = float(np.sum((np.abs(wedge_a.coords) - np.abs(wedge_b.coords)) ** 2))
-    return delta2, wedge_hellinger(wedge_a, wedge_b)
+    if fam_a.p != fam_b.p:
+        raise ValueError("families live on different ground sets")
+    mod_a, mod_b = wedge_coords(fam_a, k), wedge_coords(fam_b, k)
+    return float(np.sum((mod_a - mod_b) ** 2)), _h2(mod_a, mod_b)
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +165,19 @@ def check_bound_mixture(weights_p, weights_q, tables_p, tables_q) -> BoundReport
     """h^2 between two mixtures vs 2 h^2(weights) + 2 sum q_t h^2(components).
 
     Each weight vector must be a probability vector: finite entries >= 0
-    summing to 1 within core.TABLE_TOL.
+    summing to 1 within core.TABLE_TOL, and every component table must lie
+    on the ground set of tables_p[0].
     """
     weights_p = _probability_vector("weights_p", weights_p)
     weights_q = _probability_vector("weights_q", weights_q)
     if not (len(weights_p) == len(weights_q) == len(tables_p) == len(tables_q)):
         raise ValueError("mismatched mixture component counts")
     ground = tables_p[0].ground
+    for name, tables in (("tables_p", tables_p), ("tables_q", tables_q)):
+        for i, table in enumerate(tables):
+            if table.ground.p != ground.p:
+                raise ValueError(f"{name}[{i}] has p={table.ground.p} but "
+                                 f"tables_p[0] has p={ground.p}")
     mix_p = np.zeros_like(tables_p[0].probs)
     mix_q = np.zeros_like(mix_p)
     for w, t in zip(weights_p, tables_p):

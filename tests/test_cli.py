@@ -751,6 +751,39 @@ def test_estimate_samples_csv_size_must_match_n_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("garbage", [False, True], ids=["valid-truth", "garbage-truth"])
+def test_estimate_samples_csv_beside_truth_exits_2(tmp_path, capsys, garbage):
+    # the truth beside a samples_csv was once ignored and never read, so a
+    # garbage truth ran too
+    cfg = json.loads(Path(estimate_config(tmp_path)).read_text())
+    sample_cfg = write_config(tmp_path, "s.json",
+                              {"params": cfg["truth"], "n": cfg["n"], "seed": 2})
+    draws = tmp_path / "draws.csv"
+    assert main(["sample", "--config", sample_cfg, "--out", str(draws)]) == 0
+    cfg["samples_csv"] = str(draws)
+    if garbage:
+        cfg["truth"] = {"p": "garbage"}
+    path = write_config(tmp_path, "both.json", cfg)
+    out = tmp_path / "o.json"
+    err = assert_usage_error(capsys, ["estimate", "--config", path,
+                                      "--out", str(out)])
+    assert err == "error: estimate config takes 'samples_csv' or 'truth', not both\n"
+    assert not out.exists()
+    # null counts as absent
+    for key in ["truth"] if garbage else ["truth", "samples_csv"]:
+        assert main(["estimate", "--config", write_config(
+            tmp_path, "one.json", dict(cfg, **{key: None})),
+            "--out", str(out)]) == 0
+
+
+def test_estimate_without_samples_csv_or_truth_exits_2(tmp_path, capsys):
+    cfg = json.loads(Path(estimate_config(tmp_path)).read_text())
+    path = write_config(tmp_path, "neither.json", dict(cfg, truth=None))
+    err = assert_usage_error(capsys, ["estimate", "--config", path,
+                                      "--out", str(tmp_path / "o.json")])
+    assert "'samples_csv'" in err and "'truth'" in err
+
+
 def test_estimate_repeated_model_id_exits_2(tmp_path, capsys):
     cfg = json.loads(Path(estimate_config(tmp_path)).read_text())
     cfg["models"] = [dict(cfg["models"][0], prior=0.5)] * 2

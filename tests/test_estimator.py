@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -129,6 +130,28 @@ def test_net_rejects_bad_eta():
         sphere_net(model, 0.0, 10, SeededRng(0))
     with pytest.raises(ValueError):
         sphere_net(model, 3.0, 10, SeededRng(0))
+
+
+@pytest.mark.parametrize("eta, pool_size, message", [
+    (True, 10, "eta must be a real number in (0, 2], got True"),
+    ("0.5", 10, "eta must be a real number in (0, 2], got '0.5'"),
+    (0.5, 2.5, "pool_size must be an integer, got 2.5"),
+    (0.5, True, "pool_size must be an integer, got True"),
+    (0.5, 0, "pool_size must be >= 1, got 0"),
+], ids=["eta-bool", "eta-string", "pool-fraction", "pool-bool", "pool-zero"])
+def test_net_refuses_bad_eta_and_pool_size_by_name(eta, pool_size, message):
+    # eta=True once built a net as if eta were 1.0; pool_size=2.5 raised a
+    # TypeError naming no argument
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sphere_net(full_space_model(3), eta, pool_size, SeededRng(0))
+
+
+def test_net_of_integral_float_pool_size_is_the_int_pool_size_net():
+    model = full_space_model(3)
+    a = sphere_net(model, 0.8, 8, SeededRng(5))
+    b = sphere_net(model, 0.8, 8.0, SeededRng(5))
+    assert np.array_equal(a.points, b.points)
+    assert a.pool_covering_radius == b.pool_covering_radius
 
 
 def test_net_seed_points_come_first():
@@ -739,6 +762,19 @@ def test_oracle_bound_prices_a_zero_prior_model_at_infinity():
     nets = {m.id: sphere_net(m, 0.5, 50, SeededRng(28 + m.id)) for m in models}
     assert oracle_bound(fam, spec, models, prior, 50, 1, nets=nets) == oracle_bound(
         fam, spec, models[1:], prior, 50, 1, nets=nets)
+
+
+@pytest.mark.parametrize("n, message", [
+    (0, "n must be >= 1, got 0"),
+    (-3, "n must be >= 1, got -3"),
+    (True, "n must be an integer, got True"),
+    (2.5, "n must be an integer, got 2.5"),
+], ids=["zero", "negative", "bool", "fraction"])
+def test_oracle_bound_refuses_bad_n_by_name(n, message):
+    # n=0 once raised "math domain error"; n=True ran as 1 and returned 0.0
+    fam = haar_orthonormal(3, 1, SeededRng(29))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        oracle_bound(fam, Spectrum.ones(1), [full_space_model(3)], {0: 1.0}, n, 1)
 
 
 def test_oracle_bound_net_form_uses_net_distances():

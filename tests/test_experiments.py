@@ -28,7 +28,6 @@ from detproc.hellinger import (
     check_bound_mixture,
     check_bound_projection,
     gplus_delta,
-    wedge_coords,
 )
 from detproc.rng import SeededRng
 
@@ -81,7 +80,7 @@ def test_bounds_sweep_counts_nan_slack_as_violation(monkeypatch):
 
 
 def test_isometry_sweep_counts_nan_gap_as_violation(monkeypatch):
-    monkeypatch.setattr(experiments, "gplus_delta", lambda wa, wb: (0.0, math.nan))
+    monkeypatch.setattr(experiments, "gplus_delta", lambda fam_a, fam_b, k: (0.0, math.nan))
     rows, violations = run_isometry_sweep(IsometrySweepConfig(instances=1, seed=0))
     assert violations == 1
     assert math.isnan(rows[0][4])
@@ -144,7 +143,7 @@ def reference_isometry_sweep(cfg):
         k = int(gen.integers(1, min(cfg.k_max, p) + 1))
         fam_a = haar_orthonormal(p, k, rng)
         fam_b = haar_orthonormal(p, k, rng)
-        delta2, h2 = gplus_delta(wedge_coords(fam_a, k), wedge_coords(fam_b, k))
+        delta2, h2 = gplus_delta(fam_a, fam_b, k)
         gap = abs(delta2 - 2.0 * h2)
         rows.append((i, "isometry", delta2, 2.0 * h2, gap))
         if not gap <= experiments.GAP_TOL:
@@ -264,22 +263,34 @@ def test_risk_curve_config_validation():
 
 @pytest.mark.parametrize("config, kwargs, message", [
     # each once ran: True as 1, 1.5 as 1 (or as a rank range up to 1.5)
-    (RiskCurveConfig, {"replications": True}, "replications must be an integer"),
-    (RiskCurveConfig, {"seed": True}, "seed must be an integer"),
-    (RiskCurveConfig, {"pool_size": True}, "pool_size must be an integer"),
-    (RiskCurveConfig, {"anchor_jitter": True}, "anchor_jitter must be an integer"),
-    (RiskCurveConfig, {"caps": (2, 4.5, 40)}, "per_net must be an integer, got 4.5"),
-    (BoundsSweepConfig, {"instances": True}, "instances must be an integer"),
-    (BoundsSweepConfig, {"rank_max": 1.5}, "rank_max must be an integer"),
-    (BoundsSweepConfig, {"seed": 1.5}, "seed must be an integer"),
-    (IsometrySweepConfig, {"k_max": True}, "k_max must be an integer"),
-    (SamplerCheckConfig, {"draws": 2.5}, "draws must be an integer"),
-    (CandidateCaps, {"j_max": True, "per_net": 2, "family_max": 3},
-     "j_max must be an integer"),
+    pytest.param(RiskCurveConfig, {"replications": True},
+                 "replications must be an integer", id="risk-replications-bool"),
+    pytest.param(RiskCurveConfig, {"seed": True}, "seed must be an integer",
+                 id="risk-seed-bool"),
+    pytest.param(RiskCurveConfig, {"pool_size": True}, "pool_size must be an integer",
+                 id="risk-pool_size-bool"),
+    pytest.param(RiskCurveConfig, {"anchor_jitter": True},
+                 "anchor_jitter must be an integer", id="risk-anchor_jitter-bool"),
+    pytest.param(RiskCurveConfig, {"caps": (2, 4.5, 40)},
+                 "per_net must be an integer, got 4.5", id="risk-caps-fraction"),
+    pytest.param(BoundsSweepConfig, {"instances": True}, "instances must be an integer",
+                 id="bounds-instances-bool"),
+    pytest.param(BoundsSweepConfig, {"rank_max": 1.5}, "rank_max must be an integer",
+                 id="bounds-rank_max-fraction"),
+    pytest.param(BoundsSweepConfig, {"seed": 1.5}, "seed must be an integer",
+                 id="bounds-seed-fraction"),
+    pytest.param(IsometrySweepConfig, {"k_max": True}, "k_max must be an integer",
+                 id="isometry-k_max-bool"),
+    pytest.param(SamplerCheckConfig, {"draws": 2.5}, "draws must be an integer",
+                 id="sampler-draws-fraction"),
+    pytest.param(CandidateCaps, {"j_max": True, "per_net": 2, "family_max": 3},
+                 "j_max must be an integer", id="caps-j_max-bool"),
     # True once ran as a limit of 1, which turns the TV check off; a string
     # raised a TypeError naming no key
-    (SamplerCheckConfig, {"tv_limit": True}, "tv_limit must be a number"),
-    (SamplerCheckConfig, {"tv_limit": "0.05"}, "tv_limit must be a number"),
+    pytest.param(SamplerCheckConfig, {"tv_limit": True}, "tv_limit must be a number",
+                 id="sampler-tv_limit-bool"),
+    pytest.param(SamplerCheckConfig, {"tv_limit": "0.05"}, "tv_limit must be a number",
+                 id="sampler-tv_limit-string"),
 ])
 def test_library_configs_refuse_booleans_and_fractions(config, kwargs, message):
     with pytest.raises(ValueError, match=message):

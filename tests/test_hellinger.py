@@ -4,6 +4,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from detproc import core
 from detproc.core import (
     Config,
     DppDensity,
@@ -180,8 +181,8 @@ def test_bernoulli_weight_matches_closed_form():
 def test_wedge_identity_columns():
     fam = OrthonormalFamily(np.eye(4, 2, dtype=complex))
     w = wedge_coords(fam, 2)
-    assert w.coords[0] == pytest.approx(1.0)  # {1, 2}, first in subsets order
-    assert np.sum(np.abs(w.coords)) == pytest.approx(1.0)
+    assert w[0] == pytest.approx(1.0)  # {1, 2}, first in subsets order
+    assert np.sum(w) == pytest.approx(1.0)
 
 
 def test_wedge_squared_moduli_equal_projection_density():
@@ -189,32 +190,41 @@ def test_wedge_squared_moduli_equal_projection_density():
     w = wedge_coords(fam, 2)
     for i, mask in enumerate(subsets(5, 2)[0].tolist()):
         alpha = Config.from_mask(mask)
-        assert abs(w.coords[i]) ** 2 == pytest.approx(
+        assert w[i] ** 2 == pytest.approx(
             projection_density_eval(fam, (1, 2), alpha), abs=1e-12
         )
 
 
 def test_wedge_coord_follows_masks_order():
-    # coords[i] is the minor on the rows of the i-th size-k subset
+    # w[i] is the minor modulus on the rows of the i-th size-k subset
     fam = haar_orthonormal(6, 3, SeededRng(11))
     w = wedge_coords(fam, 3)
     masks = subsets(6, 3)[0].tolist()
     assert masks == [Config(c).mask for c in combinations(range(1, 7), 3)]
-    for coord, mask in zip(w.coords, masks):
+    for coord, mask in zip(w, masks):
         minor = np.linalg.det(fam.submatrix(Config.from_mask(mask), (1, 2, 3)))
-        assert coord == pytest.approx(minor, abs=1e-12)
+        assert coord == pytest.approx(abs(minor), abs=1e-12)
 
 
 def test_wedge_unit_norm():
     fam = haar_orthonormal(5, 2, SeededRng(8))
     w = wedge_coords(fam, 2)
-    assert float(np.sum(np.abs(w.coords) ** 2)) == pytest.approx(1.0, abs=1e-9)
+    assert float(np.sum(w ** 2)) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_wedge_coords_are_the_read_only_row_of_the_minor_store():
+    fam = haar_orthonormal(6, 3, SeededRng(12))
+    for k in range(4):
+        w = wedge_coords(fam, k)
+        assert np.shares_memory(w, fam.minors(k)) and not w.flags.writeable
+        assert np.array_equal(w, fam.minors(k)[0])
+    with pytest.raises(ValueError, match=r"k=4 outside \[0, 3\]"):
+        wedge_coords(fam, 4)
 
 
 def test_gplus_identical_families():
     fam = haar_orthonormal(4, 2, SeededRng(9))
-    w = wedge_coords(fam, 2)
-    delta2, h2 = gplus_delta(w, w)
+    delta2, h2 = gplus_delta(fam, fam, 2)
     gap = abs(delta2 - 2.0 * h2)
     assert delta2 == pytest.approx(0.0, abs=1e-12)
     assert gap == pytest.approx(0.0, abs=1e-12)
@@ -223,7 +233,7 @@ def test_gplus_identical_families():
 def test_gplus_orthogonal_spans():
     a = family_from_columns(e(4, 1), e(4, 2))
     b = family_from_columns(e(4, 3), e(4, 4))
-    delta2, h2 = gplus_delta(wedge_coords(a, 2), wedge_coords(b, 2))
+    delta2, h2 = gplus_delta(a, b, 2)
     gap = abs(delta2 - 2.0 * h2)
     assert delta2 == pytest.approx(2.0)
     assert gap == pytest.approx(0.0, abs=1e-12)
@@ -233,7 +243,7 @@ def test_gplus_gap_matches_exact_tables():
     rng = SeededRng(10)
     a = haar_orthonormal(5, 2, rng.split(0))
     b = haar_orthonormal(5, 2, rng.split(1))
-    delta2, h2 = gplus_delta(wedge_coords(a, 2), wedge_coords(b, 2))
+    delta2, h2 = gplus_delta(a, b, 2)
     gap = abs(delta2 - 2.0 * h2)
     h2_tables, _ = hellinger(
         density_table(ProjectionDensity(a, (1, 2))),
@@ -241,6 +251,40 @@ def test_gplus_gap_matches_exact_tables():
     )
     assert delta2 == pytest.approx(2.0 * h2_tables, abs=1e-9)
     assert gap <= 1e-9
+
+
+def test_gplus_refuses_other_ground_sets_and_sizes_out_of_range():
+    rng = SeededRng(13)
+    a, b = haar_orthonormal(5, 2, rng.split(0)), haar_orthonormal(5, 3, rng.split(1))
+    # at k = 0 both modulus vectors are [1.0] on any ground set, so only the
+    # families can tell the ground sets apart
+    for k in (0, 2):
+        with pytest.raises(ValueError, match="different ground sets"):
+            gplus_delta(a, haar_orthonormal(6, 2, rng.split(2)), k)
+    with pytest.raises(ValueError, match=r"k=3 outside \[0, 2\]"):
+        gplus_delta(a, b, 3)
+    with pytest.raises(ValueError, match=r"k=-1 outside \[0, 2\]"):
+        gplus_delta(a, b, -1)
+
+
+def test_gplus_reads_each_family_minor_store_with_one_kernel_call(monkeypatch):
+    calls = []
+    kernel = core.abs_det_many
+
+    def counting(stack):
+        calls.append(stack.shape)
+        return kernel(stack)
+
+    monkeypatch.setattr(core, "abs_det_many", counting)
+    rng = SeededRng(14)
+    for p, k in [(4, 1), (5, 2), (6, 3), (7, 7)]:
+        calls.clear()
+        a, b = (haar_orthonormal(p, k, rng.split(2 * p + i)) for i in range(2))
+        delta2, h2 = gplus_delta(a, b, k)
+        assert calls == [(1, math.comb(p, k), k, k)] * 2
+        assert abs(delta2 - 2.0 * h2) <= 1e-9
+        gplus_delta(a, b, k)  # the second pass reads the stores
+        assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +388,20 @@ def test_mixture_bound_rejects_bad_weights_by_name(side, weights, match):
     weights_p, weights_q = (weights, good) if side == "p" else (good, weights)
     with pytest.raises(ValueError, match=match):
         check_bound_mixture(weights_p, weights_q, [t, t], [t, t])
+
+
+@pytest.mark.parametrize("side, index", [("p", 1), ("q", 0), ("q", 1)],
+                         ids=["tables_p", "tables_q-first", "tables_q-second"])
+def test_mixture_bound_refuses_components_on_another_ground_set(side, index):
+    # once numpy's "operands could not be broadcast together", naming no table
+    rng = SeededRng(17)
+    t4 = density_table(ProjectionDensity(haar_orthonormal(4, 1, rng.split(0)), (1,)))
+    t3 = density_table(ProjectionDensity(haar_orthonormal(3, 1, rng.split(1)), (1,)))
+    tables = {"p": [t4, t4], "q": [t4, t4]}
+    tables[side][index] = t3
+    with pytest.raises(ValueError, match=rf"^tables_{side}\[{index}\] has p=3 but "
+                                         r"tables_p\[0\] has p=4$"):
+        check_bound_mixture([0.5, 0.5], [0.5, 0.5], tables["p"], tables["q"])
 
 
 def test_dpp_bound_identical_parameters():
