@@ -57,7 +57,7 @@ from .experiments import (
     write_rows_csv,
 )
 from .hellinger import hellinger
-from .rng import SeededRng, natural
+from .rng import SeededRng
 from .sampling import SampleSet, sample_dpp
 
 
@@ -82,7 +82,7 @@ def _cmd_sample(out, *, params, n=1, seed=0) -> int:
 def _cmd_density(out, *, params, seed=0) -> int:
     # seed is checked as SeededRng checks it, and unused: the table is
     # exact and draws nothing
-    natural("seed", seed)
+    integer("seed", seed, 0)
     fam, spec = params_from_dict("params", params)
     write_table_csv(density_table(DppDensity(fam, spec)), out)
     return 0
@@ -90,7 +90,7 @@ def _cmd_density(out, *, params, seed=0) -> int:
 
 def _cmd_hellinger(out, *, params_a, params_b, seed=0) -> int:
     # seed is checked and unused, as in density
-    natural("seed", seed)
+    integer("seed", seed, 0)
     fam_a, spec_a = params_from_dict("params_a", params_a)
     fam_b, spec_b = params_from_dict("params_b", params_b)
     h2, affinity = hellinger(

@@ -84,11 +84,9 @@ class Config:
     members: tuple
 
     def __init__(self, members=()):
-        members = tuple(sorted(int(x) for x in members))
+        members = tuple(sorted(integer("members", x, 1) for x in members))
         if len(set(members)) != len(members):
             raise ValueError(f"duplicate indices in configuration: {members}")
-        if members and members[0] < 1:
-            raise ValueError(f"indices must be >= 1, got {members}")
         object.__setattr__(self, "members", members)
 
     def __len__(self):
@@ -116,11 +114,10 @@ class GroundSet:
     p: int
 
     def __post_init__(self):
+        integer_fields(self, p=1)
         if self.p > DEFAULT_ENUM_CAP:
             raise EnumerationCapError(
                 f"p={self.p} exceeds enumeration cap {DEFAULT_ENUM_CAP}")
-        if self.p < 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
 
     def validate(self, alpha: Config):
         if len(alpha) and alpha.members[-1] > self.p:
@@ -206,11 +203,9 @@ class OrthonormalFamily:
         return GroundSet(self.p)
 
     def check_active(self, active) -> tuple:
-        active = tuple(sorted(int(j) for j in active))
+        active = tuple(sorted(integer("active", j, 1, self.r) for j in active))
         if len(set(active)) != len(active):
             raise ValueError(f"duplicate indices in active set {active}")
-        if active and not (1 <= active[0] and active[-1] <= self.r):
-            raise ValueError(f"active set {active} outside [1, {self.r}]")
         return active
 
     def submatrix(self, alpha: Config, active) -> np.ndarray:
@@ -276,7 +271,7 @@ class Spectrum:
 
     @classmethod
     def ones(cls, k: int) -> "Spectrum":
-        return cls(np.ones(k))
+        return cls(np.ones(integer("k", k, 0)))
 
 
 @dataclass(frozen=True)
@@ -383,9 +378,7 @@ def projection_density_eval(family: OrthonormalFamily, active, alpha: Config) ->
 
 def mixture_weight(spectrum: Spectrum, active) -> float:
     """Probability that the Bernoulli(lambda_j^2) draws realize exactly J."""
-    active = tuple(int(j) for j in active)
-    if active and not (1 <= min(active) and max(active) <= spectrum.r):
-        raise ValueError(f"active set {active} outside [1, {spectrum.r}]")
+    active = [integer("active", j, 1, spectrum.r) for j in active]
     sq = spectrum.values**2
     inside = np.zeros(spectrum.r, dtype=bool)
     for j in active:
@@ -616,9 +609,8 @@ def haar_orthonormal(p: int, r: int, rng, real: bool = False) -> OrthonormalFami
     debugging; the family still has complex dtype, with every imaginary
     part 0.
     """
-    if r < 0:
-        raise ValueError(f"rank r={r} must be >= 0")
-    return haar_orthonormal_many([gaussian((p, r), rng, real)])[0]
+    shape = integer("p", p, 0), integer("r", r, 0)
+    return haar_orthonormal_many([gaussian(shape, rng, real)])[0]
 
 
 def haar_orthonormal_many(gaussians) -> list:
@@ -650,7 +642,7 @@ def haar_orthonormal_many(gaussians) -> list:
 
 
 def random_spectrum(r: int, rng, max_value: float = 1.0) -> Spectrum:
-    return Spectrum(rng.generator.uniform(0.0, max_value, size=r))
+    return Spectrum(rng.generator.uniform(0.0, max_value, size=integer("r", r, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -666,22 +658,36 @@ def params_to_dict(family: OrthonormalFamily, spectrum: Spectrum) -> dict:
     }
 
 
-def integer(key, value) -> int:
-    """The int a config value stands for: an int (a numpy integer too), or a
-    float with no fractional part (not NaN or inf). A ValueError naming key
-    for anything else, so that True is not run as 1, 1.5 as 1 nor "3" as 3."""
+def integer(key, value, low=None, high=None) -> int:
+    """The int a value stands for, in the range [low, high]: the package's
+    one reader of an integer argument or config value, and of its range.
+
+    An int (a numpy integer too) or a float with no fractional part (not
+    NaN or inf) is read as its int; anything else is a ValueError naming
+    key, so that True is not run as 1, 1.5 as 1 nor "3" as 3. low=None is
+    no bound, and high is only given with low. A value below low is refused
+    as "{key} must be >= {low}, got {value}", or, when high is given, a
+    value outside the range as "{key} must be in [{low}, {high}], got
+    {value}"."""
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"{key} must be an integer, got {value!r}")
+        value = int(value)
+    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        value = int(value)
+    else:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{key} must be in [{low}, {high}], got {value}")
+    if low is not None and value < low:
+        raise ValueError(f"{key} must be >= {low}, got {value}")
+    return value
 
 
-def integer_fields(obj, *names) -> None:
-    """Set each named field of the dataclass obj (frozen or not) to the
-    integer it stands for, read by integer(name, value)."""
-    for name in names:
-        object.__setattr__(obj, name, integer(name, getattr(obj, name)))
+def integer_fields(obj, **low) -> None:
+    """Set each field of the dataclass obj (frozen or not) named in low to
+    the integer it stands for, read by integer(name, value, low[name]): each
+    keyword gives a field's lower bound, None for no bound."""
+    for name, bound in low.items():
+        object.__setattr__(obj, name, integer(name, getattr(obj, name), bound))
 
 
 def is_real(value) -> bool:
@@ -734,9 +740,7 @@ def params_from_dict(key, data: dict):
                          f"phi, got {data!r}")
 
     entry = functools.partial(path_entry, key, data)
-    p = integer(f"{key}.p", entry("p"))
-    if p < 1:
-        raise ValueError(f"{key}.p must be >= 1, got {p}")
+    p = integer(f"{key}.p", entry("p"), 1)
     lam = entry("lambda")
     if not isinstance(lam, list):
         raise ValueError(f"{key}.lambda must be a list of numbers, got {lam!r}")

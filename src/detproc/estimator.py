@@ -54,6 +54,7 @@ class SubspaceModel:
     id: int = 0
 
     def __post_init__(self):
+        integer_fields(self, id=None)
         basis = np.array(self.basis)  # a copy: the caller's array stays writable
         if basis.ndim != 2 or basis.shape[1] < 1:
             raise ValueError(f"basis must be p x d with d >= 1, got {basis.shape}")
@@ -91,12 +92,8 @@ def model_from_dict(key, data: dict):
     and a missing entry is a KeyError of that path; the prior is checked by
     build_candidates."""
     entry = functools.partial(path_entry, key, data)
-    p = integer(f"{key}.p", entry("p"))
-    if p < 1:
-        raise ValueError(f"{key}.p must be >= 1, got {p}")
-    dim = integer(f"{key}.dim", entry("dim"))
-    if dim < 1:
-        raise ValueError(f"{key}.dim must be >= 1, got {dim}")
+    p = integer(f"{key}.p", entry("p"), 1)
+    dim = integer(f"{key}.dim", entry("dim"), 1)
     basis = column_matrix(key, data, "basis", p, dim)
     if not np.any(basis.imag):
         basis = basis.real
@@ -170,9 +167,7 @@ def sphere_net(model: SubspaceModel, eta: float, pool_size: int, rng: SeededRng,
     """
     if not (is_real(eta) and 0.0 < eta <= 2.0):
         raise ValueError(f"eta must be a real number in (0, 2], got {eta!r}")
-    pool_size = integer("pool_size", pool_size)
-    if pool_size < 1:
-        raise ValueError(f"pool_size must be >= 1, got {pool_size}")
+    pool_size = integer("pool_size", pool_size, 1)
     coeffs = _random_unit_coefficients(pool_size, model.dim, rng, model.is_complex)
     pool = coeffs @ model.basis.T
     if seed_points is not None and len(seed_points):
@@ -247,9 +242,7 @@ class CandidateCaps:
     family_max: int
 
     def __post_init__(self):
-        integer_fields(self, "j_max", "per_net", "family_max")
-        if min(self.j_max, self.per_net, self.family_max) < 1:
-            raise ValueError("all caps must be positive")
+        integer_fields(self, j_max=1, per_net=1, family_max=1)
 
 
 @dataclass
@@ -322,13 +315,9 @@ def build_candidates(models, prior, n: int, caps: CandidateCaps, rng: SeededRng,
     for key, family in named:
         if family.p != p:
             raise ValueError(f"{key} has p={family.p} but models[0] has p={p}")
-    n = integer("n", n)
-    pool_size = integer("pool_size", pool_size)
-    anchor_jitter = integer("anchor_jitter", anchor_jitter)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if anchor_jitter < 0:
-        raise ValueError(f"anchor_jitter must be >= 0, got {anchor_jitter}")
+    n = integer("n", n, 1)
+    pool_size = integer("pool_size", pool_size, 1)
+    anchor_jitter = integer("anchor_jitter", anchor_jitter, 0)
     for model in models:
         if model.id not in prior:
             raise ValueError(f"prior has no entry for model {model.id}")
@@ -548,11 +537,8 @@ def oracle_bound(family: OrthonormalFamily, spectrum: Spectrum, models, prior,
     of prior 0 costs log(1/0) = +inf in both forms, so the other models
     decide the bound.
     """
-    n = integer("n", n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if j < 0 or j > family.r:
-        raise ValueError(f"truncation j={j} outside [0, {family.r}]")
+    n = integer("n", n, 1)
+    j = integer("j", j, 0, family.r)
     total = float(np.sum(spectrum.values[j:] ** 2))
     for jp in range(j):
         phi = family.columns[:, jp]

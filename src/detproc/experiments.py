@@ -73,14 +73,8 @@ def write_metadata(path, config, extra=None):
 def _check_sweep(cfg, rank_key) -> None:
     """A sweep config's fields as integers; each instance builds tables, or
     subsets(p, k), on up to p_max points, and draws a rank up to rank_key."""
-    integer_fields(cfg, "instances", "p_max", rank_key, "seed")
-    if cfg.instances < 1:
-        raise ValueError(f"instances must be >= 1, got {cfg.instances}")
-    if not 2 <= cfg.p_max <= DEFAULT_ENUM_CAP:
-        raise ValueError(f"p_max must be in [2, {DEFAULT_ENUM_CAP}], "
-                         f"got {cfg.p_max}")
-    if getattr(cfg, rank_key) < 1:
-        raise ValueError(f"{rank_key} must be >= 1, got {getattr(cfg, rank_key)}")
+    integer_fields(cfg, instances=1, **{rank_key: 1}, seed=None)
+    cfg.p_max = integer("p_max", cfg.p_max, 2, DEFAULT_ENUM_CAP)
 
 
 # Instances per block of a sweep. A block's Haar families are built with one
@@ -241,15 +235,9 @@ class SamplerCheckConfig:
     tv_limit: float = 0.02
 
     def __post_init__(self):
-        integer_fields(self, "p", "rank", "draws", "settings", "seed")
-        # comparisons written so that NaN fails them
-        if not self.settings >= 1:
-            raise ValueError(f"settings must be >= 1, got {self.settings}")
-        if not self.draws >= 1:
-            raise ValueError(f"draws must be >= 1, got {self.draws}")
-        if not 1 <= self.rank <= self.p <= DEFAULT_ENUM_CAP:
-            raise ValueError(f"need 1 <= rank <= p <= {DEFAULT_ENUM_CAP}, "
-                             f"got rank={self.rank}, p={self.p}")
+        self.p = integer("p", self.p, 1, DEFAULT_ENUM_CAP)
+        self.rank = integer("rank", self.rank, 1, self.p)
+        integer_fields(self, draws=1, settings=1, seed=None)
         if not (is_real(self.tv_limit) and 0.0 < self.tv_limit <= 1.0):
             raise ValueError(f"tv_limit must be a number in (0, 1], "
                              f"got {self.tv_limit!r}")
@@ -319,13 +307,16 @@ class RiskCurveConfig:
     seed: int = 0
 
     def __post_init__(self):
-        integer_fields(self, "p", "k", "replications", "pool_size",
-                       "anchor_jitter", "seed")
+        self.p = integer("p", self.p, 2, DEFAULT_ENUM_CAP)
+        self.k = integer("k", self.k, 1, self.p - 1)
+        integer_fields(self, replications=1, pool_size=None, anchor_jitter=None,
+                       seed=None)
         for key in ("n_grid", "caps"):
             values = getattr(self, key)
             if not isinstance(values, (list, tuple)):
                 raise ValueError(f"{key} must be a list of integers, got {values!r}")
-        self.n_grid = tuple(integer("n_grid", v) for v in self.n_grid)
+        # the normalized risk divides by log n
+        self.n_grid = tuple(integer("n_grid", v, 2) for v in self.n_grid)
         try:  # CandidateCaps checks the count, the integers and their signs
             self.caps = astuple(CandidateCaps(*self.caps))
         except TypeError:
@@ -336,12 +327,6 @@ class RiskCurveConfig:
             raise ValueError("n_grid needs at least 2 sample sizes to fit a slope")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
-        if grid[0] < 2:  # the normalized risk divides by log n
-            raise ValueError("n_grid sample sizes must be >= 2")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if not 1 <= self.k < self.p <= DEFAULT_ENUM_CAP:
-            raise ValueError(f"need 1 <= k < p <= {DEFAULT_ENUM_CAP}")
         # a candidate of rank j < k has no mass on the truth's k-point
         # configurations, so a run with j_max < k only ever measures h^2 = 1
         if self.caps[0] < self.k:

@@ -29,6 +29,7 @@ from .core import (
     Spectrum,
     density_table,
     index_set_weights,
+    integer,
 )
 
 SLACK_TOL = 1e-9
@@ -98,8 +99,7 @@ def wedge_coords(family: OrthonormalFamily, k: int) -> np.ndarray:
     core.subsets order: the read-only row family.moduli((1, ..., k)) of the
     family's minor store. For an orthonormal family the squares sum to 1
     and are the rank-k projection density."""
-    if not 0 <= k <= family.r:
-        raise ValueError(f"k={k} outside [0, {family.r}]")
+    k = integer("k", k, 0, family.r)
     return family.moduli(tuple(range(1, k + 1)))
 
 

@@ -14,15 +14,6 @@ import numpy.random
 from .core import integer
 
 
-def natural(key, value) -> int:
-    """value read by core.integer, refused by key name if negative: numpy's
-    SeedSequence takes no negative entry."""
-    value = integer(key, value)
-    if value < 0:
-        raise ValueError(f"{key} must be >= 0, got {value}")
-    return value
-
-
 class SeededRng:
     """Counter-style seeded stream built on numpy's SeedSequence.
 
@@ -33,8 +24,10 @@ class SeededRng:
     """
 
     def __init__(self, seed: int, key: tuple = ()):
-        self.seed = natural("seed", seed)
-        self.key = tuple(natural("key", k) for k in key)
+        # numpy's SeedSequence takes no negative entry, so the seed and every
+        # key entry are refused by name below 0
+        self.seed = integer("seed", seed, 0)
+        self.key = tuple(integer("key", k, 0) for k in key)
         self._gen = np.random.default_rng(
             np.random.SeedSequence(self.seed, spawn_key=self.key)
         )
@@ -45,7 +38,7 @@ class SeededRng:
 
     def split(self, index: int) -> "SeededRng":
         """Independent child stream; children with distinct indices never collide."""
-        return SeededRng(self.seed, self.key + (natural("index", index),))
+        return SeededRng(self.seed, self.key + (integer("index", index, 0),))
 
     def __repr__(self):
         return f"SeededRng(seed={self.seed}, key={self.key})"

@@ -44,9 +44,16 @@ class SamplerConsistencyError(RuntimeError):
 
 
 class SampleSet:
-    """Ordered draws as a read-only int64 bitmask array."""
+    """Ordered draws as a read-only int64 bitmask array.
+
+    The masks are read as one array, of any integer dtype. A boolean or
+    float array (a list holding a fraction reads as one) is refused rather
+    than read as 1 or truncated; an empty input holds no draw."""
 
     def __init__(self, masks):
+        masks = np.asarray(masks)
+        if masks.size and masks.dtype.kind not in "iu":
+            raise ValueError(f"masks must be integers, got dtype {masks.dtype}")
         masks = np.array(masks, dtype=np.int64).reshape(-1)
         if masks.size and masks.min() < 0:
             raise ValueError(f"negative configuration bitmask {masks.min()}")
@@ -140,9 +147,7 @@ def _projection_masks(columns: np.ndarray, active: np.ndarray,
 
 def sample_table(table: DensityTable, count: int, rng: SeededRng) -> SampleSet:
     """count exact inverse-CDF draws from a density table."""
-    count = integer("count", count)
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = integer("count", count, 1)
     cdf = np.cumsum(table.probs)
     u = rng.generator.random(count)
     # searching u * total keeps every target below the last CDF value, so a
@@ -154,9 +159,7 @@ def sample_table(table: DensityTable, count: int, rng: SeededRng) -> SampleSet:
 def sample_dpp(density: DppDensity, n: int, rng: SeededRng) -> SampleSet:
     """n independent draws by the two-step scheme: Bernoulli indices, then
     a sequential projection draw on the realized index set, in blocks."""
-    n = integer("n", n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = integer("n", n, 1)
     gen = rng.generator
     columns = density.family.columns
     r = density.family.r
@@ -175,7 +178,8 @@ def sample_dpp(density: DppDensity, n: int, rng: SeededRng) -> SampleSet:
 def empirical_table(samples: SampleSet, p: int) -> np.ndarray:
     """Empirical frequencies indexed by bitmask (not a DensityTable: it is
     an estimate, not an exact density)."""
-    return np.bincount(samples.masks(), minlength=1 << p) / len(samples)
+    return (np.bincount(samples.masks(), minlength=1 << integer("p", p, 1))
+            / len(samples))
 
 
 def total_variation(probs_a: np.ndarray, probs_b: np.ndarray) -> float:

@@ -1,6 +1,8 @@
+import ast
 import math
 import re
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +40,10 @@ from detproc.core import (
     subsets,
     write_table_csv,
 )
+from detproc.estimator import SubspaceModel, oracle_bound
+from detproc.hellinger import gplus_delta, wedge_coords
 from detproc.rng import SeededRng
+from detproc.sampling import SampleSet, empirical_table
 
 RT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -644,7 +649,7 @@ def test_haar_orthonormal_many_of_no_matrices_is_empty():
                                     gaussian((3, 5), SeededRng(0))]),
      "rank r=5 exceeds p=3"),
     # once numpy's "negative dimensions are not allowed"
-    (lambda: haar_orthonormal(3, -1, SeededRng(0)), "rank r=-1 must be >= 0"),
+    (lambda: haar_orthonormal(3, -1, SeededRng(0)), "r must be >= 0, got -1"),
 ], ids=["above-p", "negative"])
 def test_haar_orthonormal_many_refuses_rank_out_of_range(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -671,3 +676,157 @@ def test_write_table_csv(tmp_path):
     assert len(lines) == 5
     mask, prob = lines[1].split(",")
     assert mask == "0" and float(prob) == pytest.approx(0.4)
+
+
+# ---------------------------------------------------------------------------
+# integer arguments
+
+def test_integer_reads_integral_values_and_names_the_range():
+    for value in (2, 2.0, np.int64(2), np.float64(2.0)):
+        assert type(core.integer("x", value, 1, 7)) is int
+        assert core.integer("x", value, 1, 7) == 2
+    assert core.integer("x", -5) == -5  # no bound
+    with pytest.raises(ValueError, match=r"^x must be >= 1, got 0$"):
+        core.integer("x", 0, 1)
+    with pytest.raises(ValueError, match=r"^x must be in \[1, 7\], got 8$"):
+        core.integer("x", 8, 1, 7)
+    with pytest.raises(ValueError, match=r"^x must be in \[1, 7\], got 0$"):
+        core.integer("x", 0.0, 1, 7)
+    for bad in NON_FINITE:
+        with pytest.raises(ValueError, match=rf"^x must be an integer, got {bad!r}$"):
+            core.integer("x", bad, 0)
+
+
+def _bound(j):
+    model = SubspaceModel(np.eye(4, dtype=complex), id=0)
+    return oracle_bound(OrthonormalFamily(np.eye(4, 2)), Spectrum.ones(2),
+                        [model], {0: 1.0}, 50, j)
+
+
+def _gplus(k):
+    rng = SeededRng(41)
+    return gplus_delta(haar_orthonormal(5, 3, rng.split(0)),
+                       haar_orthonormal(5, 3, rng.split(1)), k)
+
+
+def _wedge(k):
+    return wedge_coords(haar_orthonormal(5, 3, SeededRng(42)), k)
+
+
+def _projection(active):
+    return ProjectionDensity(haar_orthonormal(4, 2, SeededRng(43)), active)
+
+
+def _weight(active):
+    return mixture_weight(Spectrum(np.array([0.5, 0.5])), active)
+
+
+# Each entry point read its integer without core.integer: True ran as 1, a
+# fraction was truncated or failed inside numpy naming no argument, and an
+# out-of-range value met a check of its own wording, or none.
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: _bound(True), "j must be an integer, got True",
+                 id="oracle_bound-j-bool"),
+    pytest.param(lambda: _bound(1.5), "j must be an integer, got 1.5",
+                 id="oracle_bound-j-fraction"),
+    pytest.param(lambda: _bound(3), "j must be in [0, 2], got 3",
+                 id="oracle_bound-j-above-rank"),
+    pytest.param(lambda: _wedge(True), "k must be an integer, got True",
+                 id="wedge_coords-k-bool"),
+    pytest.param(lambda: _wedge(1.5), "k must be an integer, got 1.5",
+                 id="wedge_coords-k-fraction"),
+    pytest.param(lambda: _wedge(-1), "k must be in [0, 3], got -1",
+                 id="wedge_coords-k-negative"),
+    pytest.param(lambda: _gplus(True), "k must be an integer, got True",
+                 id="gplus_delta-k-bool"),
+    pytest.param(lambda: _gplus(1.5), "k must be an integer, got 1.5",
+                 id="gplus_delta-k-fraction"),
+    pytest.param(lambda: _gplus(4), "k must be in [0, 3], got 4",
+                 id="gplus_delta-k-above-rank"),
+    pytest.param(lambda: _projection((True,)), "active must be an integer, got True",
+                 id="projection-active-bool"),
+    pytest.param(lambda: _projection((1.7, 2)), "active must be an integer, got 1.7",
+                 id="projection-active-fraction"),
+    pytest.param(lambda: _projection((3,)), "active must be in [1, 2], got 3",
+                 id="projection-active-above-rank"),
+    pytest.param(lambda: _weight((True,)), "active must be an integer, got True",
+                 id="mixture_weight-active-bool"),
+    pytest.param(lambda: _weight((1.5,)), "active must be an integer, got 1.5",
+                 id="mixture_weight-active-fraction"),
+    pytest.param(lambda: _weight((0,)), "active must be in [1, 2], got 0",
+                 id="mixture_weight-active-zero"),
+    pytest.param(lambda: Config([True, 2]), "members must be an integer, got True",
+                 id="config-members-bool"),
+    pytest.param(lambda: Config([1.5, 2.9]), "members must be an integer, got 1.5",
+                 id="config-members-fraction"),
+    pytest.param(lambda: Config([0, 2]), "members must be >= 1, got 0",
+                 id="config-members-zero"),
+    pytest.param(lambda: GroundSet(True), "p must be an integer, got True",
+                 id="ground_set-p-bool"),
+    pytest.param(lambda: GroundSet(2.5), "p must be an integer, got 2.5",
+                 id="ground_set-p-fraction"),
+    pytest.param(lambda: haar_orthonormal(True, 1, SeededRng(0)),
+                 "p must be an integer, got True", id="haar-p-bool"),
+    pytest.param(lambda: haar_orthonormal(1.5, 1, SeededRng(0)),
+                 "p must be an integer, got 1.5", id="haar-p-fraction"),
+    pytest.param(lambda: haar_orthonormal(-1, 0, SeededRng(0)),
+                 "p must be >= 0, got -1", id="haar-p-negative"),
+    pytest.param(lambda: haar_orthonormal(3, True, SeededRng(0)),
+                 "r must be an integer, got True", id="haar-r-bool"),
+    pytest.param(lambda: haar_orthonormal(3, 1.5, SeededRng(0)),
+                 "r must be an integer, got 1.5", id="haar-r-fraction"),
+    pytest.param(lambda: random_spectrum(True, SeededRng(0)),
+                 "r must be an integer, got True", id="random_spectrum-r-bool"),
+    pytest.param(lambda: random_spectrum(1.5, SeededRng(0)),
+                 "r must be an integer, got 1.5", id="random_spectrum-r-fraction"),
+    pytest.param(lambda: random_spectrum(-1, SeededRng(0)),
+                 "r must be >= 0, got -1", id="random_spectrum-r-negative"),
+    pytest.param(lambda: Spectrum.ones(True), "k must be an integer, got True",
+                 id="spectrum_ones-k-bool"),
+    pytest.param(lambda: Spectrum.ones(1.5), "k must be an integer, got 1.5",
+                 id="spectrum_ones-k-fraction"),
+    pytest.param(lambda: Spectrum.ones(-1), "k must be >= 0, got -1",
+                 id="spectrum_ones-k-negative"),
+    pytest.param(lambda: empirical_table(SampleSet([1]), True),
+                 "p must be an integer, got True", id="empirical_table-p-bool"),
+    pytest.param(lambda: empirical_table(SampleSet([1]), 1.5),
+                 "p must be an integer, got 1.5", id="empirical_table-p-fraction"),
+    pytest.param(lambda: empirical_table(SampleSet([1]), 0),
+                 "p must be >= 1, got 0", id="empirical_table-p-zero"),
+    pytest.param(lambda: SubspaceModel(np.eye(3), id=True),
+                 "id must be an integer, got True", id="subspace_model-id-bool"),
+    pytest.param(lambda: SubspaceModel(np.eye(3), id=1.5),
+                 "id must be an integer, got 1.5", id="subspace_model-id-fraction"),
+])
+def test_integer_arguments_are_read_with_their_range(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize("build", [_bound, _gplus],
+                         ids=["oracle_bound-j", "gplus_delta-k"])
+def test_integral_float_arguments_run_as_their_integers(build):
+    # each once failed inside numpy or range() with a TypeError naming no
+    # argument
+    assert build(2.0) == build(2)
+    assert build(1.0) == build(1)
+
+
+def test_only_integer_writes_a_range_message():
+    # a range check written by hand drifts from integer's two message forms;
+    # the risk-curve verdict in cli is output, not a check
+    source = Path(core.__file__)
+    reader = next(node for node in ast.parse(source.read_text()).body
+                  if isinstance(node, ast.FunctionDef) and node.name == "integer")
+    found = []
+    for path in sorted(source.parent.glob("*.py")):
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            if not any(form in line for form in ("must be >=", "must be in [",
+                                                 "outside [")):
+                continue
+            if path == source and reader.lineno <= number <= reader.end_lineno:
+                continue
+            if path.name == "cli.py" and "failures.append(f\"slope" in line:
+                continue
+            found.append(f"{path.name}:{number}: {line.strip()}")
+    assert found == []

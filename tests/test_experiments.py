@@ -249,7 +249,7 @@ def test_risk_curve_config_validation():
         RiskCurveConfig(replications=0)
     with pytest.raises(ValueError):
         RiskCurveConfig(p=2, k=2)
-    with pytest.raises(ValueError, match="p <= 20"):
+    with pytest.raises(ValueError, match=r"p must be in \[2, 20\], got 21"):
         RiskCurveConfig(p=21)
     with pytest.raises(ValueError, match=">= 2"):
         RiskCurveConfig(n_grid=(1, 10))

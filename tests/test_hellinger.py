@@ -218,7 +218,7 @@ def test_wedge_coords_are_the_read_only_row_of_the_minor_store():
         w = wedge_coords(fam, k)
         assert np.shares_memory(w, fam.minors(k)) and not w.flags.writeable
         assert np.array_equal(w, fam.minors(k)[0])
-    with pytest.raises(ValueError, match=r"k=4 outside \[0, 3\]"):
+    with pytest.raises(ValueError, match=r"k must be in \[0, 3\], got 4"):
         wedge_coords(fam, 4)
 
 
@@ -261,9 +261,9 @@ def test_gplus_refuses_other_ground_sets_and_sizes_out_of_range():
     for k in (0, 2):
         with pytest.raises(ValueError, match="different ground sets"):
             gplus_delta(a, haar_orthonormal(6, 2, rng.split(2)), k)
-    with pytest.raises(ValueError, match=r"k=3 outside \[0, 2\]"):
+    with pytest.raises(ValueError, match=r"k must be in \[0, 2\], got 3"):
         gplus_delta(a, b, 3)
-    with pytest.raises(ValueError, match=r"k=-1 outside \[0, 2\]"):
+    with pytest.raises(ValueError, match=r"k must be in \[0, 2\], got -1"):
         gplus_delta(a, b, -1)
 
 

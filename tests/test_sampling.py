@@ -23,6 +23,7 @@ from detproc.core import (
 from detproc.rng import SeededRng
 from detproc.sampling import (
     _BLOCK,
+    SampleSet,
     SamplerConsistencyError,
     _projection_masks,
     empirical_table,
@@ -160,6 +161,22 @@ def test_sample_table_never_draws_zero_last_cell():
     table = DensityTable(GroundSet(2), probs)
     samples = sample_table(table, 3, _FixedUniforms(np.nextafter(1.0, 0.0)))
     assert samples.masks().tolist() == [2, 2, 2]
+
+
+@pytest.mark.parametrize("masks", [[2.7, True], [True, False], np.array([3.0])],
+                         ids=["fraction", "bool", "float-array"])
+def test_sample_set_refuses_masks_that_are_not_integers(masks):
+    # [2.7, True] once read as the draws [2, 1]
+    with pytest.raises(ValueError, match=r"^masks must be integers, got dtype "):
+        SampleSet(masks)
+
+
+def test_sample_set_reads_integer_masks_of_any_width():
+    for masks in ([5, 0, 3], np.array([5, 0, 3], dtype=np.uint8),
+                  np.array([5, 0, 3], dtype=np.int32)):
+        read = SampleSet(masks).masks()
+        assert read.dtype == np.int64 and read.tolist() == [5, 0, 3]
+    assert len(SampleSet([])) == 0
 
 
 def test_sample_table_rejects_bad_count():
