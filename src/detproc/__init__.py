@@ -29,6 +29,7 @@ from .core import (
     normalization_check,
     projection_density_eval,
     random_spectrum,
+    store_minors,
 )
 from .hellinger import (
     BoundReport,

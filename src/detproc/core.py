@@ -62,7 +62,7 @@ def abs_det_many(stack: np.ndarray) -> np.ndarray:
 
     The one production kernel for k x k minors: the tables, the
     inequality checks and the isometry sweep's coordinates all take their
-    moduli from it, through OrthonormalFamily.minors. A 0 x 0 block has
+    moduli from it, through store_minors, its one caller. A 0 x 0 block has
     determinant 1. Agreement with the pivoted-QR oracle abs_det is asserted
     in the test suite.
     """
@@ -156,15 +156,23 @@ def subsets(p: int, k: int):
 
 def check_orthonormal(columns: np.ndarray) -> None:
     """The one orthonormality check of a p x d matrix, for families and
-    models alike: a ValueError unless its entries are finite and every entry
-    of its Gram matrix lies within GRAM_TOL of the identity's; the message
-    gives the largest deviation."""
-    if not np.isfinite(columns).all():
-        raise ValueError("column entries must be finite")
-    gram = columns.conj().T @ columns
-    dev = np.max(np.abs(gram - np.eye(columns.shape[1])), initial=0.0)
-    if not dev <= GRAM_TOL:  # a NaN deviation fails too
-        raise ValueError(f"columns are not orthonormal (Gram deviation {dev:.3e})")
+    models alike, or of a (g, p, d) stack of them at once: a ValueError
+    unless the entries are finite and every entry of each Gram matrix lies
+    within GRAM_TOL of the identity's (a NaN deviation fails too). The
+    message gives the largest deviation; for a stack it names the first
+    family that fails, e.g. "family 3: columns are not orthonormal (Gram
+    deviation 2.100e-03)"."""
+    stack = columns if columns.ndim == 3 else columns[None]
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    with np.errstate(all="ignore"):  # the Gram of a non-finite family is not read
+        gram = stack.conj().swapaxes(1, 2) @ stack
+    dev = np.abs(gram - np.eye(stack.shape[2])).max(axis=(1, 2), initial=0.0)
+    fails = ~finite | ~(dev <= GRAM_TOL)
+    if fails.any():
+        i = int(np.argmax(fails))
+        message = (f"columns are not orthonormal (Gram deviation {dev[i]:.3e})"
+                   if finite[i] else "column entries must be finite")
+        raise ValueError(f"family {i}: {message}" if columns.ndim == 3 else message)
 
 
 @dataclass(frozen=True)
@@ -175,7 +183,10 @@ class OrthonormalFamily:
     re-orthonormalized, so caller bugs surface here. The columns are a
     read-only copy of the input, so the family's minor moduli, minors(k),
     are computed once per size k and kept with it; every table and
-    inequality check on the family reads them.
+    inequality check on the family reads them. OrthonormalFamily(columns)
+    checks one matrix; OrthonormalFamily.stack builds a whole stack of one
+    shape with one check, and store_minors fills the stores of many
+    families at once.
     """
 
     columns: np.ndarray
@@ -184,12 +195,36 @@ class OrthonormalFamily:
 
     def __post_init__(self):
         cols = np.atleast_2d(np.array(self.columns, dtype=complex))
-        object.__setattr__(self, "columns", cols)
-        p, r = cols.shape
-        if r > p:
-            raise ValueError(f"rank r={r} exceeds p={p}")
+        _check_rank(*cols.shape)
         check_orthonormal(cols)
         cols.setflags(write=False)
+        object.__setattr__(self, "columns", cols)
+
+    @classmethod
+    def stack(cls, columns) -> list:
+        """The family of each p x r matrix of the (g, p, r) stack columns, in
+        order, after one check_orthonormal call on the whole stack.
+
+        Each family holds its own read-only copy of its matrix, never a view
+        into the stack: OpenBLAS products on a view can round differently
+        from the same product on a fresh array, so a view would move
+        results by an ulp. The minor stores start empty, as for
+        OrthonormalFamily(columns).
+        """
+        cols = np.asarray(columns, dtype=complex)
+        if cols.ndim != 3:
+            raise ValueError(f"expected a (g, p, r) stack, got shape {cols.shape}")
+        _check_rank(*cols.shape[1:])
+        check_orthonormal(cols)
+        families = []
+        for matrix in cols:
+            family = object.__new__(cls)
+            matrix = matrix.copy()
+            matrix.setflags(write=False)
+            object.__setattr__(family, "columns", matrix)
+            object.__setattr__(family, "_minors", {})
+            families.append(family)
+        return families
 
     @property
     def p(self) -> int:
@@ -215,16 +250,11 @@ class OrthonormalFamily:
 
     def minors(self, k: int) -> np.ndarray:
         """Read-only |det| of the (alpha, J) block for every size-k J of {1..r}
-        (rows) and alpha of {1..p} (columns), both in core.subsets order: one
-        kernel call per k >= 1 on first use, and [[1.0]] for k = 0."""
+        (rows) and alpha of {1..p} (columns), both in core.subsets order:
+        filled by store_minors([(self, k)]) on first use, which makes one
+        kernel call for k >= 1 and gives [[1.0]] for k = 0."""
         if k not in self._minors:
-            block = np.ones((1, 1))
-            if k:
-                rows, cols = subsets(self.p, k)[1], subsets(self.r, k)[1]
-                block = abs_det_many(
-                    self.columns[rows[None, :, :, None], cols[:, None, None, :]])
-            block.setflags(write=False)
-            self._minors[k] = block
+            store_minors([(self, k)])
         return self._minors[k]
 
     def moduli(self, active: tuple) -> np.ndarray:
@@ -245,6 +275,46 @@ class OrthonormalFamily:
             [self.minors(k).reshape(-1) for k in range(self.r + 1)]) ** 2
         sq.setflags(write=False)
         return sq
+
+
+def _check_rank(p: int, r: int) -> None:
+    if r > p:
+        raise ValueError(f"rank r={r} exceeds p={p}")
+
+
+def store_minors(wanted) -> None:
+    """Fill the minor store minors(k) of each (family, k) pair of wanted.
+
+    The pairs are grouped by (p, r, k), and each group is one gather of all
+    its k x k blocks and one abs_det_many call, the package's only one, so
+    a sweep block or a candidate family costs one kernel call per group
+    instead of one per family and size. A store the family already holds
+    is kept, and a pair given twice is filled once. The block for k = 0 is
+    [[1.0]], with no kernel call. Each family's block is its own read-only
+    copy, never a view into the group's result. Nothing else fills a
+    store: a family's stores stay empty until minors(k) or this asks.
+    """
+    groups = {}
+    for family, k in wanted:
+        if k not in family._minors:
+            groups.setdefault((family.p, family.r, k), {})[id(family)] = family
+    for (p, r, k), group in groups.items():
+        families = list(group.values())
+        if k:
+            rows, cols = subsets(p, k)[1], subsets(r, k)[1]
+            stack = np.stack([family.columns for family in families])
+            # one (C(r, k), C(p, k), k, k) block of matrices per family, the
+            # families' blocks one after another along the first axis
+            gathered = stack[:, rows[None, :, :, None], cols[:, None, None, :]]
+            shape = len(families), len(cols), len(rows)
+            blocks = abs_det_many(gathered.reshape(-1, *shape[2:], k, k))
+            blocks = blocks.reshape(shape)
+        else:
+            blocks = np.ones((len(families), 1, 1))
+        for family, block in zip(families, blocks):
+            block = block.copy()
+            block.setflags(write=False)
+            family._minors[k] = block
 
 
 @dataclass(frozen=True)
@@ -621,9 +691,11 @@ def haar_orthonormal_many(gaussians) -> list:
     the R diagonal is positive real, which makes the factor unique (Mezzadri
     2007, "How to generate random matrices from the classical compact
     groups"). The matrices of one shape and dtype are factorized by one
-    stacked QR with one phase fix, which saves numpy's per-call overhead
-    and gives the same bits as one QR per matrix; each family is still
-    checked by OrthonormalFamily.
+    stacked QR with one phase fix and built by one OrthonormalFamily.stack
+    call, one Gram check for the group; this saves numpy's per-call
+    overhead and gives the same bits as one QR per matrix. No minor store
+    is filled: store_minors does that for the families whose minors are
+    read.
     """
     groups = {}
     for i, g in enumerate(gaussians):
@@ -636,8 +708,9 @@ def haar_orthonormal_many(gaussians) -> list:
     for indices in groups.values():
         q, rr = np.linalg.qr(np.stack([gaussians[i] for i in indices]))
         d = np.diagonal(rr, axis1=1, axis2=2)
-        for i, columns in zip(indices, q * (d / np.abs(d)).conj()[:, None, :]):
-            families[i] = OrthonormalFamily(columns)
+        stacked = OrthonormalFamily.stack(q * (d / np.abs(d)).conj()[:, None, :])
+        for i, family in zip(indices, stacked):
+            families[i] = family
     return families
 
 

@@ -22,6 +22,7 @@ from .core import (
     DppDensity,
     OrthonormalFamily,
     Spectrum,
+    _chain_rule_pays,
     check_orthonormal,
     column_matrix,
     density_table,
@@ -30,10 +31,11 @@ from .core import (
     integer_fields,
     is_real,
     path_entry,
+    store_minors,
 )
 from .hellinger import _h2
 from .rng import SeededRng
-from .sampling import SampleSet
+from .sampling import SampleSet, cell_counts
 
 POLAR_RANK_TOL = 1e-10
 # select tests pairs in blocks of _PAIR_BLOCK_CELLS // (observed cells), so
@@ -221,13 +223,22 @@ def nearest_orthonormal(vectors) -> OrthonormalFamily:
     """Closest orthonormal tuple (polar factor) in sum-of-squares distance.
 
     The polar factor of the stacked matrix is the global minimizer over all
-    orthonormal tuples; rank-deficient input is rejected.
+    orthonormal tuples; rank-deficient input is rejected. The one-tuple
+    case of build_candidates, which builds the polar factors of each level
+    as one OrthonormalFamily.stack.
     """
+    return OrthonormalFamily(_polar_factor(vectors))
+
+
+def _polar_factor(vectors) -> np.ndarray:
+    """The p x j polar factor u vh of the matrix whose columns are the j
+    vectors, from one SVD; a ValueError if it is numerically rank
+    deficient."""
     m = np.column_stack([np.asarray(v, dtype=complex) for v in vectors])
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     if not s.min() >= POLAR_RANK_TOL:  # a NaN singular value fails too
         raise ValueError("vectors are numerically rank deficient")
-    return OrthonormalFamily(u @ vh)
+    return u @ vh
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +310,10 @@ def build_candidates(models, prior, n: int, caps: CandidateCaps, rng: SeededRng,
     maximal net would contain around the anchor.
 
     Candidates on the same set of net points differ only in gamma, so the
-    polar factor is computed once per set and the candidates share one
-    OrthonormalFamily (and with it the squared minors of their tables).
+    polar factor is computed once per set, lazily as the walk reaches it,
+    and the candidates share one OrthonormalFamily (and with it the squared
+    minors of their tables). The families are built after the walk, one
+    stack per level j, with one minor-store fill (_level_families).
 
     Every input is checked here, a ValueError naming the value it refuses.
     """
@@ -331,18 +344,18 @@ def build_candidates(models, prior, n: int, caps: CandidateCaps, rng: SeededRng,
     if not math.fsum(prior.values()) <= 1.0 + 1e-12:
         raise ValueError("model prior weights must sum to at most 1")
     nets = _candidate_nets(models, n, rng, pool_size, anchor, anchor_jitter)
-    polar = {}  # subset -> family, or None if rank deficient
+    polar = {}  # subset -> polar factor, or None if rank deficient
 
     def factor(subset):
         if subset not in polar:
             vectors = [nets[mid].points[i] for mid, i in subset]
             try:
-                polar[subset] = nearest_orthonormal(vectors)
+                polar[subset] = _polar_factor(vectors)
             except ValueError:
                 polar[subset] = None  # near-parallel net points
         return polar[subset]
 
-    entries = []
+    found = []  # (index, subset, gamma, mass) of each candidate, walk order
     levels = set()  # the j that hold a full-rank set
     walk = _candidate_order(models, nets, n, caps)
     for j, subset, g_rank, gamma in walk:
@@ -352,12 +365,10 @@ def build_candidates(models, prior, n: int, caps: CandidateCaps, rng: SeededRng,
         mass = math.factorial(j) * (2.0 * n) ** (-j)
         for mid, _ in subset:
             mass *= prior[mid] / len(nets[mid])
-        index = (j, *zip(*subset), g_rank)
-        # only survivors get a Spectrum
-        entries.append(CandidateEntry(index, polar[subset], Spectrum(gamma), mass))
-        if len(entries) == caps.family_max:
+        found.append(((j, *zip(*subset), g_rank), subset, gamma, mass))
+        if len(found) == caps.family_max:
             break
-    if not entries:
+    if not found:
         raise ValueError("caps too tight: empty candidate family")
     # a full-rank candidate is missing iff per_net dropped a net point, the
     # walk caps the gamma rank of a level that has one, or the walk stopped
@@ -365,8 +376,31 @@ def build_candidates(models, prior, n: int, caps: CandidateCaps, rng: SeededRng,
     truncated = (any(len(net) > caps.per_net for net in nets.values())
                  or any(n**j > caps.family_max for j in levels)
                  or any(factor(subset) is not None for _, subset, _, _ in walk))
+    families = _level_families({subset: polar[subset] for _, subset, _, _ in found})
+    # only survivors get a Spectrum
+    entries = [CandidateEntry(index, families[subset], Spectrum(gamma), mass)
+               for index, subset, gamma, mass in found]
     return CandidateFamily(
         entries, truncated, {mid: len(net) for mid, net in nets.items()})
+
+
+def _level_families(factors: dict) -> dict:
+    """Subset -> OrthonormalFamily of its polar factor, for the subsets of
+    factors (subset -> p x j factor). The factors of each level j are built
+    as one OrthonormalFamily.stack, one Gram check, and then the stores of
+    every family whose tables read them (_chain_rule_pays is false) are
+    filled by one store_minors call, one kernel call per (j, k)."""
+    levels = {}
+    for subset, matrix in factors.items():
+        levels.setdefault(len(subset), []).append((subset, matrix))
+    families = {}
+    for level in levels.values():
+        subsets, matrices = zip(*level)
+        families.update(zip(subsets, OrthonormalFamily.stack(np.stack(matrices))))
+    store_minors((family, k) for family in families.values()
+                 if not _chain_rule_pays(family.p, family.r)
+                 for k in range(family.r + 1))
+    return families
 
 
 def _candidate_order(models, nets, n, caps):
@@ -449,15 +483,7 @@ def test_statistic(u: DensityTable, v: DensityTable, samples: SampleSet) -> floa
 def _observed_cells(samples: SampleSet, table: DensityTable):
     """The configurations the samples hit, in ascending bitmask order, and
     how often each was drawn; a mask outside the table's ground set raises."""
-    masks = samples.masks()
-    size = len(table.probs)
-    outside = np.flatnonzero(masks >= size)
-    if outside.size:
-        i = int(outside[0])
-        raise ValueError(
-            f"draw {i} has mask {int(masks[i])}, outside the ground set of "
-            f"p={table.ground.p} (masks must be < {size})")
-    counts = np.bincount(masks, minlength=size)
+    counts = cell_counts(samples, table.ground.p)
     cells = np.flatnonzero(counts)
     return cells, counts[cells].astype(float)
 

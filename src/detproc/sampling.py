@@ -48,12 +48,22 @@ class SampleSet:
 
     The masks are read as one array, of any integer dtype. A boolean or
     float array (a list holding a fraction reads as one) is refused rather
-    than read as 1 or truncated; an empty input holds no draw."""
+    than read as 1 or truncated, and so is a list or tuple that holds a
+    boolean, which numpy would read into an integer array; an empty input
+    holds no draw. Only a list or tuple is walked in Python; an array is
+    checked by its dtype alone."""
 
     def __init__(self, masks):
+        given = masks
         masks = np.asarray(masks)
         if masks.size and masks.dtype.kind not in "iu":
             raise ValueError(f"masks must be integers, got dtype {masks.dtype}")
+        if isinstance(given, (list, tuple)):
+            flat = np.asarray(given, dtype=object).reshape(-1).tolist()
+            for i, mask in enumerate(flat):
+                if isinstance(mask, (bool, np.bool_)):
+                    raise ValueError(f"masks must be integers, got {mask!r} "
+                                     f"at draw {i}")
         masks = np.array(masks, dtype=np.int64).reshape(-1)
         if masks.size and masks.min() < 0:
             raise ValueError(f"negative configuration bitmask {masks.min()}")
@@ -175,11 +185,26 @@ def sample_dpp(density: DppDensity, n: int, rng: SeededRng) -> SampleSet:
     return SampleSet(masks)
 
 
+def cell_counts(samples: SampleSet, p: int) -> np.ndarray:
+    """How often each of the 2^p configurations was drawn, indexed by
+    bitmask; a mask outside the ground set of p points raises, naming the
+    first such draw and its mask."""
+    masks = samples.masks()
+    size = 1 << integer("p", p, 1)
+    outside = np.flatnonzero(masks >= size)
+    if outside.size:
+        i = int(outside[0])
+        raise ValueError(
+            f"draw {i} has mask {int(masks[i])}, outside the ground set of "
+            f"p={p} (masks must be < {size})")
+    return np.bincount(masks, minlength=size)
+
+
 def empirical_table(samples: SampleSet, p: int) -> np.ndarray:
     """Empirical frequencies indexed by bitmask (not a DensityTable: it is
-    an estimate, not an exact density)."""
-    return (np.bincount(samples.masks(), minlength=1 << integer("p", p, 1))
-            / len(samples))
+    an estimate, not an exact density); a mask outside the ground set of p
+    points raises (cell_counts)."""
+    return cell_counts(samples, p) / len(samples)
 
 
 def total_variation(probs_a: np.ndarray, probs_b: np.ndarray) -> float:

@@ -656,6 +656,146 @@ def test_haar_orthonormal_many_refuses_rank_out_of_range(build, message):
         build()
 
 
+# ---------------------------------------------------------------------------
+# stacked families: one Gram check per stack, one kernel call per (p, r, k)
+
+def _haar_stack(p, r, count, seed, real=False):
+    """count Haar p x r matrices, each from its own stream, as one array."""
+    return np.stack([haar_orthonormal(p, r, SeededRng(seed, (j,)), real).columns
+                     for j in range(count)])
+
+
+@pytest.mark.parametrize("p, r, real", [(1, 0, False), (1, 1, False),
+                                        (4, 2, False), (5, 3, True),
+                                        (6, 3, False), (6, 6, False)],
+                         ids=["p1-r0", "p1-r1", "p4-r2", "p5-r3-real",
+                              "p6-r3", "p6-r6"])
+def test_stacked_families_equal_one_by_one_families(p, r, real):
+    stack = _haar_stack(p, r, 4, 40 + p, real)
+    stacked = OrthonormalFamily.stack(stack)
+    alone = [OrthonormalFamily(matrix) for matrix in stack]
+    # half the stacked families get their stores from one batch fill, the
+    # other half lazily, as the one-by-one families do
+    core.store_minors((fam, k) for fam in stacked[::2] for k in range(r + 1))
+    spectrum = Spectrum(np.linspace(0.9, 0.3, r))
+    for fam, ref in zip(stacked, alone):
+        assert fam.columns.dtype == ref.columns.dtype == complex
+        assert fam.columns.tobytes() == ref.columns.tobytes()
+        assert not fam.columns.flags.writeable
+        for k in range(r + 1):
+            assert fam.minors(k).shape == ref.minors(k).shape
+            assert fam.minors(k).tobytes() == ref.minors(k).tobytes()
+            assert not fam.minors(k).flags.writeable
+        assert fam.squared_minors.tobytes() == ref.squared_minors.tobytes()
+        tables = [(DppDensity(fam, spectrum), DppDensity(ref, spectrum)),
+                  (ProjectionDensity(fam, tuple(range(1, r + 1))),
+                   ProjectionDensity(ref, tuple(range(1, r + 1))))]
+        for mine, theirs in tables:
+            assert (density_table(mine).probs.tobytes()
+                    == density_table(theirs).probs.tobytes())
+
+
+def test_store_minors_over_mixed_shapes_equals_lazy_minors(monkeypatch):
+    shapes = [(4, 2), (3, 0), (5, 3), (4, 2), (1, 1), (5, 3), (3, 0), (6, 1)]
+    families = [haar_orthonormal(p, r, SeededRng(41, (j,)))
+                for j, (p, r) in enumerate(shapes)]
+    lazy = [OrthonormalFamily(np.array(fam.columns)) for fam in families]
+    calls = []  # (matrices, k) of each kernel call
+    real = core.abs_det_many
+    monkeypatch.setattr(core, "abs_det_many", lambda stack: calls.append(
+        (math.prod(stack.shape[:-2]), stack.shape[-1])) or real(stack))
+    wanted = [(fam, k) for fam in families for k in range(fam.r + 1)]
+    core.store_minors(wanted + wanted[:3])  # a pair given twice is filled once
+    groups = {(p, r, k) for p, r in shapes for k in range(1, r + 1)}
+    assert len(calls) == len(groups)
+    assert sum(m for m, _ in calls) == sum(
+        shapes.count((p, r)) * math.comb(r, k) * math.comb(p, k)
+        for p, r, k in groups)
+    calls.clear()
+    for fam, ref in zip(families, lazy):
+        for k in range(fam.r + 1):
+            assert fam.minors(k).tobytes() == ref.minors(k).tobytes()
+    # the lazy families made the calls; the filled ones read their stores
+    assert len(calls) == sum(r for _, r in shapes)
+    calls.clear()
+    core.store_minors(wanted)  # every store is held already
+    assert calls == []
+
+
+def test_stacked_families_share_no_memory():
+    # a view into the stack would give each family the stack's alignment,
+    # and OpenBLAS products on it can round differently (by an ulp)
+    families = OrthonormalFamily.stack(_haar_stack(5, 2, 3, 42))
+    families += haar_orthonormal_many(
+        [gaussian((5, 2), SeededRng(43, (j,))) for j in range(3)])
+    core.store_minors((fam, k) for fam in families for k in range(3))
+    for a, b in combinations(families, 2):
+        assert not np.shares_memory(a.columns, b.columns)
+        for k in range(3):
+            assert not np.shares_memory(a.minors(k), b.minors(k))
+
+
+def test_haar_families_fill_no_store_by_themselves():
+    # a full store at p = 20, r = 10 would hold C(30, 10) minors
+    assert haar_orthonormal(20, 10, SeededRng(44))._minors == {}
+    assert all(fam._minors == {} for fam in haar_orthonormal_many(
+        [gaussian((6, 3), SeededRng(45, (j,))) for j in range(3)]))
+
+
+def _spoil(stack, i, kind):
+    if kind == "gram":
+        stack[i, :, 0] *= 1.0 + 2e-3
+    else:
+        stack[i, 1, 0] = {"nan": np.nan, "inf": np.inf}[kind]
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("gram", "columns are not orthonormal (Gram deviation 4.004e-03)"),
+    ("nan", "column entries must be finite"),
+    ("inf", "column entries must be finite"),
+], ids=["gram", "nan", "inf"])
+def test_stack_with_one_bad_family_is_refused_by_its_index(kind, message):
+    stack = _haar_stack(4, 2, 5, 46)
+    _spoil(stack, 3, kind)
+    with pytest.raises(ValueError) as raised:
+        OrthonormalFamily.stack(stack)
+    assert str(raised.value) == f"family 3: {message}"
+    # the same family alone gives the message without an index
+    with pytest.raises(ValueError) as raised:
+        OrthonormalFamily(stack[3])
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("first, second", [("gram", "nan"), ("inf", "gram")],
+                         ids=["gram-then-nan", "inf-then-gram"])
+def test_stack_check_names_the_first_failing_family(first, second):
+    stack = _haar_stack(3, 3, 6, 47)
+    _spoil(stack, 1, first)
+    _spoil(stack, 4, second)
+    with pytest.raises(ValueError, match=r"^family 1: "):
+        OrthonormalFamily.stack(stack)
+
+
+def test_stack_refuses_a_rank_above_p_and_a_lone_matrix():
+    with pytest.raises(ValueError, match=re.escape("rank r=3 exceeds p=2")):
+        OrthonormalFamily.stack(np.zeros((2, 2, 3)))
+    with pytest.raises(ValueError, match=re.escape("expected a (g, p, r) stack")):
+        OrthonormalFamily.stack(np.eye(3))
+
+
+def test_abs_det_many_has_one_call_site_in_the_package():
+    # every minor store comes from one fill, store_minors
+    calls = []
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            if re.search(r"(?<!def )\babs_det_many\(", line):
+                calls.append(f"{path.name}:{number}")
+    assert len(calls) == 1 and calls[0].startswith("core.py:")
+    store = next(node for node in ast.parse(Path(core.__file__).read_text()).body
+                 if isinstance(node, ast.FunctionDef) and node.name == "store_minors")
+    assert store.lineno <= int(calls[0].split(":")[1]) <= store.end_lineno
+
+
 def test_params_dict_roundtrip():
     rng = SeededRng(22)
     fam = haar_orthonormal(4, 2, rng.split(0))

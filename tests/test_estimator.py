@@ -1,12 +1,14 @@
 import math
 import re
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+from detproc import core
 from detproc.core import (
     OrthonormalFamily,
+    _chain_rule_pays,
     Spectrum,
     density_table,
     haar_orthonormal,
@@ -208,6 +210,48 @@ def test_anchored_nets_of_a_real_model_are_real():
     assert not np.iscomplexobj(net.points)
     assert np.all(net.points[:, 2:] == 0.0)
     assert np.array_equal(net.points[0], sphere_approx(anchor.columns[:, 0], model))
+
+
+@pytest.mark.parametrize("p, j_max", [(4, 3), (6, 2)],
+                         ids=["p4-j3-chain-level", "p6-j2"])
+def test_candidate_families_are_built_per_level_as_one_stack(monkeypatch, p, j_max):
+    calls = []
+    real = core.abs_det_many
+    monkeypatch.setattr(core, "abs_det_many",
+                        lambda stack: calls.append(stack.shape) or real(stack))
+    models = [full_space_model(p)]
+    anchor = haar_orthonormal(p, 2, SeededRng(60))
+    fam = build_candidates(models, {0: 1.0}, 50, CandidateCaps(j_max, 4, 60),
+                           SeededRng(61), pool_size=32, anchor=anchor,
+                           anchor_jitter=1)
+    nets = _candidate_nets(models, 50, SeededRng(61), 32, anchor, 1)
+    families = list({id(e.family): e.family for e in fam.entries}.values())
+    levels = {family.r for family in families}
+    assert levels == set(range(1, j_max + 1))
+    # one kernel call per (level, k) whose tables read the store; a
+    # chain-routed level (p = 4, j = 3) fills none
+    filled = [(r, k) for r in levels if not _chain_rule_pays(p, r)
+              for k in range(1, r + 1)]
+    assert len(calls) == len(filled)
+    for family in families:
+        want = set() if _chain_rule_pays(p, family.r) else set(range(family.r + 1))
+        assert set(family._minors) == want
+    for a, b in combinations(families, 2):
+        assert not np.shares_memory(a.columns, b.columns)
+        for k in set(a._minors) & set(b._minors):
+            assert not np.shares_memory(a.minors(k), b.minors(k))
+    # the tables read the stores without a kernel call
+    calls.clear()
+    tables = [entry.table() for entry in fam.entries]
+    assert calls == []
+    # each family is nearest_orthonormal of its net points, byte for byte,
+    # and so is each table
+    for entry, table in zip(fam.entries, tables):
+        _, mids, points, _ = entry.index
+        alone = nearest_orthonormal([nets[m].points[i] for m, i in zip(mids, points)])
+        assert entry.family.columns.tobytes() == alone.columns.tobytes()
+        assert table.probs.tobytes() == density_table(
+            DppDensity(alone, entry.spectrum)).probs.tobytes()
 
 
 def model_entry(basis, p, dim):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from detproc import experiments
+from detproc import core, experiments
 from detproc.core import DppDensity, density_table, haar_orthonormal, random_spectrum
 from detproc.estimator import CandidateCaps
 from detproc.experiments import (
@@ -193,6 +193,33 @@ def test_blocked_sweep_counts_violations_as_per_instance_loop(
     rows, violations = run(cfg)
     assert 0 < violations < len(rows)
     assert (rows, violations) == reference(cfg)
+
+
+@pytest.mark.parametrize("run, config, draw, sizes", [
+    (run_bounds_sweep, lambda n: BoundsSweepConfig(instances=n, seed=4),
+     experiments._draw_bounds_instance, lambda r: range(1, r + 1)),
+    (run_isometry_sweep, lambda n: IsometrySweepConfig(instances=n, seed=6),
+     experiments._draw_isometry_instance, lambda r: (r,)),
+], ids=["bounds", "isometry"])
+def test_sweep_fills_each_block_with_one_kernel_call_per_shape_and_size(
+        monkeypatch, run, config, draw, sizes):
+    # each block's stores come from one store_minors call, and the checks
+    # read them without another kernel call; the isometry sweep fills only
+    # k = r, the one size gplus_delta reads
+    monkeypatch.setattr(experiments, "_SWEEP_BLOCK", 16)
+    calls = []
+    real = core.abs_det_many
+    monkeypatch.setattr(core, "abs_det_many",
+                        lambda stack: calls.append(stack.shape) or real(stack))
+    cfg = config(40)
+    root = SeededRng(cfg.seed)
+    groups = 0
+    for start in range(0, 40, 16):
+        shapes = {g.shape for i in range(start, min(start + 16, 40))
+                  for g in draw(cfg, root.split(i))[0]}
+        groups += len({(p, r, k) for p, r in shapes for k in sizes(r)})
+    run(cfg)
+    assert len(calls) == groups
 
 
 def test_sampler_check_small():

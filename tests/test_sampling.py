@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -171,12 +172,36 @@ def test_sample_set_refuses_masks_that_are_not_integers(masks):
         SampleSet(masks)
 
 
+@pytest.mark.parametrize("masks, message", [
+    ([2, True], "masks must be integers, got True at draw 1"),
+    ((0, 3, False), "masks must be integers, got False at draw 2"),
+    ([[1, 2], [np.True_, 0]], "masks must be integers, got np.True_ at draw 2"),
+], ids=["list", "tuple", "nested-numpy-bool"])
+def test_sample_set_refuses_a_list_that_holds_a_boolean(masks, message):
+    # [2, True] once read as the draws [2, 1]: numpy makes an int64 array
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SampleSet(masks)
+
+
 def test_sample_set_reads_integer_masks_of_any_width():
     for masks in ([5, 0, 3], np.array([5, 0, 3], dtype=np.uint8),
                   np.array([5, 0, 3], dtype=np.int32)):
         read = SampleSet(masks).masks()
         assert read.dtype == np.int64 and read.tolist() == [5, 0, 3]
     assert len(SampleSet([])) == 0
+
+
+@pytest.mark.parametrize("masks, p, message", [
+    ([5], 1, "draw 0 has mask 5, outside the ground set of p=1 (masks must be < 2)"),
+    ([1, 3, 4, 9], 2, "draw 2 has mask 4, outside the ground set of p=2 "
+                      "(masks must be < 4)"),
+], ids=["one-point", "first-of-two"])
+def test_empirical_table_refuses_masks_outside_the_ground_set(masks, p, message):
+    # empirical_table(SampleSet([5]), 1) once returned [0, 0, 0, 0, 0, 1]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        empirical_table(SampleSet(masks), p)
+    assert empirical_table(SampleSet([3, 0, 3, 1]), 2).tolist() == [
+        0.25, 0.25, 0.0, 0.5]
 
 
 def test_sample_table_rejects_bad_count():
