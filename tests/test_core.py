@@ -724,11 +724,18 @@ def test_store_minors_over_mixed_shapes_equals_lazy_minors(monkeypatch):
 
 def test_stacked_families_share_no_memory():
     # a view into the stack would give each family the stack's alignment,
-    # and OpenBLAS products on it can round differently (by an ulp)
-    families = OrthonormalFamily.stack(_haar_stack(5, 2, 3, 42))
+    # and OpenBLAS products on it can round differently: with views, 426 of
+    # the 7,000 rows of the default bounds sweep moved by an ulp. Views of
+    # two families do not overlap, so each array must also own its memory.
+    stack = _haar_stack(5, 2, 3, 42)
+    families = OrthonormalFamily.stack(stack)
     families += haar_orthonormal_many(
         [gaussian((5, 2), SeededRng(43, (j,))) for j in range(3)])
     core.store_minors((fam, k) for fam in families for k in range(3))
+    for fam in families:
+        assert not np.shares_memory(fam.columns, stack)
+        assert fam.columns.flags.owndata
+        assert all(fam.minors(k).flags.owndata for k in range(3))
     for a, b in combinations(families, 2):
         assert not np.shares_memory(a.columns, b.columns)
         for k in range(3):

@@ -236,6 +236,9 @@ def test_candidate_families_are_built_per_level_as_one_stack(monkeypatch, p, j_m
     for family in families:
         want = set() if _chain_rule_pays(p, family.r) else set(range(family.r + 1))
         assert set(family._minors) == want
+    for family in families:  # no view into a level's stack
+        assert family.columns.flags.owndata
+        assert all(block.flags.owndata for block in family._minors.values())
     for a, b in combinations(families, 2):
         assert not np.shares_memory(a.columns, b.columns)
         for k in set(a._minors) & set(b._minors):
