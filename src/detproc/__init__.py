@@ -29,7 +29,6 @@ from .core import (
     normalization_check,
     projection_density_eval,
     random_spectrum,
-    store_minors,
 )
 from .hellinger import (
     BoundReport,

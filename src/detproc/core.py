@@ -62,9 +62,10 @@ def abs_det_many(stack: np.ndarray) -> np.ndarray:
 
     The one production kernel for k x k minors: the tables, the
     inequality checks and the isometry sweep's coordinates all take their
-    moduli from it, through store_minors, its one caller. A 0 x 0 block has
-    determinant 1. Agreement with the pivoted-QR oracle abs_det is asserted
-    in the test suite.
+    moduli from it, through _fill_minors, its one caller, one call per
+    stack of families and size read. A 0 x 0 block has determinant 1.
+    Agreement with the pivoted-QR oracle abs_det is asserted in the test
+    suite.
     """
     return np.abs(np.linalg.det(stack))
 
@@ -183,22 +184,32 @@ class OrthonormalFamily:
     re-orthonormalized, so caller bugs surface here. The columns are a
     read-only copy of the input, so the family's minor moduli, minors(k),
     are computed once per size k and kept with it; every table and
-    inequality check on the family reads them. OrthonormalFamily(columns)
-    checks one matrix; OrthonormalFamily.stack builds a whole stack of one
-    shape with one check, and store_minors fills the stores of many
-    families at once.
+    inequality check on the family reads them. Every family belongs to one
+    stack, the families one call built: OrthonormalFamily(columns) checks
+    one matrix and makes a stack of one, and OrthonormalFamily.stack builds
+    a whole stack of one shape with one check. The first read of minors(k)
+    on any member fills size k for the whole stack.
     """
 
     columns: np.ndarray
-    _minors: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
+    _minors: dict = field(init=False, repr=False, compare=False)
+    # (column arrays, minor stores) of the stack's members, in order: the
+    # record holds no family, so a family and its stack make no cycle
+    _stack: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cols = np.atleast_2d(np.array(self.columns, dtype=complex))
         _check_rank(*cols.shape)
         check_orthonormal(cols)
-        cols.setflags(write=False)
-        object.__setattr__(self, "columns", cols)
+        self._join(((cols,), ({},)), 0)
+
+    def _join(self, stack, i) -> None:
+        """Make the family member i of stack: its columns, made read-only,
+        and its minor store are entry i of the record's two tuples."""
+        stack[0][i].setflags(write=False)
+        object.__setattr__(self, "columns", stack[0][i])
+        object.__setattr__(self, "_minors", stack[1][i])
+        object.__setattr__(self, "_stack", stack)
 
     @classmethod
     def stack(cls, columns) -> list:
@@ -208,22 +219,20 @@ class OrthonormalFamily:
         Each family holds its own read-only copy of its matrix, never a view
         into the stack: OpenBLAS products on a view can round differently
         from the same product on a fresh array, so a view would move
-        results by an ulp. The minor stores start empty, as for
-        OrthonormalFamily(columns).
+        results by an ulp. The minor stores start empty; the families share
+        one stack record, so the first minors(k) on any of them fills size
+        k for all of them with one kernel call.
         """
         cols = np.asarray(columns, dtype=complex)
         if cols.ndim != 3:
             raise ValueError(f"expected a (g, p, r) stack, got shape {cols.shape}")
         _check_rank(*cols.shape[1:])
         check_orthonormal(cols)
-        families = []
-        for matrix in cols:
-            family = object.__new__(cls)
-            matrix = matrix.copy()
-            matrix.setflags(write=False)
-            object.__setattr__(family, "columns", matrix)
-            object.__setattr__(family, "_minors", {})
-            families.append(family)
+        matrices = tuple(matrix.copy() for matrix in cols)
+        stack = matrices, tuple({} for _ in matrices)
+        families = [object.__new__(cls) for _ in matrices]
+        for i, family in enumerate(families):
+            family._join(stack, i)
         return families
 
     @property
@@ -250,11 +259,12 @@ class OrthonormalFamily:
 
     def minors(self, k: int) -> np.ndarray:
         """Read-only |det| of the (alpha, J) block for every size-k J of {1..r}
-        (rows) and alpha of {1..p} (columns), both in core.subsets order:
-        filled by store_minors([(self, k)]) on first use, which makes one
-        kernel call for k >= 1 and gives [[1.0]] for k = 0."""
+        (rows) and alpha of {1..p} (columns), both in core.subsets order.
+        The first read on any member of the family's stack fills size k for
+        every member (_fill_minors): one kernel call for k >= 1, [[1.0]]
+        for k = 0. A size no member reads is never computed."""
         if k not in self._minors:
-            store_minors([(self, k)])
+            _fill_minors(*self._stack, k)
         return self._minors[k]
 
     def moduli(self, active: tuple) -> np.ndarray:
@@ -282,39 +292,28 @@ def _check_rank(p: int, r: int) -> None:
         raise ValueError(f"rank r={r} exceeds p={p}")
 
 
-def store_minors(wanted) -> None:
-    """Fill the minor store minors(k) of each (family, k) pair of wanted.
-
-    The pairs are grouped by (p, r, k), and each group is one gather of all
-    its k x k blocks and one abs_det_many call, the package's only one, so
-    a sweep block or a candidate family costs one kernel call per group
-    instead of one per family and size. A store the family already holds
-    is kept, and a pair given twice is filled once. The block for k = 0 is
-    [[1.0]], with no kernel call. Each family's block is its own read-only
-    copy, never a view into the group's result. Nothing else fills a
-    store: a family's stores stay empty until minors(k) or this asks.
+def _fill_minors(columns, stores, k: int) -> None:
+    """Store minors(k) in each of stores, the minor stores of one stack's
+    families, whose p x r column arrays are columns: one gather of all
+    their k x k blocks and one abs_det_many call, the package's only one.
+    The block for k = 0 is [[1.0]], with no kernel call. Each family's
+    block is its own read-only copy, never a view into the stack's result.
     """
-    groups = {}
-    for family, k in wanted:
-        if k not in family._minors:
-            groups.setdefault((family.p, family.r, k), {})[id(family)] = family
-    for (p, r, k), group in groups.items():
-        families = list(group.values())
-        if k:
-            rows, cols = subsets(p, k)[1], subsets(r, k)[1]
-            stack = np.stack([family.columns for family in families])
-            # one (C(r, k), C(p, k), k, k) block of matrices per family, the
-            # families' blocks one after another along the first axis
-            gathered = stack[:, rows[None, :, :, None], cols[:, None, None, :]]
-            shape = len(families), len(cols), len(rows)
-            blocks = abs_det_many(gathered.reshape(-1, *shape[2:], k, k))
-            blocks = blocks.reshape(shape)
-        else:
-            blocks = np.ones((len(families), 1, 1))
-        for family, block in zip(families, blocks):
-            block = block.copy()
-            block.setflags(write=False)
-            family._minors[k] = block
+    if k:
+        stack = np.stack(columns)
+        rows, cols = subsets(stack.shape[1], k)[1], subsets(stack.shape[2], k)[1]
+        # one (C(r, k), C(p, k), k, k) block of matrices per family, the
+        # families' blocks one after another along the first axis
+        gathered = stack[:, rows[None, :, :, None], cols[:, None, None, :]]
+        shape = len(columns), len(cols), len(rows)
+        blocks = abs_det_many(gathered.reshape(-1, *shape[2:], k, k))
+        blocks = blocks.reshape(shape)
+    else:
+        blocks = np.ones((len(columns), 1, 1))
+    for store, block in zip(stores, blocks):
+        block = block.copy()
+        block.setflags(write=False)
+        store[k] = block
 
 
 @dataclass(frozen=True)
@@ -419,7 +418,7 @@ class DensityTable:
                 f"expected {1 << self.ground.p} entries, got {probs.shape}"
             )
         # comparisons written so that NaN fails them
-        if not probs.min() >= -1e-12:
+        if not probs.min() >= 0.0:
             raise ValueError(
                 f"probabilities must be finite and >= 0 (min {probs.min():.3e})"
             )
@@ -694,8 +693,8 @@ def haar_orthonormal_many(gaussians) -> list:
     stacked QR with one phase fix and built by one OrthonormalFamily.stack
     call, one Gram check for the group; this saves numpy's per-call
     overhead and gives the same bits as one QR per matrix. No minor store
-    is filled: store_minors does that for the families whose minors are
-    read.
+    is filled here: the first minors(k) read on a family fills size k for
+    its whole group, the stack it was built in.
     """
     groups = {}
     for i, g in enumerate(gaussians):

@@ -22,7 +22,6 @@ from .core import (
     DppDensity,
     OrthonormalFamily,
     Spectrum,
-    _chain_rule_pays,
     check_orthonormal,
     column_matrix,
     density_table,
@@ -31,7 +30,6 @@ from .core import (
     integer_fields,
     is_real,
     path_entry,
-    store_minors,
 )
 from .hellinger import _h2
 from .rng import SeededRng
@@ -313,7 +311,8 @@ def build_candidates(models, prior, n: int, caps: CandidateCaps, rng: SeededRng,
     polar factor is computed once per set, lazily as the walk reaches it,
     and the candidates share one OrthonormalFamily (and with it the squared
     minors of their tables). The families are built after the walk, one
-    stack per level j, with one minor-store fill (_level_families).
+    stack per level j (_level_families); no minor is computed here, and the
+    first table read of a size fills it for the whole level.
 
     Every input is checked here, a ValueError naming the value it refuses.
     """
@@ -387,9 +386,9 @@ def build_candidates(models, prior, n: int, caps: CandidateCaps, rng: SeededRng,
 def _level_families(factors: dict) -> dict:
     """Subset -> OrthonormalFamily of its polar factor, for the subsets of
     factors (subset -> p x j factor). The factors of each level j are built
-    as one OrthonormalFamily.stack, one Gram check, and then the stores of
-    every family whose tables read them (_chain_rule_pays is false) are
-    filled by one store_minors call, one kernel call per (j, k)."""
+    as one OrthonormalFamily.stack, one Gram check, so the tables that read
+    a level's minors (the mixture-sum route) make one kernel call per
+    (j, k); a chain-routed level computes none."""
     levels = {}
     for subset, matrix in factors.items():
         levels.setdefault(len(subset), []).append((subset, matrix))
@@ -397,9 +396,6 @@ def _level_families(factors: dict) -> dict:
     for level in levels.values():
         subsets, matrices = zip(*level)
         families.update(zip(subsets, OrthonormalFamily.stack(np.stack(matrices))))
-    store_minors((family, k) for family in families.values()
-                 if not _chain_rule_pays(family.p, family.r)
-                 for k in range(family.r + 1))
     return families
 
 

@@ -26,7 +26,6 @@ from .core import (
     integer_fields,
     is_real,
     random_spectrum,
-    store_minors,
     write_csv,
     write_json,
 )
@@ -79,23 +78,24 @@ def _check_sweep(cfg, rank_key) -> None:
 
 
 # Instances per block of a sweep. A block's Haar families are built with one
-# haar_orthonormal_many call and their minor stores filled with one
-# store_minors call, which saves numpy's per-call overhead, but the block
-# holds its families and their stores until its last instance is checked:
-# on the default bounds sweep, one block of all 1000 instances raised the
-# peak RSS from 40.0 to 52.6 MB (in-process).
+# haar_orthonormal_many call, one stack per shape, so each minor size a
+# check reads is one kernel call per shape in the block; this saves numpy's
+# per-call overhead, but the block holds its families and their stores
+# until its last instance is checked: on the default bounds sweep, one
+# block of all 1000 instances raised the peak RSS from 40.0 to 52.6 MB
+# (in-process).
 _SWEEP_BLOCK = 64
 
 
-def _run_sweep(cfg, draw, check, sizes):
+def _run_sweep(cfg, draw, check):
     """The block loop of both sweeps. For each block of _SWEEP_BLOCK
     instances: draw(cfg, root.split(i)) gives instance i's Gaussian
     matrices and the rest of its inputs, for every instance in turn; one
-    haar_orthonormal_many call builds the block's families; one
-    store_minors call fills, for each family, minors(k) for every k of
-    sizes(family), the stores check reads (one kernel call per (p, r, k)
-    in the block); check(families, *rest) gives instance i's rows (label,
-    lhs, rhs, slack, holds), in instance order. Returns (rows,
+    haar_orthonormal_many call builds the block's families, one stack per
+    shape, so the first read of a minor size on one family fills it for
+    every family of its shape in the block (one kernel call per (p, r, k)
+    read in the block); check(families, *rest) gives instance i's rows
+    (label, lhs, rhs, slack, holds), in instance order. Returns (rows,
     violations), a violation being a row that does not hold."""
     root = SeededRng(cfg.seed)
     rows = []
@@ -103,10 +103,8 @@ def _run_sweep(cfg, draw, check, sizes):
     for start in range(0, cfg.instances, _SWEEP_BLOCK):
         block = range(start, min(start + _SWEEP_BLOCK, cfg.instances))
         drawn = [draw(cfg, root.split(i)) for i in block]
-        families = haar_orthonormal_many(
-            [g for gaussians, _ in drawn for g in gaussians])
-        store_minors((family, k) for family in families for k in sizes(family))
-        families = iter(families)
+        families = iter(haar_orthonormal_many(
+            [g for gaussians, _ in drawn for g in gaussians]))
         for i, (gaussians, rest) in zip(block, drawn):
             for label, lhs, rhs, slack, holds in check(
                     [next(families) for _ in gaussians], *rest):
@@ -136,15 +134,7 @@ def run_bounds_sweep(cfg: BoundsSweepConfig):
     instance, in instance order. Returns (rows, violations); a violation is
     any report that does not hold (BoundReport.holds), a NaN slack included.
     """
-    return _run_sweep(cfg, _draw_bounds_instance, _check_bounds_instance,
-                      _every_size)
-
-
-def _every_size(family):
-    """Every k in 0..r: the mixture tables and check_bound_dpp read all of
-    a family's stores; the projection pair reads only k = r, but its other
-    sizes cost little in the block's batch."""
-    return range(family.r + 1)
+    return _run_sweep(cfg, _draw_bounds_instance, _check_bounds_instance)
 
 
 def _draw_bounds_instance(cfg: BoundsSweepConfig, rng: SeededRng):
@@ -215,15 +205,7 @@ def run_isometry_sweep(cfg: IsometrySweepConfig):
     instance, in instance order. Returns (rows, violations); a gap above
     GAP_TOL, or NaN, is a violation.
     """
-    return _run_sweep(cfg, _draw_isometry_instance, _check_isometry_instance,
-                      _top_size)
-
-
-def _top_size(family):
-    """k = r alone, the one store gplus_delta reads: the full store would
-    hold C(p + r, r) minors, 30,045,015 at p = 20, r = 10, where this one
-    holds C(p, r), 184,756."""
-    return (family.r,)
+    return _run_sweep(cfg, _draw_isometry_instance, _check_isometry_instance)
 
 
 def _draw_isometry_instance(cfg: IsometrySweepConfig, rng: SeededRng):

@@ -59,9 +59,10 @@ def _h2(roots_a: np.ndarray, roots_b: np.ndarray):
     moduli, mixture weights) give a float; two stacks of them, one
     distribution per row, give the matrix of every pair. The one place in
     the package where an affinity becomes h^2: the clip keeps rounding from
-    pushing h^2 below 0 or above 1, and keeps a NaN affinity NaN.
+    pushing h^2 below 0 or above 1, and keeps a NaN affinity NaN. It is
+    np.minimum of np.maximum: np.clip's values, with less per-call overhead.
     """
-    h2 = 1.0 - np.clip(roots_a @ roots_b.T, 0.0, 1.0)
+    h2 = 1.0 - np.minimum(np.maximum(roots_a @ roots_b.T, 0.0), 1.0)
     return float(h2) if h2.ndim == 0 else h2
 
 

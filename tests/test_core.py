@@ -1,6 +1,8 @@
 import ast
+import gc
 import math
 import re
+import weakref
 from itertools import combinations
 from pathlib import Path
 
@@ -41,7 +43,7 @@ from detproc.core import (
     write_table_csv,
 )
 from detproc.estimator import SubspaceModel, oracle_bound
-from detproc.hellinger import gplus_delta, wedge_coords
+from detproc.hellinger import gplus_delta, hellinger, wedge_coords
 from detproc.rng import SeededRng
 from detproc.sampling import SampleSet, empirical_table
 
@@ -221,6 +223,19 @@ def test_orthonormal_family_rejects_non_finite(bad):
 def test_density_table_rejects_non_finite(bad):
     with pytest.raises(ValueError):
         DensityTable(GroundSet(2), np.array([bad, 0.5, 0.25, 0.25]))
+
+
+@pytest.mark.parametrize("low", [-1e-13, -1e-300, -5e-324],
+                         ids=["minus-1e-13", "minus-1e-300", "minus-denormal"])
+def test_density_table_rejects_any_negative_entry(low):
+    # an entry down to -1e-12 was once accepted, and the table's Hellinger
+    # distance to itself was NaN, from the square root of the negative entry
+    with pytest.raises(ValueError, match=re.escape(
+            f"probabilities must be finite and >= 0 (min {low:.3e})")):
+        DensityTable(GroundSet(2), [low, 0.5, 0.5, -low])
+    # a negative zero is no negative entry
+    table = DensityTable(GroundSet(2), [-0.0, 0.5, 0.5, 0.0])
+    assert hellinger(table, table)[0] == 0.0
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
@@ -657,12 +672,21 @@ def test_haar_orthonormal_many_refuses_rank_out_of_range(build, message):
 
 
 # ---------------------------------------------------------------------------
-# stacked families: one Gram check per stack, one kernel call per (p, r, k)
+# stacked families: one Gram check per stack, one kernel call per (stack, k)
 
 def _haar_stack(p, r, count, seed, real=False):
     """count Haar p x r matrices, each from its own stream, as one array."""
     return np.stack([haar_orthonormal(p, r, SeededRng(seed, (j,)), real).columns
                      for j in range(count)])
+
+
+def _count_kernel_calls(monkeypatch):
+    """Record (matrices, k) of each abs_det_many call from now on."""
+    calls = []
+    real = core.abs_det_many
+    monkeypatch.setattr(core, "abs_det_many", lambda stack: calls.append(
+        (math.prod(stack.shape[:-2]), stack.shape[-1])) or real(stack))
+    return calls
 
 
 @pytest.mark.parametrize("p, r, real", [(1, 0, False), (1, 1, False),
@@ -674,9 +698,12 @@ def test_stacked_families_equal_one_by_one_families(p, r, real):
     stack = _haar_stack(p, r, 4, 40 + p, real)
     stacked = OrthonormalFamily.stack(stack)
     alone = [OrthonormalFamily(matrix) for matrix in stack]
-    # half the stacked families get their stores from one batch fill, the
-    # other half lazily, as the one-by-one families do
-    core.store_minors((fam, k) for fam in stacked[::2] for k in range(r + 1))
+    # half the stacked families read every size first, which fills the
+    # other half's stores too; the one-by-one families fill their own
+    for fam in stacked[::2]:
+        for k in range(r + 1):
+            fam.minors(k)
+    assert all(set(fam._minors) == set(range(r + 1)) for fam in stacked)
     spectrum = Spectrum(np.linspace(0.9, 0.3, r))
     for fam, ref in zip(stacked, alone):
         assert fam.columns.dtype == ref.columns.dtype == complex
@@ -695,31 +722,77 @@ def test_stacked_families_equal_one_by_one_families(p, r, real):
                     == density_table(theirs).probs.tobytes())
 
 
-def test_store_minors_over_mixed_shapes_equals_lazy_minors(monkeypatch):
+@pytest.mark.parametrize("p, r, first", [(5, 3, 0), (5, 3, 3), (4, 1, 2)],
+                         ids=["p5-r3-first-member", "p5-r3-last-member",
+                              "p4-r1-middle-member"])
+def test_first_read_fills_its_size_for_the_whole_stack(monkeypatch, p, r, first):
+    families = OrthonormalFamily.stack(_haar_stack(p, r, 4, 48))
+    calls = _count_kernel_calls(monkeypatch)
+    block = families[first].minors(r)
+    assert calls == [(4 * math.comb(p, r), r)]
+    # every member holds size r now, and no other size
+    assert all(set(fam._minors) == {r} for fam in families)
+    second = families[(first + 1) % 4]
+    assert second.minors(r) is second._minors[r]
+    assert families[first].minors(r) is block
+    assert len(calls) == 1
+    # another size fills the whole stack again: one more call for k >= 1,
+    # none for k = 0
+    other = 1 if r > 1 else 0
+    families[first].minors(other)
+    assert calls[1:] == ([(4 * math.comb(r, 1) * p, 1)] if other else [])
+    assert all(set(fam._minors) == {r, other} for fam in families)
+
+
+@pytest.mark.parametrize("kind", ["stack", "haar-many", "one-family"],
+                         ids=["stack", "haar-many", "one-family"])
+def test_dropping_a_filled_stack_frees_every_family(kind):
+    # the stack record holds the members' arrays and stores, never the
+    # families, so with the cyclic collector off the last reference to the
+    # list is the last reference to every family
+    if kind == "stack":
+        families = OrthonormalFamily.stack(_haar_stack(5, 2, 4, 49))
+    elif kind == "haar-many":
+        families = haar_orthonormal_many(
+            [gaussian(shape, SeededRng(50, (j,)))
+             for j, shape in enumerate([(5, 2), (4, 1), (5, 2), (4, 1)])])
+    else:
+        families = [OrthonormalFamily(_haar_stack(5, 2, 1, 51)[0])]
+    for fam in families:
+        for k in range(fam.r + 1):
+            fam.minors(k)
+        fam.squared_minors
+    refs = [weakref.ref(fam) for fam in families]
+    gc.disable()
+    try:
+        del fam, families
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+def test_minor_stores_over_mixed_shapes_equal_one_by_one_minors(monkeypatch):
     shapes = [(4, 2), (3, 0), (5, 3), (4, 2), (1, 1), (5, 3), (3, 0), (6, 1)]
-    families = [haar_orthonormal(p, r, SeededRng(41, (j,)))
-                for j, (p, r) in enumerate(shapes)]
-    lazy = [OrthonormalFamily(np.array(fam.columns)) for fam in families]
-    calls = []  # (matrices, k) of each kernel call
-    real = core.abs_det_many
-    monkeypatch.setattr(core, "abs_det_many", lambda stack: calls.append(
-        (math.prod(stack.shape[:-2]), stack.shape[-1])) or real(stack))
-    wanted = [(fam, k) for fam in families for k in range(fam.r + 1)]
-    core.store_minors(wanted + wanted[:3])  # a pair given twice is filled once
+    families = haar_orthonormal_many(
+        [gaussian(shape, SeededRng(41, (j,))) for j, shape in enumerate(shapes)])
+    alone = [OrthonormalFamily(np.array(fam.columns)) for fam in families]
+    calls = _count_kernel_calls(monkeypatch)
+    for fam in families:
+        for k in range(fam.r + 1):
+            fam.minors(k)
+    # one call per (shape, k >= 1), the shape's stack read by its first
+    # member; k = 0 makes none
     groups = {(p, r, k) for p, r in shapes for k in range(1, r + 1)}
     assert len(calls) == len(groups)
     assert sum(m for m, _ in calls) == sum(
         shapes.count((p, r)) * math.comb(r, k) * math.comb(p, k)
         for p, r, k in groups)
     calls.clear()
-    for fam, ref in zip(families, lazy):
+    for fam, ref in zip(families, alone):
         for k in range(fam.r + 1):
             assert fam.minors(k).tobytes() == ref.minors(k).tobytes()
-    # the lazy families made the calls; the filled ones read their stores
+    # the one-by-one families made the calls; the stacked ones read stores
     assert len(calls) == sum(r for _, r in shapes)
-    calls.clear()
-    core.store_minors(wanted)  # every store is held already
-    assert calls == []
 
 
 def test_stacked_families_share_no_memory():
@@ -731,7 +804,8 @@ def test_stacked_families_share_no_memory():
     families = OrthonormalFamily.stack(stack)
     families += haar_orthonormal_many(
         [gaussian((5, 2), SeededRng(43, (j,))) for j in range(3)])
-    core.store_minors((fam, k) for fam in families for k in range(3))
+    families[0].minors(1)  # fills k = 1 for the first stack
+    families[-1].minors(2)  # and k = 2 for the second
     for fam in families:
         assert not np.shares_memory(fam.columns, stack)
         assert fam.columns.flags.owndata
@@ -791,7 +865,8 @@ def test_stack_refuses_a_rank_above_p_and_a_lone_matrix():
 
 
 def test_abs_det_many_has_one_call_site_in_the_package():
-    # every minor store comes from one fill, store_minors
+    # every minor store comes from one fill, _fill_minors, one call per
+    # stack and size read
     calls = []
     for path in sorted(Path(core.__file__).parent.glob("*.py")):
         for number, line in enumerate(path.read_text().splitlines(), 1):
@@ -799,7 +874,7 @@ def test_abs_det_many_has_one_call_site_in_the_package():
                 calls.append(f"{path.name}:{number}")
     assert len(calls) == 1 and calls[0].startswith("core.py:")
     store = next(node for node in ast.parse(Path(core.__file__).read_text()).body
-                 if isinstance(node, ast.FunctionDef) and node.name == "store_minors")
+                 if isinstance(node, ast.FunctionDef) and node.name == "_fill_minors")
     assert store.lineno <= int(calls[0].split(":")[1]) <= store.end_lineno
 
 

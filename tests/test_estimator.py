@@ -228,11 +228,18 @@ def test_candidate_families_are_built_per_level_as_one_stack(monkeypatch, p, j_m
     families = list({id(e.family): e.family for e in fam.entries}.values())
     levels = {family.r for family in families}
     assert levels == set(range(1, j_max + 1))
-    # one kernel call per (level, k) whose tables read the store; a
-    # chain-routed level (p = 4, j = 3) fills none
-    filled = [(r, k) for r in levels if not _chain_rule_pays(p, r)
+    # building computes no minor
+    assert calls == []
+    assert all(family._minors == {} for family in families)
+    # reading every table makes one kernel call per (level, k >= 1) whose
+    # tables read the stores; a chain-routed level (p = 4, j = 3) makes none
+    # over all the level's families
+    tables = [entry.table() for entry in fam.entries]
+    count = {r: sum(family.r == r for family in families) for r in levels}
+    filled = [(count[r] * math.comb(r, k), math.comb(p, k), k, k)
+              for r in levels if not _chain_rule_pays(p, r)
               for k in range(1, r + 1)]
-    assert len(calls) == len(filled)
+    assert sorted(calls) == sorted(filled)
     for family in families:
         want = set() if _chain_rule_pays(p, family.r) else set(range(family.r + 1))
         assert set(family._minors) == want
@@ -243,9 +250,9 @@ def test_candidate_families_are_built_per_level_as_one_stack(monkeypatch, p, j_m
         assert not np.shares_memory(a.columns, b.columns)
         for k in set(a._minors) & set(b._minors):
             assert not np.shares_memory(a.minors(k), b.minors(k))
-    # the tables read the stores without a kernel call
+    # a second read of the tables computes nothing
     calls.clear()
-    tables = [entry.table() for entry in fam.entries]
+    assert all(entry.table() is table for entry, table in zip(fam.entries, tables))
     assert calls == []
     # each family is nearest_orthonormal of its net points, byte for byte,
     # and so is each table

@@ -195,31 +195,50 @@ def test_blocked_sweep_counts_violations_as_per_instance_loop(
     assert (rows, violations) == reference(cfg)
 
 
-@pytest.mark.parametrize("run, config, draw, sizes", [
+@pytest.mark.parametrize("run, config, draw, top_only", [
     (run_bounds_sweep, lambda n: BoundsSweepConfig(instances=n, seed=4),
-     experiments._draw_bounds_instance, lambda r: range(1, r + 1)),
+     experiments._draw_bounds_instance, False),
     (run_isometry_sweep, lambda n: IsometrySweepConfig(instances=n, seed=6),
-     experiments._draw_isometry_instance, lambda r: (r,)),
+     experiments._draw_isometry_instance, True),
 ], ids=["bounds", "isometry"])
 def test_sweep_fills_each_block_with_one_kernel_call_per_shape_and_size(
-        monkeypatch, run, config, draw, sizes):
-    # each block's stores come from one store_minors call, and the checks
-    # read them without another kernel call; the isometry sweep fills only
-    # k = r, the one size gplus_delta reads
+        monkeypatch, run, config, draw, top_only):
+    # each block's families are one stack per shape: a minor size is
+    # computed once per (block, p, r, k), for every family of that shape
+    # in the block, when a check first reads it; the isometry sweep reads
+    # only k = r, the one size gplus_delta reads
     monkeypatch.setattr(experiments, "_SWEEP_BLOCK", 16)
-    calls = []
+    blocks = []  # the shapes of each block's families, in order
+    many = experiments.haar_orthonormal_many
+    monkeypatch.setattr(experiments, "haar_orthonormal_many", lambda gaussians: (
+        blocks.append([g.shape for g in gaussians]) or many(gaussians)))
+    fills = []  # (block, p, r, k, families) of each fill
+    fill = core._fill_minors
+
+    def recording(columns, stores, k):
+        fills.append((len(blocks) - 1, *columns[0].shape, k, len(columns)))
+        fill(columns, stores, k)
+
+    monkeypatch.setattr(core, "_fill_minors", recording)
+    kernel = []
     real = core.abs_det_many
     monkeypatch.setattr(core, "abs_det_many",
-                        lambda stack: calls.append(stack.shape) or real(stack))
+                        lambda stack: kernel.append(stack.shape) or real(stack))
     cfg = config(40)
     root = SeededRng(cfg.seed)
-    groups = 0
-    for start in range(0, 40, 16):
-        shapes = {g.shape for i in range(start, min(start + 16, 40))
-                  for g in draw(cfg, root.split(i))[0]}
-        groups += len({(p, r, k) for p, r in shapes for k in sizes(r)})
     run(cfg)
-    assert len(calls) == groups
+    assert blocks == [[g.shape for i in range(start, min(start + 16, 40))
+                       for g in draw(cfg, root.split(i))[0]]
+                      for start in range(0, 40, 16)]
+    keys = [fill[:4] for fill in fills]
+    assert len(set(keys)) == len(keys)
+    for block, p, r, k, families in fills:
+        assert families == blocks[block].count((p, r))
+        assert k == r or not top_only
+    assert len(kernel) == sum(k > 0 for _, _, _, k, _ in fills)
+    if top_only:
+        assert set(keys) == {(block, p, r, r) for block, shapes in enumerate(blocks)
+                             for p, r in shapes}
 
 
 def test_sampler_check_small():
