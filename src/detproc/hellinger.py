@@ -84,11 +84,12 @@ def bernoulli_weight_hellinger(lam: Spectrum, gam: Spectrum) -> float:
     Index j is in the set with probability l_j^2, independently; both laws
     are core.index_set_weights, the weights of the mixture sum, so the
     affinity is prod_j (l_j g_j + sqrt(1-l_j^2) sqrt(1-g_j^2)) up to
-    rounding. Shorter spectrum is padded with zeros.
+    rounding. The shorter spectrum, if any, is padded with zeros.
     """
-    r = max(lam.r, gam.r)
-    lam, gam = (Spectrum(np.concatenate([s.values, np.zeros(r - s.r)]))
-                for s in (lam, gam))
+    if lam.r != gam.r:
+        r = max(lam.r, gam.r)
+        lam, gam = (Spectrum(np.concatenate([s.values, np.zeros(r - s.r)]))
+                    for s in (lam, gam))
     return _h2(np.sqrt(index_set_weights(lam)), np.sqrt(index_set_weights(gam)))
 
 

@@ -159,6 +159,17 @@ def test_enumeration_cap_enforced():
     assert GroundSet(DEFAULT_ENUM_CAP).p == DEFAULT_ENUM_CAP
 
 
+def test_families_share_one_ground_set_per_p():
+    fam_a = haar_orthonormal(4, 2, SeededRng(0))
+    fam_b = OrthonormalFamily(np.eye(4)[:, :3])
+    assert fam_a.ground() is fam_b.ground()
+    assert fam_a.ground() == GroundSet(4)
+    tables = [density_table(DppDensity(fam, Spectrum(np.full(fam.r, 0.5))))
+              for fam in (fam_a, fam_b)]
+    assert tables[0].ground is tables[1].ground
+    assert haar_orthonormal(5, 2, SeededRng(0)).ground().p == 5
+
+
 # ---------------------------------------------------------------------------
 # parameter types
 
@@ -187,6 +198,10 @@ def test_spectrum_companion_inequalities():
     lam = spec.values
     chk = spec.checked
     assert np.all(chk >= -1e-15) and np.all(chk <= 1.0 + 1e-15)
+    edges = Spectrum(np.array([0.0, 1.0, 1 - 1e-17, 1 - 1e-9, 1e-9]))
+    for s in (spec, edges):
+        assert np.array_equal(
+            s.checked, 1.0 - np.sqrt(np.clip(1.0 - s.values**2, 0.0, None)))
     assert np.all(chk <= lam**2 + 1e-12)
     assert np.all(lam**2 <= lam + 1e-12)
 
@@ -482,11 +497,13 @@ def test_subsets_match_per_subset_loop():
 
 
 def test_density_table_matches_per_subset_loop():
-    # C(14, 4) = 1001 <= 2^10 minors: the mixture-sum route, which adds the
-    # zero-weight index sets as exact zeros
+    # C(13, 3) = 286 minors: the mixture-sum route, which adds the
+    # zero-weight index sets as exact zeros (at rank 4 the cost rule picks
+    # the chain rule, which matches the loop only to rounding)
+    assert not core._chain_rule_pays(10, 3)
     rng = SeededRng(31)
-    fam = haar_orthonormal(10, 4, rng.split(0))
-    values = np.array(random_spectrum(4, rng.split(1)).values)
+    fam = haar_orthonormal(10, 3, rng.split(0))
+    values = np.array(random_spectrum(3, rng.split(1)).values)
     values[[0, 2]] = [1.0, 0.0]  # index 1 always drawn, index 3 never
     spec = Spectrum(values)
     table = density_table(DppDensity(fam, spec))

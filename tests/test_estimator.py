@@ -212,8 +212,8 @@ def test_anchored_nets_of_a_real_model_are_real():
     assert np.array_equal(net.points[0], sphere_approx(anchor.columns[:, 0], model))
 
 
-@pytest.mark.parametrize("p, j_max", [(4, 3), (6, 2)],
-                         ids=["p4-j3-chain-level", "p6-j2"])
+@pytest.mark.parametrize("p, j_max", [(6, 5), (6, 2)],
+                         ids=["p6-j5-chain-level", "p6-j2"])
 def test_candidate_families_are_built_per_level_as_one_stack(monkeypatch, p, j_max):
     calls = []
     real = core.abs_det_many
@@ -221,18 +221,20 @@ def test_candidate_families_are_built_per_level_as_one_stack(monkeypatch, p, j_m
                         lambda stack: calls.append(stack.shape) or real(stack))
     models = [full_space_model(p)]
     anchor = haar_orthonormal(p, 2, SeededRng(60))
-    fam = build_candidates(models, {0: 1.0}, 50, CandidateCaps(j_max, 4, 60),
+    # five points per net, so that one model reaches level j = 5
+    fam = build_candidates(models, {0: 1.0}, 50, CandidateCaps(j_max, 5, 60),
                            SeededRng(61), pool_size=32, anchor=anchor,
                            anchor_jitter=1)
     nets = _candidate_nets(models, 50, SeededRng(61), 32, anchor, 1)
     families = list({id(e.family): e.family for e in fam.entries}.values())
     levels = {family.r for family in families}
     assert levels == set(range(1, j_max + 1))
+    assert _chain_rule_pays(p, j_max) == (j_max == 5)  # the top level only
     # building computes no minor
     assert calls == []
     assert all(family._minors == {} for family in families)
     # reading every table makes one kernel call per (level, k >= 1) whose
-    # tables read the stores; a chain-routed level (p = 4, j = 3) makes none
+    # tables read the stores; a chain-routed level (p = 6, j = 5) makes none
     # over all the level's families
     tables = [entry.table() for entry in fam.entries]
     count = {r: sum(family.r == r for family in families) for r in levels}

@@ -1,3 +1,4 @@
+import importlib
 import math
 from itertools import combinations, product
 
@@ -22,6 +23,7 @@ from detproc.core import (
 )
 from detproc.hellinger import (
     BoundReport,
+    _h2,
     bernoulli_weight_hellinger,
     check_bound_dpp,
     check_bound_mixture,
@@ -146,6 +148,21 @@ def test_bernoulli_weight_pads_shorter_spectrum():
     lam = Spectrum(np.array([0.5]))
     gam = Spectrum(np.array([0.5, 0.0]))
     assert bernoulli_weight_hellinger(lam, gam) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_bernoulli_weight_of_equal_ranks_builds_no_spectrum(monkeypatch):
+    # equal ranks read the two spectra's own weight vectors, the bits that
+    # padding each by zero entries gave
+    lam, gam = random_spectrum(3, SeededRng(7)), random_spectrum(3, SeededRng(8))
+    want = _h2(np.sqrt(index_set_weights(lam)), np.sqrt(index_set_weights(gam)))
+
+    def unavailable(*_):
+        raise AssertionError("built a padded spectrum for equal ranks")
+
+    # the package exports a function named hellinger, so import the module
+    module = importlib.import_module("detproc.hellinger")
+    monkeypatch.setattr(module, "Spectrum", unavailable)
+    assert bernoulli_weight_hellinger(lam, gam) == want
 
 
 def closed_form_weight_h2(lam: np.ndarray, gam: np.ndarray) -> float:

@@ -433,16 +433,22 @@ def test_minor_store_calls_the_kernel_once_per_size(monkeypatch):
     fam.moduli((2,))
     density_table(DppDensity(fam, Spectrum(np.array([0.9, 0.7]))))
     assert calls == [1, 2]
-    # a chain-routed pair of tables computes no minors; the component sum
-    # then reads every size once per family
+    # a store-routed pair of tables fills every size once per family, and
+    # the component sum reads the same stores
     rng = SeededRng(7)
     fam_a = haar_orthonormal(6, 3, rng.split(0))
     fam_b = haar_orthonormal(6, 3, rng.split(1))
-    assert _chain_rule_pays(6, 3)
+    assert not _chain_rule_pays(6, 3)
     calls.clear()
     check_bound_dpp(fam_a, random_spectrum(3, rng.split(2)),
                     fam_b, random_spectrum(3, rng.split(3)))
     assert sorted(calls) == [1, 1, 2, 2, 3, 3]
+    # a chain-routed table computes no minors
+    fam_c = haar_orthonormal(6, 5, rng.split(4))
+    assert _chain_rule_pays(6, 5)
+    calls.clear()
+    density_table(DppDensity(fam_c, random_spectrum(5, rng.split(5))))
+    assert calls == [] and not fam_c._minors
 
 
 # ---------------------------------------------------------------------------
@@ -482,41 +488,48 @@ def test_chain_table_matches_loop_and_support(case):
     (6, [1.0, 1.0], False),  # a projection as a mixture: C(8, 2) = 28
     (8, [0.9, 0.7], False),  # the estimator's tables: C(10, 2) = 45
     (15, np.linspace(0.95, 0.45, 7), True),  # C(22, 7) = 170,544
-    # the rule counts every index set: 15 of these 35 minors (respectively
-    # C(6, 3) = 20 of 84) have nonzero weight; the chain rule builds both
+    # the count takes in every index set: 15 of these 35 minors
+    # (respectively C(6, 3) = 20 of 84) have nonzero weight
     (4, [0.5, 0.5, 0.0], True),
     (6, [1.0, 1.0, 1.0], True),
 ])
 def test_density_table_picks_chain_rule_when_minors_exceed_table(p, values, chain):
+    """chain is whether the mixture sum's minors outnumber the table's
+    entries. The cost rule picks the chain rule only where they do by more
+    than its per-point overhead: on a small ground set (p <= 6) the minor
+    store is the faster route even then."""
     spec = Spectrum(np.array(values, dtype=float))
     assert (math.comb(p + spec.r, spec.r) > 1 << p) == chain
-    assert _chain_rule_pays(p, spec.r) == chain
+    route = _chain_rule_pays(p, spec.r)
+    assert route == (chain and p > 6)
     fam = haar_orthonormal(p, spec.r, SeededRng(p))
     table = density_table(DppDensity(fam, spec))
     # only the mixture-sum route fills the family's minor store
-    assert (not fam._minors) == chain
-    want = _chain_table(fam, spec) if chain else _mixture_table(DppDensity(fam, spec))
+    assert (not fam._minors) == route
+    want = _chain_table(fam, spec) if route else _mixture_table(DppDensity(fam, spec))
     assert np.array_equal(table.probs, want)
 
 
 @given(st.integers(1, 7).flatmap(lambda p: st.tuples(st.just(p), st.integers(0, p))))
 def test_chain_rule_choice_matches_minor_count(case):
-    """The rule compares the mixture sum's (J, alpha) pairs, C(p + r, r) by
-    Vandermonde, with the table's 2^p entries."""
+    """The rule weighs the mixture sum's (J, alpha) pairs, C(p + r, r) by
+    Vandermonde, plus 16 minors for each of its r kernel calls, against 64
+    minors per point and a quarter minor per table entry for the chain
+    rule."""
     p, r = case
     pairs = _minor_pairs(p, r)[0].size
     assert pairs == sum(math.comb(r, k) * math.comb(p, k) for k in range(r + 1))
     assert pairs == math.comb(p + r, r)
-    assert _chain_rule_pays(p, r) == (pairs > 1 << p)
+    assert _chain_rule_pays(p, r) == (64 * p + (1 << p) / 4 < 16 * r + pairs)
 
 
 @pytest.mark.parametrize("p, r", [(1, 0), (1, 1), (3, 2), (4, 2), (4, 3),
                                   (6, 2), (6, 3), (8, 2), (10, 4)])
 def test_chain_rule_matches_minors_the_kernel_computes(monkeypatch, p, r):
     """The mixture-sum route on a fresh family computes exactly the minors
-    the rule counts (the 0 x 0 block of J = () is 1 without a kernel call),
-    and the rule sends it to the chain rule iff they outnumber the table's
-    entries."""
+    the rule counts (the 0 x 0 block of J = () is 1 without a kernel call)
+    in the r kernel calls it counts, and the rule sends it to the chain rule
+    iff those cost more than the chain rule's p steps and 2^p entries."""
     matrices = []
     real = core.abs_det_many
     monkeypatch.setattr(core, "abs_det_many",
@@ -526,7 +539,25 @@ def test_chain_rule_matches_minors_the_kernel_computes(monkeypatch, p, r):
     _mixture_table(DppDensity(fam, Spectrum(np.full(r, 0.5))))
     assert 1 + sum(matrices) == math.comb(p + r, r)
     assert len(matrices) == r
-    assert _chain_rule_pays(p, r) == (1 + sum(matrices) > 1 << p)
+    assert _chain_rule_pays(p, r) == (
+        64 * p + (1 << p) / 4 < 16 * len(matrices) + 1 + sum(matrices))
+
+
+# The shapes the workloads build: every bounds-sweep mixture (p <= 6,
+# r <= 3), the risk curve's candidates (p = 8, r <= 2) and the large table
+# (15, 7); at (14, 5) the count C(p + r, r) > 2^p picked the minor store, at
+# about 3.7 times the chain rule's time.
+ROUTES = ([(p, r, False) for p in range(2, 7) for r in range(1, min(p, 3) + 1)]
+          + [(8, 1, False), (8, 2, False), (15, 7, True), (14, 5, True)])
+
+
+@pytest.mark.parametrize("p, r, chain", ROUTES, ids=[
+    f"{'chain' if chain else 'store'}-p{p}-r{r}" for p, r, chain in ROUTES])
+def test_cost_rule_routes_the_workload_shapes(p, r, chain):
+    assert _chain_rule_pays(p, r) == chain
+    fam = haar_orthonormal(p, r, SeededRng(p + r))
+    density_table(DppDensity(fam, random_spectrum(r, SeededRng(r))))
+    assert (not fam._minors) == chain
 
 
 @given(st.integers(0, 8).flatmap(
@@ -542,6 +573,9 @@ def test_index_set_weights_match_mixture_weight(values):
     assert [tuple(np.flatnonzero(row) + 1) for row in inside] == want
     weights = index_set_weights(spec)
     assert weights.tolist() == [mixture_weight(spec, active) for active in want]
+    # computed once per spectrum, and shared read-only
+    assert index_set_weights(spec) is weights
+    assert not weights.flags.writeable
 
 
 def test_subsets_are_cached_and_read_only():
