@@ -39,8 +39,12 @@ POLAR_RANK_TOL = 1e-10
 # select tests pairs in blocks of _PAIR_BLOCK_CELLS // (observed cells), so
 # each temporary holds at most 2^13 floats (64 KB) whatever the family size.
 # Larger blocks ran no faster at m = 640 and raised the peak memory of a
-# default risk curve.
+# default risk curve. sphere_net and SphereNet.min_pairwise_distance bound
+# their blocks of distance rows the same way.
 _PAIR_BLOCK_CELLS = 1 << 13
+# build_candidates computes the polar factors of up to this many point sets
+# of one level with one stacked SVD
+_POLAR_CHUNK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +133,15 @@ class SphereNet:
 
     def min_pairwise_distance(self) -> float:
         pts = self.points
-        return min((float(_net_distance(pts[i + 1:], pts[i]).min())
-                    for i in range(len(self) - 1)), default=float("inf"))
+        size = len(self)
+        step = max(1, _PAIR_BLOCK_CELLS // size)
+        best = float("inf")
+        for lo in range(0, size - 1, step):
+            rows = _net_distance(pts, pts[lo:lo + step])
+            # row i holds the distances to point lo + i; keep the later points
+            later = np.arange(size) > np.arange(lo, lo + rows.shape[0])[:, None]
+            best = min(best, float(rows.min(where=later, initial=np.inf)))
+        return best
 
     def log_size_bound(self, n: int) -> float:
         """Volumetric ceiling for separation radius 1/sqrt(n)."""
@@ -138,15 +149,45 @@ class SphereNet:
 
 
 def _net_distance(points: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """min over theta of |u - e^(i theta) v| for each unit row u of points.
+    """min over theta of |u - e^(i theta) v| for each unit row u of points;
+    for a (B, d) stack v, one such row of distances per vector of v.
 
     A density sees a column phi only through phi phi^*, so phi and
     e^(i theta) phi (-phi on a real model) are one net point. For unit
-    vectors the minimum is sqrt(2 - 2 |<u, v>|), clipped at zero against
-    rounding.
+    vectors the minimum is sqrt(2 - 2 |<u, v>|) (_phase_distance).
     """
-    overlap = np.abs(points @ v.conj())
+    v = np.asarray(v)
+    distance = _phase_distance(_overlaps(points, np.atleast_2d(v)))
+    return distance if v.ndim > 1 else distance[0]
+
+
+def _overlaps(points: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """|<u, w>| for each vector w of the (B, d) stack (rows) and each row u of
+    points (columns), from one stacked matrix-vector product. It rounds as
+    points @ w.conj() does for each w alone; the plain matrix product
+    points @ stack.conj().T rounds differently, and so does a product over
+    only some rows of points, so callers pass every row they compare."""
+    return np.abs((points[None] @ stack.conj()[:, :, None])[..., 0])
+
+
+def _phase_distance(overlap):
+    """sqrt(2 - 2 overlap), clipped at zero against rounding. Each step is
+    monotone, so a larger overlap never gives a larger distance: the
+    distance of the largest overlap is the least distance, bit for bit."""
     return np.sqrt(np.maximum(2.0 - 2.0 * overlap, 0.0))
+
+
+def _far_limit(eta: float) -> float:
+    """The largest overlap whose _phase_distance exceeds eta: since the
+    distance falls as the overlap grows, an overlap is farther than eta
+    iff it is at most this. Found by stepping one ulp at a time from
+    1 - eta^2 / 2, a few ulps off."""
+    limit = np.float64(1.0 - eta * eta / 2.0)
+    while _phase_distance(limit) > eta:
+        limit = np.nextafter(limit, np.inf)
+    while not _phase_distance(limit) > eta:
+        limit = np.nextafter(limit, -np.inf)
+    return float(limit)
 
 
 def _random_unit_coefficients(count, dim, rng, complex_mode):
@@ -164,6 +205,15 @@ def sphere_net(model: SubspaceModel, eta: float, pool_size: int, rng: SeededRng,
     (unit vectors in the subspace) are processed first and therefore anchor
     the net; a seed farther than core.GRAM_TOL from the subspace is
     rejected, and on a real model their imaginary parts must be exactly zero.
+
+    The rows of overlaps (_overlaps: one row per net point, over the whole
+    pool) are computed in blocks of at most _PAIR_BLOCK_CELLS entries. A
+    block holds the next pool points still farther than eta from the net;
+    the greedy rule runs through the block on its rows, and the rows of the
+    points that joined raise every pool point's largest overlap with the
+    net, whose _phase_distance is its distance to the net. The net and the
+    pool covering radius have the bits of one _net_distance row per net
+    point.
     """
     if not (is_real(eta) and 0.0 < eta <= 2.0):
         raise ValueError(f"eta must be a real number in (0, 2], got {eta!r}")
@@ -181,14 +231,33 @@ def sphere_net(model: SubspaceModel, eta: float, pool_size: int, rng: SeededRng,
             raise ValueError(f"seed point {i} lies {off[i]:.3g} from model "
                              f"{model.id}, farther than {GRAM_TOL:g}")
         pool = np.concatenate([seeds if model.is_complex else seeds.real, pool])
-    # nearest[i]: distance from pool[i] to the closest net point so far
-    nearest = np.full(pool.shape[0], np.inf)
+    # overlap[i]: largest overlap of pool[i] with a net point so far, whose
+    # _phase_distance is the distance to the closest one
+    overlap = np.full(pool.shape[0], -np.inf)
+    far = _far_limit(eta)
     keep = []
-    for i in range(pool.shape[0]):
-        if nearest[i] > eta:
-            keep.append(i)
-            np.minimum(nearest, _net_distance(pool, pool[i]), out=nearest)
-    return SphereNet(model, pool[keep], float(nearest.max()))
+    step = min(pool.shape[0], max(1, _PAIR_BLOCK_CELLS // pool.shape[0]))
+    earlier = np.less.outer(np.arange(step), np.arange(step))  # [a, b]: a < b
+    start = 0
+    while True:
+        block = start + np.flatnonzero(overlap[start:] <= far)[:step]
+        if not block.size:
+            break
+        rows = _overlaps(pool, pool[block])
+        # close[a, b]: block[b] is not farther than eta from the earlier block[a]
+        # (a NaN overlap is close too)
+        close = ~(rows[:, block] <= far) & earlier[:block.size, :block.size]
+        start = block[-1] + 1
+        refused = np.flatnonzero(close.any(axis=0))
+        if refused.size:  # only a point close to an earlier one can be refused
+            joins = np.ones(block.size, dtype=bool)
+            for b in refused:
+                joins[b] = not np.any(close[:b, b] & joins[:b])
+            block, rows = block[joins], rows[joins]
+        keep.append(block)
+        np.maximum(overlap, rows.max(axis=0), out=overlap)
+    return SphereNet(model, pool[np.concatenate(keep)],
+                     float(_phase_distance(overlap.min())))
 
 
 def sphere_approx(phi: np.ndarray, model: SubspaceModel) -> np.ndarray:
@@ -222,8 +291,9 @@ def nearest_orthonormal(vectors) -> OrthonormalFamily:
 
     The polar factor of the stacked matrix is the global minimizer over all
     orthonormal tuples; rank-deficient input is rejected. The one-tuple
-    case of build_candidates, which builds the polar factors of each level
-    as one OrthonormalFamily.stack.
+    case of build_candidates, which computes the polar factors of a level's
+    point sets in chunks (_polar_factors) and builds each level as one
+    OrthonormalFamily.stack.
     """
     return OrthonormalFamily(_polar_factor(vectors))
 
@@ -231,12 +301,22 @@ def nearest_orthonormal(vectors) -> OrthonormalFamily:
 def _polar_factor(vectors) -> np.ndarray:
     """The p x j polar factor u vh of the matrix whose columns are the j
     vectors, from one SVD; a ValueError if it is numerically rank
-    deficient."""
+    deficient. The one-matrix case of _polar_factors."""
     m = np.column_stack([np.asarray(v, dtype=complex) for v in vectors])
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    if not s.min() >= POLAR_RANK_TOL:  # a NaN singular value fails too
+    factors, full_rank = _polar_factors(m[None])
+    if not full_rank[0]:
         raise ValueError("vectors are numerically rank deficient")
-    return u @ vh
+    return factors[0]
+
+
+def _polar_factors(matrices: np.ndarray):
+    """The polar factors u vh of a (g, p, j) stack of complex matrices, from
+    one stacked SVD and one stacked product, and for each whether it has
+    numerical full rank: its least singular value is at least
+    POLAR_RANK_TOL, which a NaN fails. Each factor has the bits of the same
+    matrix's factor computed alone."""
+    u, s, vh = np.linalg.svd(matrices, full_matrices=False)
+    return u @ vh, s.min(axis=-1) >= POLAR_RANK_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +388,15 @@ def build_candidates(models, prior, n: int, caps: CandidateCaps, rng: SeededRng,
     maximal net would contain around the anchor.
 
     Candidates on the same set of net points differ only in gamma, so the
-    polar factor is computed once per set, lazily as the walk reaches it,
-    and the candidates share one OrthonormalFamily (and with it the squared
-    minors of their tables). The families are built after the walk, one
-    stack per level j (_level_families); no minor is computed here, and the
-    first table read of a size fills it for the whole level.
+    polar factor is computed once per set, and the candidates share one
+    OrthonormalFamily (and with it the squared minors of their tables). The
+    walk reaches each level's sets in combinations order, so the first set
+    it reaches without a factor gets one computed together with the next
+    sets of its level, _POLAR_CHUNK at most, by one stacked SVD
+    (_polar_factors). The families are built after the walk, one stack per
+    level j (_level_families); no minor is computed here, and the first
+    table read of a size fills it for the whole level. Candidates with
+    equal gamma share one Spectrum, and with it its index-set weights.
 
     Every input is checked here, a ValueError naming the value it refuses.
     """
@@ -344,14 +428,21 @@ def build_candidates(models, prior, n: int, caps: CandidateCaps, rng: SeededRng,
         raise ValueError("model prior weights must sum to at most 1")
     nets = _candidate_nets(models, n, rng, pool_size, anchor, anchor_jitter)
     polar = {}  # subset -> polar factor, or None if rank deficient
+    pool = _net_pool(models, nets, caps)
+    upcoming = {}  # j -> the level's sets in combinations order, not yet factored
 
     def factor(subset):
         if subset not in polar:
-            vectors = [nets[mid].points[i] for mid, i in subset]
-            try:
-                polar[subset] = _polar_factor(vectors)
-            except ValueError:
-                polar[subset] = None  # near-parallel net points
+            j = len(subset)
+            level = upcoming.setdefault(j, combinations(pool, j))
+            # the walk reaches the level's sets in this order, so the chunk
+            # starts at subset
+            chunk = list(islice(level, _POLAR_CHUNK))
+            matrices = np.array([[nets[mid].points[i] for mid, i in s] for s in chunk],
+                                dtype=complex).transpose(0, 2, 1)
+            factors, full_rank = _polar_factors(matrices)
+            for s, matrix, ok in zip(chunk, factors, full_rank):
+                polar[s] = matrix if ok else None  # None: near-parallel net points
         return polar[subset]
 
     found = []  # (index, subset, gamma, mass) of each candidate, walk order
@@ -376,8 +467,10 @@ def build_candidates(models, prior, n: int, caps: CandidateCaps, rng: SeededRng,
                  or any(n**j > caps.family_max for j in levels)
                  or any(factor(subset) is not None for _, subset, _, _ in walk))
     families = _level_families({subset: polar[subset] for _, subset, _, _ in found})
-    # only survivors get a Spectrum
-    entries = [CandidateEntry(index, families[subset], Spectrum(gamma), mass)
+    # only survivors get a Spectrum, one per gamma
+    spectra = {gamma: Spectrum(gamma)
+               for gamma in dict.fromkeys(gamma for _, _, gamma, _ in found)}
+    entries = [CandidateEntry(index, families[subset], spectra[gamma], mass)
                for index, subset, gamma, mass in found]
     return CandidateFamily(
         entries, truncated, {mid: len(net) for mid, net in nets.items()})
@@ -408,7 +501,7 @@ def _candidate_order(models, nets, n, caps):
     truncation keeps the projection-like corner. j above the dimension of the
     models' joint span is skipped: j vectors in a smaller space have no
     orthonormal polar factor."""
-    pool = [(m.id, i) for m in models for i in range(min(len(nets[m.id]), caps.per_net))]
+    pool = _net_pool(models, nets, caps)
     span = np.linalg.matrix_rank(np.hstack([m.basis for m in models]))
     levels = range(1, min(caps.j_max, span, len(pool)) + 1)
     grid = [i / n for i in range(n, 0, -1)]
@@ -425,6 +518,12 @@ def _candidate_order(models, nets, n, caps):
             for g_rank in range(max(0, depth - counts[j] + 1),
                                 min(depth, n**j - 1, caps.family_max - 1) + 1):
                 yield j, subsets[j][depth - g_rank], g_rank, gammas[j][g_rank]
+
+
+def _net_pool(models, nets, caps) -> list:
+    """The (model id, point index) pairs of each net's first per_net points,
+    in model then point order: the points the candidate walk draws sets from."""
+    return [(m.id, i) for m in models for i in range(min(len(nets[m.id]), caps.per_net))]
 
 
 def _candidate_nets(models, n, rng, pool_size, anchor, anchor_jitter) -> dict:

@@ -364,13 +364,14 @@ class RiskCurveResult:
         return [r for r in self.rows if r.empirical_mean_h2 > 0]
 
 
-def _risk_replication(cfg: RiskCurveConfig, n: int, stream: SeededRng) -> float:
+def _risk_replication(cfg: RiskCurveConfig, n: int, stream: SeededRng,
+                      model: SubspaceModel, caps: CandidateCaps) -> float:
+    """Squared distance of the selected candidate to one random truth; model
+    (the full space) and caps are built once per run by run_risk_curve."""
     truth_fam = haar_orthonormal(cfg.p, cfg.k, stream.split(0))
     truth = DppDensity(truth_fam, Spectrum.ones(cfg.k))
     truth_table = density_table(truth)
     samples = sample_table(truth_table, n, stream.split(1))
-    model = SubspaceModel(np.eye(cfg.p, dtype=complex), id=0)
-    caps = CandidateCaps(*cfg.caps)
     fam = build_candidates([model], {0: 1.0}, n, caps, stream.split(2),
                            pool_size=cfg.pool_size, anchor=truth_fam,
                            anchor_jitter=cfg.anchor_jitter)
@@ -385,10 +386,11 @@ def run_risk_curve(cfg: RiskCurveConfig) -> RiskCurveResult:
     subspace-form risk bound for comparison."""
     root = SeededRng(cfg.seed)
     model = SubspaceModel(np.eye(cfg.p, dtype=complex), id=0)
+    caps = CandidateCaps(*cfg.caps)
     rows = []
     per_rep = {}
     for ni, n in enumerate(cfg.n_grid):
-        values = [_risk_replication(cfg, n, root.split(ni).split(rep))
+        values = [_risk_replication(cfg, n, root.split(ni).split(rep), model, caps)
                   for rep in range(cfg.replications)]
         per_rep[n] = values
         mean_h2 = math.fsum(values) / len(values)

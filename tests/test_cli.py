@@ -984,7 +984,7 @@ def test_risk_curve_zero_mean_risk_is_not_a_violation(tmp_path, capsys):
 def test_risk_curve_zero_mean_left_out_of_the_checks(tmp_path, capsys, monkeypatch):
     means = {100: 0.0, 300: 0.01, 1000: 0.003, 3000: 0.001}
     monkeypatch.setattr(experiments, "_risk_replication",
-                        lambda cfg, n, stream: means[n])
+                        lambda cfg, n, stream, model, caps: means[n])
     cfg = write_config(tmp_path, "c.json", {"replications": 2})
     assert main(["risk-curve", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
     assert capsys.readouterr().err == ""

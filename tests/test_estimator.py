@@ -5,7 +5,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from detproc import core
+from detproc import core, estimator
 from detproc.core import (
     OrthonormalFamily,
     _chain_rule_pays,
@@ -22,6 +22,7 @@ from detproc.estimator import (
     CandidateFamily,
     SubspaceModel,
     _candidate_nets,
+    _candidate_order,
     _random_unit_coefficients,
     build_candidates,
     model_from_dict,
@@ -266,6 +267,65 @@ def test_candidate_families_are_built_per_level_as_one_stack(monkeypatch, p, j_m
             DppDensity(alone, entry.spectrum)).probs.tobytes()
 
 
+def reference_candidates(models, prior, n, caps, nets):
+    """(index, family) of each candidate as the walk finds them, each
+    family nearest_orthonormal of its set alone, skipping the sets it
+    refuses as rank deficient."""
+    found, refused = [], set()
+    for j, subset, g_rank, _ in _candidate_order(models, nets, n, caps):
+        try:
+            family = nearest_orthonormal([nets[m].points[i] for m, i in subset])
+        except ValueError:
+            refused.add(subset)
+            continue
+        found.append(((j, *zip(*subset), g_rank), family))
+        if len(found) == caps.family_max:
+            break
+    return found, refused
+
+
+def test_candidate_factors_are_computed_in_level_chunks(monkeypatch):
+    # j = 2 over 2 + 10 net points: 66 sets, more than one chunk of 64. Two
+    # nested models with one anchor column in both give each net the same
+    # seed point, so the set of the two seeds is rank deficient, inside the
+    # level's first chunk
+    chunks = []
+    real = estimator._polar_factors
+    monkeypatch.setattr(estimator, "_polar_factors",
+                        lambda stack: chunks.append(stack.shape) or real(stack))
+    p = 6
+    inner = SubspaceModel(np.eye(p, dtype=complex)[:, :3], id=1)
+    models = [inner, full_space_model(p)]
+    prior = {0: 0.5, 1: 0.5}
+    anchor = OrthonormalFamily(np.eye(p)[:, :1])
+    caps = CandidateCaps(2, 6, 1000)
+    fam = build_candidates(models, prior, 4, caps, SeededRng(70), pool_size=24,
+                           anchor=anchor)
+    built = list(chunks)
+    nets = _candidate_nets(models, 4, SeededRng(70), 24, anchor, 0)
+    assert np.array_equal(nets[0].points[0], nets[1].points[0])
+    found, refused = reference_candidates(models, prior, 4, caps, nets)
+    assert ((1, 0), (0, 0)) in refused
+    assert [entry.index for entry in fam.entries] == [index for index, _ in found]
+    for entry, (_, family) in zip(fam.entries, found):
+        assert entry.family.columns.tobytes() == family.columns.tobytes()
+    # level 2 reaches its 66th set, so it took two chunks; one set is refused
+    assert len({(e.index[1], e.index[2]) for e in fam.entries if e.index[0] == 2}) == 65
+    assert sorted(shape[0] for shape in built if shape[2] == 2) == [2, 64]
+    assert [shape[0] for shape in built if shape[2] == 1] == [12]
+
+
+def test_candidates_with_equal_gamma_share_one_spectrum():
+    anchor = haar_orthonormal(4, 2, SeededRng(80))
+    fam = build_candidates([full_space_model(4)], {0: 1.0}, 3, CandidateCaps(2, 4, 40),
+                           SeededRng(81), pool_size=16, anchor=anchor)
+    spectra = {}
+    for entry in fam.entries:
+        assert spectra.setdefault(tuple(entry.spectrum.values),
+                                  entry.spectrum) is entry.spectrum
+    assert len({id(e.spectrum) for e in fam.entries}) == len(spectra) < len(fam)
+
+
 def model_entry(basis, p, dim):
     return {"id": 0, "p": p, "dim": dim, "prior": 1.0,
             "basis": [[float(z.real), float(z.imag)] for z in basis.T.reshape(-1)]}
@@ -330,6 +390,49 @@ def test_net_matches_loop_reference(p, eta):
         # distance 2 - 2|<u, v>| carries that rounding without the square
         # root's amplification near zero
         assert net.pool_covering_radius**2 == pytest.approx(covering**2, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("eta", [1e-300, 1e-12, 1e-4, 1.0 / math.sqrt(3000), 0.3,
+                                 2.0**-0.5, 1.0, 1.5, 2.0 - 1e-12, 2.0])
+def test_far_limit_is_the_last_overlap_farther_than_eta(eta):
+    limit = estimator._far_limit(eta)
+    assert estimator._phase_distance(limit) > eta
+    assert not estimator._phase_distance(np.nextafter(limit, np.inf)) > eta
+
+
+@pytest.mark.parametrize("complex_mode", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("seeded", [False, True], ids=["pool", "seeded"])
+def test_net_matches_loop_reference_over_many_blocks(complex_mode, seeded):
+    # pools of 60-140 points fit in one block of distance rows; these span
+    # at least three, so the greedy rule crosses block boundaries
+    p, dim, eta, pool_size = (5, 3, 0.4, 400) if complex_mode else (5, 3, 0.3, 600)
+    basis = haar_orthonormal(p, dim, SeededRng(40), real=not complex_mode).columns
+    model = SubspaceModel(basis if complex_mode else basis.real.copy())
+    seed_points = None
+    if seeded:  # a repeated seed and a near one are refused inside the first block
+        first, second = model.basis[:, 0], model.basis[:, 1]
+        near = math.sqrt(1.0 - 0.1**2) * first + 0.1 * second
+        seed_points = [first, second, first, near]
+    net = sphere_net(model, eta, pool_size, SeededRng(41), seed_points)
+    points, covering = loop_sphere_net(model, eta, pool_size, SeededRng(41),
+                                       seed_points)
+    step = estimator._PAIR_BLOCK_CELLS // (pool_size + (4 if seeded else 0))
+    assert len(net) > 2 * step
+    assert np.array_equal(net.points, points)
+    if seeded:
+        assert np.array_equal(net.points[:2], np.stack([first, second]))
+        assert not np.any(np.all(net.points == near, axis=1))
+    # the covering radius has the bits of one distance row per net point
+    coeffs = _random_unit_coefficients(pool_size, dim, SeededRng(41), complex_mode)
+    pool = coeffs @ model.basis.T
+    if seeded:
+        pool = np.concatenate([np.stack(seed_points).astype(pool.dtype), pool])
+    rows = [np.sqrt(np.maximum(2.0 - 2.0 * np.abs(pool @ v.conj()), 0.0))
+            for v in net.points]
+    assert net.pool_covering_radius == float(np.min(rows, axis=0).max())
+    assert net.pool_covering_radius**2 == pytest.approx(covering**2, rel=0, abs=1e-12)
+    pairs = [phase_distance(u, v) for u, v in combinations(points, 2)]
+    assert net.min_pairwise_distance() == pytest.approx(min(pairs), rel=0, abs=1e-7)
 
 
 # ---------------------------------------------------------------------------

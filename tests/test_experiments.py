@@ -387,7 +387,7 @@ def test_risk_curve_deterministic():
 ])
 def test_risk_curve_fits_slope_over_positive_means(monkeypatch, means, fitted):
     monkeypatch.setattr(experiments, "_risk_replication",
-                        lambda cfg, n, stream: means[n])
+                        lambda cfg, n, stream, model, caps: means[n])
     result = run_risk_curve(RiskCurveConfig(replications=2))
     assert [r.n for r in result.positive_rows()] == fitted
     want = np.polyfit(np.log(np.array(fitted, dtype=float)),
@@ -403,7 +403,7 @@ def test_risk_curve_fits_slope_over_positive_means(monkeypatch, means, fitted):
 def test_risk_curve_slope_nan_without_two_positive_means_or_on_bad_means(
         monkeypatch, means):
     monkeypatch.setattr(experiments, "_risk_replication",
-                        lambda cfg, n, stream: means[n])
+                        lambda cfg, n, stream, model, caps: means[n])
     assert math.isnan(run_risk_curve(RiskCurveConfig(replications=1)).slope)
 
 
